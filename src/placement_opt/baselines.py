@@ -175,6 +175,19 @@ def place_expert_chain(graph: ComputationGraph, topology: DeviceTopology) -> Pla
     return Placement(tuple(assignment))
 
 
+def _interchangeable_pair(graph: ComputationGraph, topology: DeviceTopology) -> bool:
+    """Exactly two devices that differ in nothing but their id."""
+    if topology.num_devices != 2:
+        return False
+    a, b = topology.devices
+    return (
+        a.compute_scale == b.compute_scale
+        and a.memory_bytes == b.memory_bytes
+        and topology.bandwidth(0, 1) == topology.bandwidth(1, 0)
+        and all(g.cost_on(0) == g.cost_on(1) for g in graph.nodes)
+    )
+
+
 def exhaustive_search(
     graph: ComputationGraph,
     topology: DeviceTopology,
@@ -184,6 +197,10 @@ def exhaustive_search(
     """Enumerate every placement; min penalized runtime, lexicographic ties.
 
     Returns (Placement, runtime). Raises when |D| ** |V| exceeds the budget.
+    When two devices are interchangeable, a placement and its mirror (devices
+    swapped) simulate bit-identically, and the mirror with node 0 on device 0
+    comes first, so only those placements are enumerated. With 3+ devices bus
+    queues break ties on the destination id, so relabelling is not exact.
     """
     reward_cfg = reward_cfg or RewardConfig(mode=placement_env.TERMINAL)
     n = graph.num_nodes
@@ -191,9 +208,12 @@ def exhaustive_search(
     count = m**n
     if count > budget:
         raise BaselineError(f"{m}^{n} = {count} placements exceed the budget {budget}")
+    candidates = itertools.product(range(m), repeat=n)
+    if n and _interchangeable_pair(graph, topology):
+        candidates = ((0, *rest) for rest in itertools.product(range(2), repeat=n - 1))
     best_assign = None
     best_runtime = None
-    for assign in itertools.product(range(m), repeat=n):
+    for assign in candidates:
         result = simulate(graph, topology, Placement(assign))
         runtime = placement_env.penalized_runtime(result, topology, reward_cfg)
         if best_runtime is None or runtime < best_runtime:

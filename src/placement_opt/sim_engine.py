@@ -14,33 +14,22 @@ Determinism rules (shared with the reference oracle below):
   * events pop in (timestamp, sequence) order;
   * at each distinct timestamp, all completions (including cascades through
     zero-duration work) are processed before any non-zero-duration dispatch.
+
+`event_count` counts completions plus dispatches: each op and each transfer
+is dispatched once and completes once.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graph_core import ComputationGraph
-
-OP_DONE = "OpDone"
-TRANSFER_DONE = "TransferDone"
-WAKEUP = "Wakeup"
 
 
 class SimError(ValueError):
     """Invalid simulation input."""
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    """One scheduled event; the heap pops in (timestamp, sequence) order."""
-
-    kind: str  # OP_DONE, TRANSFER_DONE, or WAKEUP
-    timestamp: float
-    sequence: int
-    payload: object  # node id for ops, (node, dst device) for transfers
 
 
 @dataclass(frozen=True)
@@ -139,9 +128,19 @@ class Placement:
 
     @staticmethod
     def from_mapping(mapping, num_nodes: int) -> "Placement":
+        """Node id (decimal string or int) -> device (int); nothing is coerced."""
+        if not isinstance(mapping, dict):
+            raise SimError("placement assignment must be an object")
         out = [None] * num_nodes
         for k, v in mapping.items():
-            out[int(k)] = int(v)
+            node = int(k) if isinstance(k, str) and k.isascii() and k.isdigit() else k
+            if type(node) is not int or not 0 <= node < num_nodes:
+                raise SimError(f"placement key {k!r} is not a node id in 0..{num_nodes - 1}")
+            if type(v) is not int:
+                raise SimError(f"node {node}: device {v!r} is not an integer")
+            if out[node] is not None:
+                raise SimError(f"placement names node {node} twice")
+            out[node] = v
         if any(d is None for d in out):
             missing = [i for i, d in enumerate(out) if d is None]
             raise SimError(f"placement missing nodes {missing}")
@@ -156,6 +155,8 @@ class Placement:
 
 def load_placement(data, num_nodes: int) -> Placement:
     doc = json.loads(data) if isinstance(data, (bytes, str)) else data
+    if not isinstance(doc, dict) or "assignment" not in doc:
+        raise SimError("placement document needs an 'assignment' object")
     return Placement.from_mapping(doc["assignment"], num_nodes)
 
 
@@ -214,10 +215,8 @@ def _check_inputs(graph: ComputationGraph, topology: DeviceTopology, placement: 
 
 
 def _durations(graph, topology, placement):
-    return [
-        graph.nodes[v].cost_on(placement.assignment[v]) * topology.devices[placement.assignment[v]].compute_scale
-        for v in range(graph.num_nodes)
-    ]
+    scale = [d.compute_scale for d in topology.devices]
+    return [g.cost_on(d) * scale[d] for g, d in zip(graph.nodes, placement.assignment)]
 
 
 def _transfer_pairs(graph, placement):
@@ -230,158 +229,95 @@ def _transfer_pairs(graph, placement):
     return pairs
 
 
-class _SortedQueue:
-    """FIFO-in-time queue; same-instant arrivals order by the id key."""
-
-    def __init__(self):
-        self._heap = []
-
-    def push(self, key):
-        heapq.heappush(self._heap, key)
-
-    def pop(self):
-        return heapq.heappop(self._heap)
-
-    def peek(self):
-        return self._heap[0]
-
-    def __len__(self):
-        return len(self._heap)
-
-
 def simulate(graph: ComputationGraph, topology: DeviceTopology, placement: Placement) -> SimulationResult:
     """Run the event simulation and profile memory. See module docstring."""
     _check_inputs(graph, topology, placement)
     n = graph.num_nodes
-    dur = _durations(graph, topology, placement)
+    m = topology.num_devices
     dev_of = placement.assignment
+    children = graph.children
+    dur = _durations(graph, topology, placement)
+    size = [g.output_bytes for g in graph.nodes]
+    bw = [[topology.bandwidth(s, d) for d in range(m)] for s in range(m)]
+    deps = [len(p) for p in graph.parents]
 
-    q_op = [_SortedQueue() for _ in range(topology.num_devices)]
-    q_tr = [_SortedQueue() for _ in range(topology.num_devices)]
-    dev_busy = [False] * topology.num_devices
-    bus_busy = [False] * topology.num_devices
-
-    deps_left = [len(graph.parents[v]) for v in range(n)]
-    transfer_requested = set()
-
+    q_op = [[] for _ in range(m)]  # heaps of (time entered, node)
+    q_tr = [[] for _ in range(m)]  # heaps of (time entered, producer, dst)
+    dev_busy = [False] * m
+    bus_busy = [False] * m
     node_start = [0.0] * n
     node_end = [0.0] * n
-    transfer_span = {}
-    transfers = []
-
-    events = []  # heap of (timestamp, sequence, SimEvent)
+    done = []  # finished transfers as (start, producer, dst, end)
+    events = []  # heap of (time, seq, node, dst or -1 for an op, start time)
     seq = 0
-    event_count = 0
 
-    def push_event(t, kind, payload):
-        nonlocal seq
-        heapq.heappush(events, (t, seq, SimEvent(kind=kind, timestamp=t, sequence=seq, payload=payload)))
-        seq += 1
-
-    def enqueue_ready(v, t):
-        q_op[dev_of[v]].push((t, v))
-
-    def request_transfers(v, t):
-        src = dev_of[v]
-        for c in graph.children[v]:
-            dst = dev_of[c]
-            if dst != src and (v, dst) not in transfer_requested:
-                transfer_requested.add((v, dst))
-                q_tr[src].push((t, v, dst))
-
-    def start_op(d, t):
-        _, v = q_op[d].pop()
-        dev_busy[d] = True
-        node_start[v] = t
-        push_event(t + dur[v], OP_DONE, v)
-
-    def start_transfer(d, t):
-        _, v, dst = q_tr[d].pop()
-        bus_busy[d] = True
-        length = graph.nodes[v].output_bytes / topology.bandwidth(d, dst)
-        transfer_span[(v, dst)] = (t, t + length)
-        push_event(t + length, TRANSFER_DONE, (v, dst))
-
-    def handle_completion(t, kind, payload):
-        if kind == OP_DONE:
-            v = payload
-            d = dev_of[v]
-            node_end[v] = t
-            dev_busy[d] = False
-            request_transfers(v, t)
-            for c in graph.children[v]:
-                if dev_of[c] == d:
-                    deps_left[c] -= 1
-                    if deps_left[c] == 0:
-                        enqueue_ready(c, t)
-        else:
-            v, dst = payload
-            src = dev_of[v]
-            bus_busy[src] = False
-            ts, te = transfer_span[(v, dst)]
-            transfers.append(TransferRecord(node=v, src=src, dst=dst, start=ts, end=te))
-            for c in graph.children[v]:
-                if dev_of[c] == dst:
-                    deps_left[c] -= 1
-                    if deps_left[c] == 0:
-                        enqueue_ready(c, t)
-
-    # Sources enter their device queues at t=0 in id order.
+    # Sources enter their device queues at t=0 in id order (a sorted list is a heap).
     for v in range(n):
-        if deps_left[v] == 0:
-            enqueue_ready(v, 0.0)
+        if not deps[v]:
+            q_op[dev_of[v]].append((0.0, v))
 
+    zero_work = 0.0 in dur or 0.0 in size
     clock = 0.0
-    while True:
-        if not events:
-            pending = any(len(q) for q in q_op) or any(len(q) for q in q_tr)
-            if not pending:
-                break
-            # Only whole-timestamp dispatch below can drain these.
-        else:
+    while events or any(q_op) or any(q_tr):
+        if events:
             clock = events[0][0]
-            # Completion phase: drain all completions at this timestamp,
-            # including zero-duration cascades started within it.
+        # Alternate completion drains and zero-duration dispatch passes until
+        # neither has work at this timestamp; then one final pass dispatches
+        # everything that can start.
+        final = not zero_work
         while True:
             while events and events[0][0] == clock:
-                _, _, ev = heapq.heappop(events)
-                event_count += 1
-                handle_completion(clock, ev.kind, ev.payload)
-            # Zero-duration dispatch pass (a wakeup that finishes instantly).
+                _, _, v, dst, ts = heappop(events)
+                if dst < 0:
+                    d = dev_of[v]
+                    node_end[v] = clock
+                    dev_busy[d] = False
+                    sent = 0  # bitmask of destinations this tensor was queued for
+                    for c in children[v]:
+                        dc = dev_of[c]
+                        if dc != d:
+                            if not sent >> dc & 1:
+                                sent |= 1 << dc
+                                heappush(q_tr[d], (clock, v, dc))
+                        else:
+                            deps[c] -= 1
+                            if not deps[c]:
+                                heappush(q_op[d], (clock, c))
+                else:
+                    bus_busy[dev_of[v]] = False
+                    done.append((ts, v, dst, clock))
+                    for c in children[v]:
+                        if dev_of[c] == dst:
+                            deps[c] -= 1
+                            if not deps[c]:
+                                heappush(q_op[dst], (clock, c))
             fired = False
-            for d in range(topology.num_devices):
-                if not dev_busy[d] and len(q_op[d]):
-                    v = q_op[d].peek()[1]
-                    if dur[v] == 0.0:
-                        event_count += 1  # Wakeup
-                        start_op(d, clock)
-                        fired = True
-                if not bus_busy[d] and len(q_tr[d]):
-                    _, v, dst = q_tr[d].peek()
-                    if graph.nodes[v].output_bytes == 0.0:
-                        event_count += 1  # Wakeup
-                        start_transfer(d, clock)
-                        fired = True
-            if not fired and not (events and events[0][0] == clock):
+            for d in range(m):
+                q = q_op[d]
+                if q and not dev_busy[d] and (final or dur[q[0][1]] == 0.0):
+                    v = heappop(q)[1]
+                    dev_busy[d] = True
+                    node_start[v] = clock
+                    heappush(events, (clock + dur[v], seq, v, -1, clock))
+                    seq += 1
+                    fired = True
+                q = q_tr[d]
+                if q and not bus_busy[d] and (final or size[q[0][1]] == 0.0):
+                    _, v, dst = heappop(q)
+                    bus_busy[d] = True
+                    heappush(events, (clock + size[v] / bw[d][dst], seq, v, dst, clock))
+                    seq += 1
+                    fired = True
+            if final:
                 break
-        # Non-zero dispatch pass for this timestamp.
-        for d in range(topology.num_devices):
-            if not dev_busy[d] and len(q_op[d]):
-                event_count += 1  # Wakeup
-                start_op(d, clock)
-            if not bus_busy[d] and len(q_tr[d]):
-                event_count += 1  # Wakeup
-                start_transfer(d, clock)
-        if not events:
-            if any(len(q) for q in q_op) or any(len(q) for q in q_tr):
-                raise SimError("simulation stalled with queued work")  # unreachable on valid DAGs
-            break
+            final = not fired  # no dispatch, so no new event at this timestamp
 
-    if any(deps_left[v] > 0 for v in range(n)):
+    if any(deps):
         raise SimError("simulation ended with unexecuted ops")  # unreachable on valid DAGs
 
     makespan = max(node_end, default=0.0)
-    transfers = tuple(sorted(transfers, key=lambda r: (r.start, r.node, r.dst)))
+    done.sort()
+    transfers = tuple([TransferRecord(v, dev_of[v], dst, ts, te) for ts, v, dst, te in done])
     spans = tuple(zip(node_start, node_end))
     peaks = memory_profile(spans, transfers, makespan, graph, topology, placement)
     return SimulationResult(
@@ -389,7 +325,7 @@ def simulate(graph: ComputationGraph, topology: DeviceTopology, placement: Place
         peak_memory_bytes=peaks,
         node_spans=spans,
         transfers=transfers,
-        event_count=event_count,
+        event_count=2 * seq,  # every op and transfer is dispatched once and completes once
     )
 
 
@@ -402,39 +338,38 @@ def memory_profile(node_spans, transfers, makespan, graph, topology, placement):
     producer side) completes; sink outputs stay live until the makespan.
     Allocations at an instant count before frees at the same instant.
     """
-    n = graph.num_nodes
+    m = topology.num_devices
     dev_of = placement.assignment
-    outbound = {}  # (producer, dst) -> transfer record
+    # last_read[v * m + d]: when the last reader of v's tensor on device d ends.
+    last_read = [0.0] * (graph.num_nodes * m)
+    for c, parents in enumerate(graph.parents):
+        i, e = dev_of[c], node_spans[c][1]
+        for p in parents:
+            if e > last_read[p * m + i]:
+                last_read[p * m + i] = e
+    points = [[] for _ in range(m)]  # (time, 0 alloc / 1 free, delta)
     for tr in transfers:
-        outbound[(tr.node, tr.dst)] = tr
-
-    intervals = []  # (device, start, end, bytes)
-    for v in range(n):
-        size = graph.nodes[v].output_bytes
-        if size <= 0:
-            continue
-        d = dev_of[v]
-        start_v, end_v = node_spans[v]
-        dsts = sorted({dev_of[c] for c in graph.children[v] if dev_of[c] != d})
-        readers = [node_spans[c][1] for c in graph.children[v] if dev_of[c] == d]
-        readers += [outbound[(v, dst)].end for dst in dsts]
-        free_at = max(readers) if graph.children[v] else makespan
-        intervals.append((d, start_v, free_at, size))
-        for dst in dsts:
-            tr = outbound[(v, dst)]
-            last_use = max(node_spans[c][1] for c in graph.children[v] if dev_of[c] == dst)
-            intervals.append((dst, tr.start, last_use, size))
-
-    peaks = [0.0] * topology.num_devices
-    by_dev = {}
-    for d, s, e, size in intervals:
-        by_dev.setdefault(d, []).append((s, 0, size))  # alloc sorts before free at same t
-        by_dev[d].append((e, 1, -size))
-    for d, points in by_dev.items():
-        live = 0.0
-        for _, _, delta in sorted(points):
+        src = tr.node * m + tr.src  # the transfer reads the tensor on its source
+        if tr.end > last_read[src]:
+            last_read[src] = tr.end
+        size = graph.nodes[tr.node].output_bytes
+        if size > 0:
+            points[tr.dst] += ((tr.start, 0, size), (last_read[tr.node * m + tr.dst], 1, -size))
+    for v, node in enumerate(graph.nodes):
+        size = node.output_bytes
+        if size > 0:
+            d = dev_of[v]
+            free_at = last_read[v * m + d] if graph.children[v] else makespan
+            points[d] += ((node_spans[v][0], 0, size), (free_at, 1, -size))
+    peaks = []
+    for pts in points:
+        pts.sort()
+        live = peak = 0.0
+        for _, _, delta in pts:
             live += delta
-            peaks[d] = max(peaks[d], live)
+            if live > peak:
+                peak = live
+        peaks.append(peak)
     return tuple(peaks)
 
 

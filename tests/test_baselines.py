@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from placement_opt import placement_env
+from placement_opt import baselines, placement_env
 from placement_opt.baselines import (
     BaselineError,
     PartitionerConfig,
@@ -13,7 +15,8 @@ from placement_opt.baselines import (
     place_single_device,
 )
 from placement_opt.placement_env import RewardConfig
-from placement_opt.sim_engine import simulate
+from placement_opt.graph_core import ComputationGraph, OpGroup
+from placement_opt.sim_engine import Device, DeviceTopology, Placement, simulate
 
 from conftest import make_graph, make_topology, random_dag
 
@@ -192,3 +195,78 @@ class TestExhaustive:
         rng = np.random.default_rng(43)
         g = random_dag(rng, max_nodes=6, bytes_range=(0.0, 4e6))
         assert exhaustive_search(g, two_device, TCFG) == exhaustive_search(g, two_device, TCFG)
+
+
+def full_enumeration(graph, topology, cfg):
+    """Every placement in lexicographic order; the first minimum wins."""
+    best = None
+    for assign in itertools.product(range(topology.num_devices), repeat=graph.num_nodes):
+        runtime, _ = placement_env.evaluate_placement(graph, topology, Placement(assign), cfg)
+        if best is None or runtime < best[1]:
+            best = (assign, runtime)
+    return Placement(best[0]), best[1]
+
+
+@pytest.fixture
+def count_simulations(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return simulate(*args)
+
+    monkeypatch.setattr(baselines, "simulate", counting)
+    return calls
+
+
+class TestExhaustiveMirrorPruning:
+    def test_memory_penalty_matches_full_enumeration(self, two_device, count_simulations):
+        # Peaks of a few MB over a 3 MB threshold make the penalty decide.
+        cfg = RewardConfig(mode="terminal", memory_threshold_bytes=3e6, penalty_per_gb=2e3)
+        rng = np.random.default_rng(51)
+        penalized = 0
+        for _ in range(12):
+            g = random_dag(rng, max_nodes=8, bytes_range=(0.5e6, 4e6))
+            expected = full_enumeration(g, two_device, cfg)
+            count_simulations.clear()
+            assert exhaustive_search(g, two_device, cfg) == expected
+            assert len(count_simulations) == 2 ** (g.num_nodes - 1)
+            best = simulate(g, two_device, expected[0])
+            penalized += expected[1] > best.makespan_seconds
+        assert penalized > 0
+
+    def test_tied_optima_match_full_enumeration(self, two_device, count_simulations):
+        # Integer costs and zero-byte tensors: many placements tie.
+        rng = np.random.default_rng(53)
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            edges = {(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.3}
+            g = make_graph("ties", rng.integers(0, 3, size=n).astype(float), [0.0] * n, edges)
+            expected = full_enumeration(g, two_device, TCFG)
+            count_simulations.clear()
+            assert exhaustive_search(g, two_device, TCFG) == expected
+            assert len(count_simulations) == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("case", ["compute_scale", "bandwidth_matrix", "cost_vectors", "memory_bytes"])
+    def test_distinguishable_devices_enumerate_everything(self, case, count_simulations):
+        rng = np.random.default_rng(57)
+        g = random_dag(rng, max_nodes=7, bytes_range=(0.5e6, 4e6))
+        n = g.num_nodes
+        scales, bandwidth, memory = (1.0, 1.0), 1e6, (1e9, 1e9)
+        if case == "compute_scale":
+            scales = (1.0, 2.0)
+        elif case == "memory_bytes":
+            memory = (1e9, 2e9)
+        elif case == "bandwidth_matrix":
+            bandwidth = ((0.0, 1e6), (2e6, 0.0))
+        else:
+            nodes = [OpGroup(id=v, compute_seconds=(1.0, 1.0 + v % 2), output_bytes=1e6) for v in range(n)]
+            g = ComputationGraph.build("vec", nodes, set(g.edges))
+        topo = DeviceTopology(
+            devices=tuple(Device(id=i, memory_bytes=memory[i], compute_scale=s) for i, s in enumerate(scales)),
+            bandwidth_bytes_per_sec=bandwidth,
+        )
+        expected = full_enumeration(g, topo, TCFG)
+        count_simulations.clear()
+        assert exhaustive_search(g, topo, TCFG) == expected
+        assert len(count_simulations) == 2**n

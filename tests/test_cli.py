@@ -98,6 +98,31 @@ class TestSimulate:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            {"0": 0, "1": 0, "2": 1, "3": 0, "-1": 1},  # would alias the last node
+            {"0": 0, "1": 0, "2": 1, "3": 0, "4": 1},  # no node 4
+            {"0": 0, "1": 0, "2": 1.9, "3": 0},
+            {"0": 0, "1": 0, "2": 1.0, "3": 0},
+            {"0": 0, "1": True, "2": 1, "3": 0},
+            {"0": 0, "1": "1", "2": 1, "3": 0},
+            {"0": 0, "1": 0, "2": 1, "3": 0, "03": 1},  # node 3 twice
+            {"0": 0, "1": 0, "2": 1, " 3": 0},
+            {"0": 0, "1": 0, "2": 1, "3": 2},  # no device 2
+            [0, 0, 1, 0],
+        ],
+    )
+    def test_malformed_placement_is_single_line_error(self, files, capsys, assignment):
+        bad = files["dir"] / "bad_placement.json"
+        bad.write_text(json.dumps({"graph": "diamond", "assignment": assignment}))
+        rc = run(["simulate", "--graph", files["graph"], "--topology", files["topo"], "--placement", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "makespan" not in captured.out
+
 
 class TestPlace:
     def test_single_device_all_zero(self, files, capsys):

@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from placement_opt import datagen
+from placement_opt.graph_core import ComputationGraph, OpGroup
 from placement_opt.sim_engine import (
     Device,
     DeviceTopology,
@@ -259,3 +262,126 @@ class TestMemoryProfile:
         # node 0's tensor has no readers; it persists to the makespan.
         assert res.makespan_seconds == 6.0
         assert res.peak_memory_bytes[0] == 3e9
+
+
+# Seeded fuzz over topology families. "matrix4" has 4 devices, a bandwidth
+# matrix, compute scales (1, 1, 1.5, 2) and per-device cost vectors on about
+# half the nodes; "zero_cost" uses integer costs and sizes so that zero-length
+# ops and identical timestamps are common.
+FAMILIES = ("uniform2", "scaled3", "matrix4", "zero_cost", "zero_bytes")
+
+
+def fuzz_case(rng, family, max_nodes=9):
+    """One (graph, topology, placement) instance of a topology family."""
+    m = {"uniform2": 2, "matrix4": 4}.get(family, 3)
+    n = int(rng.integers(2, max_nodes + 1))
+    edges = {(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.4}
+    costs = [(float(c),) for c in rng.uniform(0.1, 5.0, size=n)]
+    sizes = rng.uniform(0.0, 4e6, size=n)
+    bandwidth = float(rng.uniform(0.5e6, 3e6))
+    scales = [1.0] * m
+    if family == "scaled3":
+        scales = [float(x) for x in rng.choice([0.5, 1.0, 1.5, 2.0], size=m)]
+    elif family == "matrix4":
+        scales = [1.0, 1.0, 1.5, 2.0]
+        bandwidth = tuple(tuple(float(x) for x in row) for row in rng.uniform(0.5e6, 3e6, size=(m, m)))
+        costs = [tuple(float(x) for x in rng.uniform(0.1, 5.0, size=m)) if rng.random() < 0.5 else c for c in costs]
+    elif family == "zero_cost":
+        costs = [(float(c),) for c in rng.integers(0, 3, size=n)]
+        sizes = rng.integers(0, 3, size=n) * 1e6
+        bandwidth = 1e6
+    elif family == "zero_bytes":
+        sizes = np.where(rng.random(n) < 0.5, 0.0, sizes)
+    nodes = [OpGroup(id=i, compute_seconds=c, output_bytes=float(b)) for i, (c, b) in enumerate(zip(costs, sizes))]
+    topo = DeviceTopology(
+        devices=tuple(Device(id=i, memory_bytes=1e9, compute_scale=scales[i]) for i in range(m)),
+        bandwidth_bytes_per_sec=bandwidth,
+    )
+    graph = ComputationGraph.build(family, nodes, edges)
+    return graph, topo, random_placement(rng, graph, m)
+
+
+def result_digest(results):
+    """sha256 over every SimulationResult field, floats in exact hex form."""
+    h = hashlib.sha256()
+    f = float.hex
+    for r in results:
+        fields = [f(r.makespan_seconds), str(r.event_count), *map(f, r.peak_memory_bytes)]
+        fields += [f"{f(s)}:{f(e)}" for s, e in r.node_spans]
+        fields += [f"{t.node}:{t.src}:{t.dst}:{f(t.start)}:{f(t.end)}" for t in r.transfers]
+        h.update((" ".join(fields) + "\n").encode())
+    return h.hexdigest()
+
+
+def golden_results(family):
+    rng = np.random.default_rng([7, FAMILIES.index(family) if family in FAMILIES else 99])
+    if family in FAMILIES:
+        return [simulate(*fuzz_case(rng, family, max_nodes=12)) for _ in range(60)]
+    # "blocks4": branch_blocks graphs of about 60 nodes on the matrix4 topology.
+    _, topo, _ = fuzz_case(rng, "matrix4")
+    spec = datagen.FamilySpec("branch_blocks", count=4, blocks=6, branches_hi=4, seed=3)
+    return [simulate(g, topo, random_placement(rng, g, 4)) for g in datagen.generate_family(spec)]
+
+
+# Recorded from the original event-object simulator; any change to a makespan,
+# peak, span, transfer or event count on these cases changes a digest.
+GOLDEN = {
+    "uniform2": "a7784a577c73a0b55e3cb2d4735008e2fe0c0d33f64582c2ce640cfb3ac9553d",
+    "scaled3": "169921ef39d7d8a31d80aa6f5c4ab7066b5ce6dbc4c9248943ced610036f39fd",
+    "matrix4": "957c31772f6a652ff81bcf48b06208d7be94618a4420caa47095f35d80a6aad7",
+    "zero_cost": "18d837d6a0c43875032229bcb81bdfe0ebd92bfb1d2e2c24bdaffd7aa924d311",
+    "zero_bytes": "df11e2c639e186d9f7e4dd12703f8293abf28257e3fdfecfe6de0eafed60b528",
+    "blocks4": "4df25a96fcdf46853fa6ef9dcb0398f81322267cf28d4d313e601618c58012a0",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN))
+def test_golden_digest(family):
+    assert result_digest(golden_results(family)) == GOLDEN[family]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_agreement_fuzz(family):
+    rng = np.random.default_rng([11, FAMILIES.index(family)])
+    for _ in range(150):
+        g, topo, pl = fuzz_case(rng, family)
+        assert simulate(g, topo, pl).makespan_seconds == oracle_simulate(g, topo, pl)
+
+
+def brute_force_peaks(graph, topology, placement, result):
+    """Peak live bytes per device, summed afresh at every interval endpoint.
+
+    Lifetimes as documented in memory_profile: a tensor lives on its producer's
+    device from the producer's start until its last local reader ends or its
+    last outbound transfer ends (sinks: until the makespan), and on a
+    destination from transfer start until the last consumer there ends.
+    Intervals are closed, so an allocation meets a free at the same instant.
+    """
+    dev = placement.assignment
+    end = [e for _, e in result.node_spans]
+    intervals = []  # (device, alloc, free, bytes)
+    for t in result.transfers:
+        last = max(end[c] for c in graph.children[t.node] if dev[c] == t.dst)
+        intervals.append((t.dst, t.start, last, graph.nodes[t.node].output_bytes))
+    for v, node in enumerate(graph.nodes):
+        readers = [end[c] for c in graph.children[v] if dev[c] == dev[v]]
+        readers += [t.end for t in result.transfers if t.node == v]
+        free = max(readers) if graph.children[v] else result.makespan_seconds
+        intervals.append((dev[v], result.node_spans[v][0], free, node.output_bytes))
+    peaks = []
+    for d in range(topology.num_devices):
+        mine = [(s, e, b) for dd, s, e, b in intervals if dd == d]
+        instants = {x for s, e, _ in mine for x in (s, e)}
+        peaks.append(max((sum(b for s, e, b in mine if s <= x <= e) for x in instants), default=0.0))
+    return peaks
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_peak_memory_brute_force(family):
+    rng = np.random.default_rng([13, FAMILIES.index(family)])
+    for _ in range(150):
+        g, topo, pl = fuzz_case(rng, family)
+        res = simulate(g, topo, pl)
+        # The sweep adds and subtracts in time order, the oracle sums afresh:
+        # a few dozen float64 terms below 1e7 differ by well under 1e-6.
+        assert list(res.peak_memory_bytes) == pytest.approx(brute_force_peaks(g, topo, pl, res), rel=1e-12, abs=1e-6)
