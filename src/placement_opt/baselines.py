@@ -10,6 +10,7 @@ depth bands.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +34,12 @@ def place_random(graph: ComputationGraph, topology: DeviceTopology, seed: int) -
     return Placement(tuple(int(d) for d in rng.integers(topology.num_devices, size=graph.num_nodes)))
 
 
-def _node_load(graph: ComputationGraph, topology: DeviceTopology, v: int) -> float:
-    # Canonical load weight: mean effective compute across devices.
-    g = graph.nodes[v]
-    return float(
-        np.mean([g.cost_on(d) * topology.devices[d].compute_scale for d in range(topology.num_devices)])
-    )
+def _node_loads(graph: ComputationGraph, topology: DeviceTopology) -> list[float]:
+    """Canonical load weight per node: mean effective compute across devices."""
+    m = topology.num_devices
+    costs = np.array([[g.cost_on(d) for d in range(m)] for g in graph.nodes], dtype=float).reshape(-1, m)
+    scale = np.array([dev.compute_scale for dev in topology.devices], dtype=float)
+    return (costs * scale).mean(axis=1).tolist()
 
 
 def _cut_bytes(graph: ComputationGraph, assignment) -> float:
@@ -51,8 +52,10 @@ class PartitionerConfig:
     refinement_passes: int = 2
 
     def __post_init__(self):
-        if self.balance_tolerance < 0:
-            raise BaselineError("balance_tolerance must be >= 0")
+        if not (math.isfinite(self.balance_tolerance) and self.balance_tolerance >= 0):
+            raise BaselineError(f"balance_tolerance {self.balance_tolerance} must be finite and >= 0")
+        if type(self.refinement_passes) is not int or self.refinement_passes < 0:
+            raise BaselineError(f"refinement_passes {self.refinement_passes!r} must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -72,11 +75,19 @@ def place_balanced_mincut(
     the smaller id); a device is feasible while its load stays within
     (1 + tolerance) * (total / |D|). If the granularity makes that impossible
     the tolerance doubles (from 0.01 when zero) until placement succeeds.
+
+    Refinement scores a move of v from device cur to d by its exact
+    incident-edge delta: v's edges to nodes on cur start crossing the cut and
+    its edges to nodes on d stop, so the cut changes by (bytes to cur) -
+    (bytes to d), summed exactly by math.fsum and rounded once. Each node
+    takes the move with the most negative delta; exact ties go to the smaller
+    device id, and a zero delta is no move. Refinement costs
+    O(passes * sum(deg) * |D|), not a full cut recount per candidate.
     """
     cfg = cfg or PartitionerConfig()
     n = graph.num_nodes
     m = topology.num_devices
-    loads_w = [_node_load(graph, topology, v) for v in range(n)]
+    loads_w = _node_loads(graph, topology)
     total = sum(loads_w)
     order = topological_order(graph)
 
@@ -110,22 +121,26 @@ def place_balanced_mincut(
 
     # Kernighan-Lin style single-node refinement: accept the best strictly
     # cut-reducing move per node that keeps the balance bound.
+    out_bytes = [g.output_bytes for g in graph.nodes]
     for _ in range(cfg.refinement_passes):
         moved = False
         for v in range(n):
             cur = assignment[v]
-            cur_cut = _cut_bytes(graph, assignment)
+            # Bytes of v's incident edges, grouped by the device of the other end.
+            by_dev = [[] for _ in range(m)]
+            for p in graph.parents[v]:
+                by_dev[assignment[p]].append(out_bytes[p])
+            for c in graph.children[v]:
+                by_dev[assignment[c]].append(out_bytes[v])
             best = None
             for d in range(m):
-                if d == cur:
-                    continue
+                if d == cur or not by_dev[d]:
+                    continue  # no edge to d: the move cannot lower the cut
                 if load[d] + loads_w[v] > cap + 1e-12:
                     continue
-                assignment[v] = d
-                c = _cut_bytes(graph, assignment)
-                if c < cur_cut - 1e-15 and (best is None or (c, d) < best):
-                    best = (c, d)
-            assignment[v] = cur
+                delta = math.fsum(by_dev[cur] + [-b for b in by_dev[d]])
+                if delta < 0 and (best is None or (delta, d) < best):
+                    best = (delta, d)
             if best is not None:
                 d = best[1]
                 load[cur] -= loads_w[v]
@@ -157,7 +172,7 @@ def place_expert_chain(graph: ComputationGraph, topology: DeviceTopology) -> Pla
     n = graph.num_nodes
     m = topology.num_devices
     depth = node_depths(graph)
-    loads_w = [_node_load(graph, topology, v) for v in range(n)]
+    loads_w = _node_loads(graph, topology)
     total = sum(loads_w)
     by_depth: dict[int, list[int]] = {}
     for v in range(n):

@@ -33,8 +33,8 @@ class OpGroup:
         for c in self.compute_seconds:
             if not (c >= 0.0) or c != c or c == float("inf"):
                 raise GraphError(f"node {self.id}: compute cost {c} not finite and >= 0")
-        if not (self.output_bytes >= 0.0):
-            raise GraphError(f"node {self.id}: output_bytes {self.output_bytes} negative")
+        if not (0.0 <= self.output_bytes < float("inf")):
+            raise GraphError(f"node {self.id}: output_bytes {self.output_bytes} not finite and >= 0")
 
     def cost_on(self, device: int) -> float:
         """Compute seconds on a device; a length-1 vector is broadcast."""
@@ -138,6 +138,16 @@ def _find_cycle(graph: ComputationGraph):
     return None
 
 
+_NODE_KEYS = {"id", "cost", "output_bytes", "members"}
+
+
+def _int_id(x, what: str) -> int:
+    """A JSON integer; floats such as 1.9 or 1.0 and booleans are not ids."""
+    if type(x) is not int:
+        raise GraphError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def load_graph(data) -> ComputationGraph:
     """Parse and validate a graph document (JSON text/bytes or a parsed dict).
 
@@ -155,11 +165,19 @@ def load_graph(data) -> ComputationGraph:
         raise GraphError("graph document must be an object with a 'nodes' list")
 
     raw_nodes = doc["nodes"]
+    if not isinstance(raw_nodes, (list, tuple)):
+        raise GraphError("'nodes' must be a list")
     orig_ids = []
     for nd in raw_nodes:
+        if not isinstance(nd, dict):
+            raise GraphError(f"node {nd!r} is not an object")
         if "id" not in nd:
             raise GraphError("node without an 'id'")
-        orig_ids.append(int(nd["id"]))
+        if not nd.keys() <= _NODE_KEYS:
+            unknown = ", ".join(sorted(map(repr, nd.keys() - _NODE_KEYS)))
+            allowed = ", ".join(sorted(_NODE_KEYS))
+            raise GraphError(f"node {nd['id']!r}: unknown key {unknown} (allowed: {allowed})")
+        orig_ids.append(_int_id(nd["id"], "node id"))
     if len(set(orig_ids)) != len(orig_ids):
         dup = sorted(i for i in set(orig_ids) if orig_ids.count(i) > 1)
         raise GraphError(f"duplicate node id {dup[0]}")
@@ -167,8 +185,7 @@ def load_graph(data) -> ComputationGraph:
     sparse = orig_ids and sorted(orig_ids) != list(range(len(orig_ids)))
 
     nodes = []
-    for nd in raw_nodes:
-        orig = int(nd["id"])
+    for nd, orig in zip(raw_nodes, orig_ids):
         cost = nd.get("cost", 0.0)
         if isinstance(cost, (int, float)):
             cost_vec = (float(cost),)
@@ -187,8 +204,13 @@ def load_graph(data) -> ComputationGraph:
         )
 
     edges = []
-    for e in doc.get("edges", ()):
-        u, v = int(e[0]), int(e[1])
+    raw_edges = doc.get("edges", ())
+    if not isinstance(raw_edges, (list, tuple)):
+        raise GraphError("'edges' must be a list")
+    for e in raw_edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise GraphError(f"edge {e!r} is not a [parent, child] pair")
+        u, v = _int_id(e[0], "edge endpoint"), _int_id(e[1], "edge endpoint")
         if u not in remap or v not in remap:
             raise GraphError(f"edge ({u}, {v}) references a missing node")
         edges.append((remap[u], remap[v]))

@@ -89,11 +89,21 @@ def load_topology(data) -> DeviceTopology:
             raise SimError(f"not valid JSON: {e}") from e
     else:
         doc = data
+    if not isinstance(doc, dict):
+        raise SimError("topology document must be an object")
+    raw_devices = doc.get("devices", ())
+    if not isinstance(raw_devices, (list, tuple)):
+        raise SimError("'devices' must be a list")
     devs = []
-    for i, dd in enumerate(doc.get("devices", ())):
+    for i, dd in enumerate(raw_devices):
+        if not isinstance(dd, dict):
+            raise SimError(f"device {dd!r} is not an object")
+        dev_id = dd.get("id", i)
+        if type(dev_id) is not int:
+            raise SimError(f"device id {dev_id!r} is not an integer")
         devs.append(
             Device(
-                id=int(dd.get("id", i)),
+                id=dev_id,
                 memory_bytes=float(dd["memory_bytes"]),
                 compute_scale=float(dd.get("compute_scale", 1.0)),
             )

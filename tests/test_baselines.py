@@ -1,12 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from placement_opt import baselines, placement_env
+from placement_opt import baselines, datagen, placement_env
 from placement_opt.baselines import (
     BaselineError,
     PartitionerConfig,
+    PartitionResult,
     exhaustive_search,
     node_depths,
     place_balanced_mincut,
@@ -15,7 +17,7 @@ from placement_opt.baselines import (
     place_single_device,
 )
 from placement_opt.placement_env import RewardConfig
-from placement_opt.graph_core import ComputationGraph, OpGroup
+from placement_opt.graph_core import ComputationGraph, OpGroup, topological_order
 from placement_opt.sim_engine import Device, DeviceTopology, Placement, simulate
 
 from conftest import make_graph, make_topology, random_dag
@@ -118,6 +120,187 @@ class TestBalancedMincut:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(BaselineError):
             PartitionerConfig(balance_tolerance=-0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"balance_tolerance": float("nan")},
+            {"balance_tolerance": float("inf")},
+            {"refinement_passes": -1},
+            {"refinement_passes": 1.5},
+            {"refinement_passes": True},
+        ],
+    )
+    def test_invalid_config_rejected(self, kwargs):
+        with pytest.raises(BaselineError):
+            PartitionerConfig(**kwargs)
+
+
+def reference_mincut(graph, topology, cfg):
+    """The full-recount partitioner: each candidate move recounts the whole cut."""
+    n, m = graph.num_nodes, topology.num_devices
+    loads_w = [
+        float(np.mean([graph.nodes[v].cost_on(d) * topology.devices[d].compute_scale for d in range(m)]))
+        for v in range(n)
+    ]
+
+    def cut(assignment):
+        return sum(graph.nodes[u].output_bytes for u, v in graph.edges if assignment[u] != assignment[v])
+
+    total = sum(loads_w)
+    eps, relaxed = cfg.balance_tolerance, False
+    while True:
+        cap = (1.0 + eps) * total / m if total > 0 else float("inf")
+        assignment, load, ok = [0] * n, [0.0] * m, True
+        for v in topological_order(graph):
+            best = None
+            for d in range(m):
+                if load[d] + loads_w[v] > cap + 1e-12:
+                    continue
+                added = sum(graph.nodes[p].output_bytes for p in graph.parents[v] if assignment[p] != d)
+                if best is None or (added, d) < best:
+                    best = (added, d)
+            if best is None:
+                ok = False
+                break
+            assignment[v] = best[1]
+            load[best[1]] += loads_w[v]
+        if ok:
+            break
+        relaxed = True
+        eps = eps * 2 if eps > 0 else 0.01
+    for _ in range(cfg.refinement_passes):
+        moved = False
+        for v in range(n):
+            cur = assignment[v]
+            cur_cut = cut(assignment)
+            best = None
+            for d in range(m):
+                if d == cur or load[d] + loads_w[v] > cap + 1e-12:
+                    continue
+                assignment[v] = d
+                c = cut(assignment)
+                if c < cur_cut - 1e-15 and (best is None or (c, d) < best):
+                    best = (c, d)
+            assignment[v] = cur
+            if best is not None:
+                load[cur] -= loads_w[v]
+                load[best[1]] += loads_w[v]
+                assignment[v] = best[1]
+                moved = True
+        if not moved:
+            break
+    return PartitionResult(Placement(tuple(assignment)), cut(assignment), eps, relaxed)
+
+
+def exact_cut(graph, assignment):
+    return sum(Fraction(graph.nodes[u].output_bytes) for u, v in graph.edges if assignment[u] != assignment[v])
+
+
+def scaled_topology(scales):
+    return DeviceTopology(
+        devices=tuple(Device(id=i, memory_bytes=12e9, compute_scale=s) for i, s in enumerate(scales)),
+        bandwidth_bytes_per_sec=1e6,
+    )
+
+
+REFINE_TOPOLOGIES = {
+    "2dev": (1.0, 1.0),
+    "3dev": (1.0, 1.0, 1.0),
+    "4dev": (1.0, 1.0, 1.0, 1.0),
+    "4dev_scaled": (1.0, 1.0, 1.5, 2.0),
+}
+
+
+class TestMincutRefinement:
+    @pytest.mark.parametrize("m", [2, 4, 9])
+    def test_node_loads_equal_per_node_mean(self, m):
+        rng = np.random.default_rng(61 + m)
+        nodes = []
+        for v in range(40):
+            cost = rng.uniform(0.0, 5.0, size=m if v % 2 else 1)
+            nodes.append(OpGroup(id=v, compute_seconds=tuple(float(c) for c in cost), output_bytes=1.0))
+        g = ComputationGraph.build("loads", nodes, set())
+        topo = scaled_topology(tuple(float(s) for s in rng.uniform(0.5, 3.0, size=m)))
+        per_node = [
+            float(np.mean([g.nodes[v].cost_on(d) * topo.devices[d].compute_scale for d in range(m)]))
+            for v in range(g.num_nodes)
+        ]
+        assert baselines._node_loads(g, topo) == per_node
+
+    @pytest.mark.parametrize("family", ["branch_blocks", "layered_random", "encoder_decoder"])
+    @pytest.mark.parametrize("topo_name", sorted(REFINE_TOPOLOGIES))
+    def test_no_feasible_move_lowers_the_exact_cut(self, family, topo_name):
+        # After refinement converges, every move that clearly keeps the balance
+        # cap leaves the cut, counted exactly in rationals, no lower.
+        topo = scaled_topology(REFINE_TOPOLOGIES[topo_name])
+        m = topo.num_devices
+        graphs = datagen.generate_family(datagen.FamilySpec(family=family, count=8, seed=71))
+        if family == "branch_blocks":
+            graphs += datagen.generate_family(datagen.FamilySpec(family=family, count=2, blocks=6, seed=73))
+        improved = 0
+        for g in graphs:
+            res = place_balanced_mincut(g, topo, PartitionerConfig(refinement_passes=100))
+            greedy = place_balanced_mincut(g, topo, PartitionerConfig(refinement_passes=0))
+            a = list(res.placement.assignment)
+            w = baselines._node_loads(g, topo)
+            cap = (1.0 + res.effective_tolerance) * sum(w) / m
+            load = [sum(w[v] for v in range(g.num_nodes) if a[v] == d) for d in range(m)]
+            assert max(load) <= cap + 1e-9 * cap
+            base = exact_cut(g, a)
+            assert res.cut_bytes == pytest.approx(float(base), rel=1e-12)
+            improved += base < exact_cut(g, greedy.placement.assignment)
+            for v in range(g.num_nodes):
+                cur = a[v]
+                for d in range(m):
+                    if d == cur or load[d] + w[v] > cap - 1e-9 * cap:
+                        continue
+                    a[v] = d
+                    assert exact_cut(g, a) >= base, (g.name, v, cur, d)
+                    a[v] = cur
+        assert improved > 0
+
+    def test_exact_tie_goes_to_smaller_device(self):
+        # Node 1 (v) is a source on device 0 whose children sit on devices 1
+        # and 2 with the same bytes: both moves save exactly 0.3, so the
+        # smaller device id wins. Node 0 fills device 0 during the greedy pass.
+        g = make_graph("tie", [8.0, 1.0, 4.0, 8.0], [0.0, 0.3, 0.0, 0.0], {(1, 2), (1, 3)})
+        topo = make_topology(3)
+        greedy = place_balanced_mincut(g, topo, PartitionerConfig(balance_tolerance=0.43, refinement_passes=0))
+        assert greedy.placement.assignment == (0, 0, 1, 2)
+        res = place_balanced_mincut(g, topo, PartitionerConfig(balance_tolerance=0.43))
+        assert res.placement.assignment == (0, 1, 1, 2)
+        assert res.cut_bytes == 0.3
+
+    def test_zero_delta_is_no_move(self):
+        # v's edges to devices 0 and 1 carry the same bytes: moving v to the
+        # feasible device 1 leaves the cut unchanged, so v stays. (A zero-delta
+        # move would flip v back and forth, once per pass.)
+        g = make_graph("zero", [1.0, 1.0, 1.0], [0.7, 0.0, 0.0], {(0, 1), (0, 2)})
+        for passes in (1, 2, 3):
+            cfg = PartitionerConfig(balance_tolerance=0.5, refinement_passes=passes)
+            res = place_balanced_mincut(g, make_topology(2), cfg)
+            assert res.placement.assignment == (0, 0, 1)
+            assert res.cut_bytes == 0.7
+
+    @pytest.mark.parametrize("topo_name", sorted(REFINE_TOPOLOGIES))
+    def test_matches_full_recount_reference(self, topo_name):
+        topo = scaled_topology(REFINE_TOPOLOGIES[topo_name])
+        graphs = datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=12, seed=79))
+        graphs += datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=2, blocks=8, seed=83))
+        for g in graphs:
+            for cfg in (PartitionerConfig(), PartitionerConfig(balance_tolerance=0.05, refinement_passes=4)):
+                assert place_balanced_mincut(g, topo, cfg) == reference_mincut(g, topo, cfg), g.name
+
+    def test_matches_full_recount_reference_at_1400_nodes(self):
+        spec = datagen.FamilySpec(
+            family="branch_blocks", count=2, blocks=128, branches_lo=2, branches_hi=4,
+            branch_ops_lo=2, branch_ops_hi=4, seed=89,
+        )
+        g = datagen.generate_family(spec)[0]
+        assert 1200 <= g.num_nodes <= 1600
+        topo = scaled_topology(REFINE_TOPOLOGIES["4dev_scaled"])
+        assert place_balanced_mincut(g, topo) == reference_mincut(g, topo, PartitionerConfig())
 
 
 class TestExpertChain:

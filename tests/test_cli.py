@@ -159,6 +159,61 @@ class TestPlace:
             assert set(doc["assignment"]) == {"0", "1", "2", "3"}
 
 
+def _place_fails_with_one_error_line(capsys, files, graph, topo, *extra):
+    out = str(files["dir"] / "place_out")
+    rc = run(["place", "--scheme", "mincut", "--graph", graph, "--topology", topo, "--out", out, *extra])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "makespan" not in captured.out
+
+
+def _diamond_text(**replace):
+    """DIAMOND_DOC as JSON text, with raw JSON fragments substituted in."""
+    text = json.dumps(DIAMOND_DOC)
+    for old, new in replace.items():
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+class TestMalformedPlaceInputs:
+    @pytest.mark.parametrize(
+        "graph_text",
+        [
+            json.dumps({"name": "g", "nodes": [1, 2], "edges": []}),  # nodes are not objects
+            _diamond_text(**{'"id": 1,': '"id": 1.9,', "[0, 1]": "[0, 1.9]"}),  # non-integer node id
+            _diamond_text(**{"[0, 1]": "[0, 1.9]"}),  # non-integer edge endpoint
+            _diamond_text(**{'"id": 1,': '"id": true,'}),  # boolean node id, read as 1 by int()
+            _diamond_text(**{'"cost": 2.0, "output_bytes": 0.0': '"compute_seconds": [2.0], "output_bytes": 0.0'}),
+            _diamond_text(**{'"output_bytes": 2000000.0': '"output_bytes": 1e400'}),  # infinite size
+        ],
+        ids=["non_object_node", "float_node_id", "float_edge_endpoint", "bool_node_id", "unknown_key", "inf_bytes"],
+    )
+    def test_malformed_graph(self, files, capsys, graph_text):
+        bad = files["dir"] / "bad_graph.json"
+        bad.write_text(graph_text)
+        _place_fails_with_one_error_line(capsys, files, str(bad), files["topo"])
+
+    @pytest.mark.parametrize(
+        "devices",
+        [
+            [0, 1],
+            [{"id": 0.7, "memory_bytes": 12e9}, {"id": 1, "memory_bytes": 12e9}],
+        ],
+        ids=["non_object_device", "float_device_id"],
+    )
+    def test_malformed_topology(self, files, capsys, devices):
+        bad = files["dir"] / "bad_topology.json"
+        bad.write_text(json.dumps({"devices": devices, "bandwidth_bytes_per_sec": 1e6}))
+        _place_fails_with_one_error_line(capsys, files, files["graph"], str(bad))
+
+    @pytest.mark.parametrize("flag", ["--balance-tolerance=nan", "--refinement-passes=-1"])
+    def test_invalid_partitioner_flag(self, files, capsys, flag):
+        _place_fails_with_one_error_line(capsys, files, files["graph"], files["topo"], flag)
+
+
 class TestOracle:
     def test_diamond_optimum(self, files, capsys):
         out = files["dir"] / "oracle_out"
