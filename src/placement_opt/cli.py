@@ -8,7 +8,6 @@ failure exits nonzero with a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -16,6 +15,7 @@ import sys
 import numpy as np
 
 from . import baselines, datagen, placement_env, trainer
+from .fileio import write_atomic, write_csv
 from .graph_core import load_graph
 from .placement_env import BYTES_PER_GB, RewardConfig
 from .policy_gnn import PolicyConfig
@@ -51,11 +51,6 @@ def _outdir(args):
     return out
 
 
-def _write(path, text):
-    with open(path, "w") as f:
-        f.write(text)
-
-
 def placement_dot(graph, placement: Placement) -> str:
     lines = ["digraph placement {", "  rankdir=TB;"]
     for v in range(graph.num_nodes):
@@ -70,8 +65,8 @@ def placement_dot(graph, placement: Placement) -> str:
 
 
 def _emit_dot(args, out, graph, placement, stem):
-    if getattr(args, "emit_dot", False):
-        _write(os.path.join(out, f"{stem}.dot"), placement_dot(graph, placement))
+    if args.emit_dot:
+        write_atomic(os.path.join(out, f"{stem}.dot"), placement_dot(graph, placement))
 
 
 def cmd_datagen(args):
@@ -107,7 +102,7 @@ def cmd_simulate(args):
     placement = load_placement(_read(args.placement), graph.num_nodes)
     result = simulate(graph, topology, placement)
     doc = result.to_document(graph, placement)
-    _write(os.path.join(out, "simulation.json"), doc)
+    write_atomic(os.path.join(out, "simulation.json"), doc)
     _emit_dot(args, out, graph, placement, "placement")
     peak = max(result.peak_memory_bytes)
     print(f"makespan {result.makespan_seconds:.6f} s")
@@ -140,8 +135,8 @@ def cmd_place(args):
     )
     placement = _run_scheme(args.scheme, graph, topology, args.seed, cfg)
     result = simulate(graph, topology, placement)
-    _write(os.path.join(out, f"placement_{args.scheme}.json"), placement.to_document(graph.name))
-    _write(os.path.join(out, f"simulation_{args.scheme}.json"), result.to_document(graph, placement))
+    write_atomic(os.path.join(out, f"placement_{args.scheme}.json"), placement.to_document(graph.name))
+    write_atomic(os.path.join(out, f"simulation_{args.scheme}.json"), result.to_document(graph, placement))
     _emit_dot(args, out, graph, placement, f"placement_{args.scheme}")
     print(f"{args.scheme}: makespan {result.makespan_seconds:.6f} s")
     return 0
@@ -198,7 +193,7 @@ def cmd_train(args):
     doc = load_run_config(_read(args.config))
     out = args.out or doc.get("out") or "."
     os.makedirs(out, exist_ok=True)
-    _write(os.path.join(out, "run_config.json"), json.dumps(doc, indent=2))
+    write_atomic(os.path.join(out, "run_config.json"), json.dumps(doc, indent=2))
 
     topology = load_topology(_read(args.topology or doc["topology"]))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
@@ -218,18 +213,16 @@ def cmd_train(args):
         mode=policy_doc.get("mode", "full"),
         head_hidden=policy_doc.get("head_hidden"),
     )
-    trainer_doc = dict(doc.get("trainer", {}))
-    if args.threads is not None:
-        trainer_doc["threads"] = args.threads
+    trainer_doc = doc.get("trainer", {})
     cfg = trainer.TrainerConfig(seed=seed, init_mode=env_doc.get("init_mode", "all_device_0"), **trainer_doc)
 
     result = trainer.train(policy_cfg, cfg, train_graphs, topology, reward_cfg)
     curve_path = os.path.join(out, "learning_curve.csv")
     trainer.write_curve(curve_path, result.curve)
     ckpt_path = os.path.join(out, "checkpoint.json")
-    trainer.save_policy_checkpoint(ckpt_path, result.params, result.adam)
+    trainer.save_policy_checkpoint(ckpt_path, result.params)
     best_path = os.path.join(out, "best_placements.json")
-    _write(
+    write_atomic(
         best_path,
         json.dumps(
             {
@@ -251,7 +244,7 @@ EVAL_COLUMNS = ["graph", "scheme", "penalized_runtime_s", "makespan_s", "peak_me
 
 def cmd_evaluate(args):
     out = _outdir(args)
-    params, _, _, _ = trainer.load_policy_checkpoint(args.checkpoint)
+    params, _ = trainer.load_policy_checkpoint(args.checkpoint)
     topology = load_topology(_read(args.topology))
     _, _, test_graphs = datagen.read_dataset(args.dataset)
     if not test_graphs:
@@ -289,10 +282,7 @@ def cmd_evaluate(args):
             )
 
     report_path = os.path.join(out, "evaluation.csv")
-    with open(report_path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=EVAL_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(report_path, EVAL_COLUMNS, rows)
     print(f"evaluated {len(test_graphs)} test graphs -> {report_path}")
     for scheme in EVAL_SCHEMES:
         vals = [r["penalized_runtime_s"] for r in rows if r["scheme"] == scheme]
@@ -306,18 +296,14 @@ def cmd_oracle(args):
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))
     placement, runtime = baselines.exhaustive_search(graph, topology, budget=args.budget)
-    _write(os.path.join(out, "placement_exhaustive.json"), placement.to_document(graph.name))
+    write_atomic(os.path.join(out, "placement_exhaustive.json"), placement.to_document(graph.name))
     _emit_dot(args, out, graph, placement, "placement_exhaustive")
     print(f"exhaustive optimum: {runtime:.6f} s")
     print(f"assignment: {list(placement.assignment)}")
     return 0
 
 
-def _add_common(p, out_required=False):
-    p.add_argument("--out", required=out_required, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--threads", type=int, default=None, help="parallelism bound")
-    p.add_argument("--emit-dot", action="store_true", help="write a DOT file colored by device")
+EMIT_DOT_HELP = "write a DOT file colored by device"
 
 
 def build_parser():
@@ -338,14 +324,16 @@ def build_parser():
     p.add_argument("--unroll", type=int, nargs=2, default=[3, 6], metavar=("LO", "HI"))
     p.add_argument("--compute", type=float, nargs=2, default=[0.5, 4.0], metavar=("LO", "HI"))
     p.add_argument("--tensor-bytes", type=float, nargs=2, default=[1.0e6, 8.0e6], metavar=("LO", "HI"))
-    _add_common(p, out_required=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("simulate", help="simulate a placement and report the timeline")
     p.add_argument("--graph", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--placement", required=True)
-    _add_common(p)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--emit-dot", action="store_true", help=EMIT_DOT_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("place", help="run a baseline placement scheme")
@@ -354,7 +342,9 @@ def build_parser():
     p.add_argument("--topology", required=True)
     p.add_argument("--balance-tolerance", type=float, default=0.2)
     p.add_argument("--refinement-passes", type=int, default=2)
-    _add_common(p)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random scheme")
+    p.add_argument("--emit-dot", action="store_true", help=EMIT_DOT_HELP)
     p.set_defaults(func=cmd_place)
 
     p = sub.add_parser("train", help="train a placement policy from a run config")
@@ -362,8 +352,6 @@ def build_parser():
     p.add_argument("--topology", help="topology path (overrides config)")
     p.add_argument("--out", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--emit-dot", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="compare a checkpoint against baselines on a dataset")
@@ -372,14 +360,16 @@ def build_parser():
     p.add_argument("--topology", required=True)
     p.add_argument("--samples", type=int, default=0, help="extra sampled rollouts per graph")
     p.add_argument("--budget", type=int, default=2**20, help="max placements for the exhaustive column")
-    _add_common(p)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled rollouts and the random scheme")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oracle", help="exhaustive search for the optimal placement")
     p.add_argument("--graph", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--budget", type=int, default=2**20)
-    _add_common(p)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--emit-dot", action="store_true", help=EMIT_DOT_HELP)
     p.set_defaults(func=cmd_oracle)
 
     return parser

@@ -23,6 +23,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .fileio import write_atomic
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
@@ -210,12 +211,10 @@ def write_dataset(directory: str, spec: FamilySpec) -> dict:
     members = []
     for g in graphs:
         fname = f"{g.name}.json"
-        with open(os.path.join(directory, fname), "w") as f:
-            f.write(save_graph(g))
+        write_atomic(os.path.join(directory, fname), save_graph(g))
         members.append({"name": g.name, "file": fname, "split": "train" if g.name in train_names else "test"})
     manifest = {"spec": asdict(spec), "seed": spec.seed, "members": members}
-    with open(os.path.join(directory, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
+    write_atomic(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2))
     return manifest
 
 

@@ -9,6 +9,7 @@ original ids are kept in ``members``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 
@@ -148,6 +149,19 @@ def _int_id(x, what: str) -> int:
     return x
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(x, node, field: str) -> float:
+    """A finite JSON number; strings, booleans, null and lists are not numbers.
+
+    Called twice per node, so the error message is only built on failure.
+    """
+    if (type(x) is float or type(x) is int) and -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        return float(x)
+    raise GraphError(f"node {node}: {field} {x!r} is not a finite number")
+
+
 def load_graph(data) -> ComputationGraph:
     """Parse and validate a graph document (JSON text/bytes or a parsed dict).
 
@@ -187,10 +201,10 @@ def load_graph(data) -> ComputationGraph:
     nodes = []
     for nd, orig in zip(raw_nodes, orig_ids):
         cost = nd.get("cost", 0.0)
-        if isinstance(cost, (int, float)):
-            cost_vec = (float(cost),)
+        if isinstance(cost, (list, tuple)):
+            cost_vec = tuple([_number(c, orig, "cost") for c in cost])
         else:
-            cost_vec = tuple(float(c) for c in cost)
+            cost_vec = (_number(cost, orig, "cost"),)
         members = tuple(str(m) for m in nd.get("members", ()))
         if sparse and not members and remap[orig] != orig:
             members = (str(orig),)
@@ -198,7 +212,7 @@ def load_graph(data) -> ComputationGraph:
             OpGroup(
                 id=remap[orig],
                 compute_seconds=cost_vec,
-                output_bytes=float(nd.get("output_bytes", 0.0)),
+                output_bytes=_number(nd.get("output_bytes", 0.0), orig, "output_bytes"),
                 members=members,
             )
         )

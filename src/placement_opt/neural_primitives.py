@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import write_atomic
+
 RELU = "relu"
 IDENTITY = "identity"
 
@@ -52,10 +54,6 @@ class DenseNet:
     @property
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
 
     def params(self) -> list[np.ndarray]:
         out = []
@@ -126,19 +124,12 @@ def entropy(probs: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def softmax_logprob_sample(logits: np.ndarray, rng: np.random.Generator):
-    """Sample from softmax(logits) via inverse CDF on one uniform draw.
-
-    Returns (action, log prob of action, probabilities).
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if np.isnan(logits).any():
-        raise ValueError("NaN logits")
-    probs = softmax(logits)
+def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw of one action from probs with one uniform; a draw
+    above a rounded-down cumsum(probs)[-1] picks the last action."""
     u = rng.random()
-    action = int(np.searchsorted(np.cumsum(probs), u))
-    action = min(action, len(probs) - 1)  # guard u == 1.0 edge
-    return action, float(np.log(probs[action])), probs
+    a = int(np.searchsorted(np.cumsum(probs), u))
+    return min(a, len(probs) - 1)
 
 
 @dataclass
@@ -225,50 +216,16 @@ def params_from_doc(doc) -> list[np.ndarray]:
 CHECKPOINT_FORMAT = "placement-opt-checkpoint-v1"
 
 
-def save_checkpoint(path, params, adam: AdamState | None, rng: np.random.Generator | None, extra=None):
-    """Write parameters, optimizer state, and RNG state as versioned JSON."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "params": params_to_doc(params),
-        "adam": None
-        if adam is None
-        else {
-            "m": params_to_doc(adam.m),
-            "v": params_to_doc(adam.v),
-            "timestep": adam.timestep,
-            "lr": adam.lr,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
-        },
-        "rng_state": None if rng is None else rng.bit_generator.state,
-        "extra": extra or {},
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+def save_checkpoint(path, params, extra=None):
+    """Write parameters and a header dict as versioned JSON."""
+    doc = {"format": CHECKPOINT_FORMAT, "params": params_to_doc(params), "extra": extra or {}}
+    write_atomic(path, json.dumps(doc))
 
 
 def load_checkpoint(path):
-    """Returns (params, AdamState | None, restored rng | None, extra dict)."""
+    """Returns (params, extra dict); keys other than params and extra are ignored."""
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unknown checkpoint format {doc.get('format')!r}")
-    params = params_from_doc(doc["params"])
-    adam = None
-    if doc["adam"] is not None:
-        a = doc["adam"]
-        adam = AdamState(
-            m=params_from_doc(a["m"]),
-            v=params_from_doc(a["v"]),
-            timestep=a["timestep"],
-            lr=a["lr"],
-            beta1=a["beta1"],
-            beta2=a["beta2"],
-            eps=a["eps"],
-        )
-    rng = None
-    if doc["rng_state"] is not None:
-        rng = np.random.default_rng(0)
-        rng.bit_generator.state = doc["rng_state"]
-    return params, adam, rng, doc.get("extra", {})
+    return params_from_doc(doc["params"]), doc.get("extra", {})

@@ -65,11 +65,6 @@ class PolicyConfig:
     def feature_dim(self) -> int:
         return placement_env.feature_dim(self.num_devices)
 
-    @property
-    def embed_dim(self) -> int:
-        # Per-direction stream width; the recurrence pins it to the feature dim.
-        return self.feature_dim
-
     def head_input_dim(self) -> int:
         f = self.feature_dim
         if self.mode == FULL:
@@ -336,15 +331,3 @@ def policy_backward(tapes, actions, advantages, beta, params: PolicyParameters):
                 _acc(grads, offsets[f"agg_{name}"], a_grads)
     return total, grads
 
-
-def episode_loss(tapes_fn, actions, advantages, beta):
-    """Recompute the episode loss from scratch (finite-difference oracle hook).
-
-    tapes_fn replays the episode's forwards and returns fresh tapes.
-    """
-    tapes = tapes_fn()
-    total = 0.0
-    for tape, action, adv in zip(tapes, actions, advantages):
-        loss, _ = step_loss_and_dlogits(tape, action, adv, beta)
-        total += loss
-    return total

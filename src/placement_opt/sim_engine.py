@@ -22,6 +22,7 @@ is dispatched once and completes once.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -80,6 +81,13 @@ class DeviceTopology:
         return float(bw[src][dst])
 
 
+def _number(x, what: str) -> float:
+    """A finite JSON number; strings, booleans, null and lists are not numbers."""
+    if (type(x) is float or type(x) is int) and -sys.float_info.max <= x <= sys.float_info.max:
+        return float(x)
+    raise SimError(f"{what} {x!r} is not a finite number")
+
+
 def load_topology(data) -> DeviceTopology:
     """Parse the topology JSON document."""
     if isinstance(data, (bytes, str)):
@@ -104,17 +112,19 @@ def load_topology(data) -> DeviceTopology:
         devs.append(
             Device(
                 id=dev_id,
-                memory_bytes=float(dd["memory_bytes"]),
-                compute_scale=float(dd.get("compute_scale", 1.0)),
+                memory_bytes=_number(dd["memory_bytes"], f"device {dev_id}: memory_bytes"),
+                compute_scale=_number(dd.get("compute_scale", 1.0), f"device {dev_id}: compute_scale"),
             )
         )
     bw = doc.get("bandwidth_bytes_per_sec")
     if bw is None:
         raise SimError("topology document missing bandwidth_bytes_per_sec")
-    if not isinstance(bw, (int, float)):
-        bw = tuple(tuple(float(x) for x in row) for row in bw)
+    if isinstance(bw, (list, tuple)):
+        if not all(isinstance(row, (list, tuple)) for row in bw):
+            raise SimError("bandwidth matrix rows must be lists")
+        bw = tuple(tuple(_number(x, "bandwidth_bytes_per_sec entry") for x in row) for row in bw)
     else:
-        bw = float(bw)
+        bw = _number(bw, "bandwidth_bytes_per_sec")
     return DeviceTopology(devices=tuple(sorted(devs, key=lambda d: d.id)), bandwidth_bytes_per_sec=bw)
 
 

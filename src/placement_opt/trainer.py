@@ -2,23 +2,21 @@
 
 Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle,
 run one episode against the shared parameter snapshot, and compute their own
-gradients. Gradients merge in worker-index order and a single Adam step is
-applied, so results are bit-identical regardless of how many threads actually
-execute the rollouts. Learning rate and entropy weight decay linearly across
-epochs.
+gradients. Workers run serially in index order, their gradients are summed in
+that order, and a single Adam step is applied. Learning rate and entropy
+weight decay linearly across epochs.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import placement_env
-from .neural_primitives import AdamState, adam_step, entropy, load_checkpoint, save_checkpoint
+from .fileio import write_csv
+from .neural_primitives import AdamState, adam_step, entropy, load_checkpoint, sample_action, save_checkpoint
 from .placement_env import RewardConfig
 from .policy_gnn import PolicyConfig, PolicyParameters, init_policy, policy_backward, policy_forward
 from .sim_engine import DeviceTopology, Placement
@@ -40,9 +38,11 @@ class TrainerConfig:
     init_mode: str = "all_device_0"
     randomize_visit_order: bool = False
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # only 1 is legal; the field stays so existing run configs load
 
     def __post_init__(self):
+        if self.threads != 1:
+            raise TrainerError("threads must be 1: training is serial")
         if self.workers < 1:
             raise TrainerError("workers must be >= 1")
         if self.baseline_window < 1:
@@ -96,12 +96,6 @@ class EpisodeTrace:
     initial_runtime: float | None
 
 
-def _sample(probs: np.ndarray, rng: np.random.Generator) -> int:
-    u = rng.random()
-    a = int(np.searchsorted(np.cumsum(probs), u))
-    return min(a, len(probs) - 1)
-
-
 def rollout(
     params: PolicyParameters,
     graph,
@@ -129,7 +123,7 @@ def rollout(
         elif greedy:
             a = int(np.argmax(probs))
         else:
-            a = _sample(probs, rng)
+            a = sample_action(probs, rng)
         state, reward, _ = placement_env.step(state, a, topology, reward_cfg)
         tapes.append(tape)
         actions.append(a)
@@ -188,23 +182,18 @@ def train_epoch(
     order = shuffle_rng.permutation(len(graphs))
     picks = [graphs[order[w % len(graphs)]] for w in range(cfg.workers)]
 
-    def run(w):
-        worker_rng = np.random.default_rng([cfg.seed, epoch, w])
-        return rollout(
+    traces = [
+        rollout(
             params,
             picks[w],
             topology,
             reward_cfg,
-            worker_rng,
+            np.random.default_rng([cfg.seed, epoch, w]),
             init_mode=cfg.init_mode,
             randomize_order=cfg.randomize_visit_order,
         )
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            traces = list(pool.map(run, range(cfg.workers)))
-    else:
-        traces = [run(w) for w in range(cfg.workers)]
+        for w in range(cfg.workers)
+    ]
 
     # Workers are synchronous: all advantages use the pre-epoch baselines,
     # then episodes enter the table in worker order.
@@ -216,17 +205,8 @@ def train_epoch(
     flat = params.flat_params()
     grads = [np.zeros_like(p) for p in flat]
 
-    def backward(w):
-        tr = traces[w]
-        _, g = policy_backward(tr.tapes, tr.actions, advantages[w], beta, params)
-        return g
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            worker_grads = list(pool.map(backward, range(cfg.workers)))
-    else:
-        worker_grads = [backward(w) for w in range(cfg.workers)]
-    for g in worker_grads:  # fixed worker-index order
+    for tr, adv in zip(traces, advantages):  # fixed worker-index order
+        _, g = policy_backward(tr.tapes, tr.actions, adv, beta, params)
         for acc, gi in zip(grads, g):
             acc += gi
 
@@ -253,7 +233,6 @@ CURVE_COLUMNS = ["epoch", "graph", "mean_runtime_s", "best_runtime_s", "mean_ent
 @dataclass
 class TrainResult:
     params: PolicyParameters
-    adam: AdamState
     curve: list[dict]
     best_placements: dict[str, tuple[tuple[int, ...], float]]  # graph -> (placement, runtime)
 
@@ -291,26 +270,23 @@ def train(
                     "entropy_w": stats.entropy_weight,
                 }
             )
-    return TrainResult(params=params, adam=adam, curve=curve, best_placements=best)
+    return TrainResult(params=params, curve=curve, best_placements=best)
 
 
 def write_curve(path, curve):
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CURVE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(curve)
+    write_csv(path, CURVE_COLUMNS, curve)
 
 
-def save_policy_checkpoint(path, params: PolicyParameters, adam: AdamState | None, rng=None, extra=None):
+def save_policy_checkpoint(path, params: PolicyParameters, extra=None):
     header = {"policy": params.config.to_header()}
     if extra:
         header.update(extra)
-    save_checkpoint(path, params.flat_params(), adam, rng, extra=header)
+    save_checkpoint(path, params.flat_params(), extra=header)
 
 
 def load_policy_checkpoint(path):
-    """Returns (PolicyParameters, AdamState | None, rng | None, extra)."""
-    flat, adam, rng, extra = load_checkpoint(path)
+    """Returns (PolicyParameters, extra)."""
+    flat, extra = load_checkpoint(path)
     cfg = PolicyConfig.from_header(extra["policy"])
     params = init_policy(cfg, seed=0)
     template = params.flat_params()
@@ -320,7 +296,7 @@ def load_policy_checkpoint(path):
         if dst.shape != src.shape:
             raise TrainerError("checkpoint parameter shape mismatch")
         dst[...] = src
-    return params, adam, rng, extra
+    return params, extra
 
 
 @dataclass

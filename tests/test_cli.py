@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -167,6 +168,7 @@ def _place_fails_with_one_error_line(capsys, files, graph, topo, *extra):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "makespan" not in captured.out
+    return captured.err
 
 
 def _diamond_text(**replace):
@@ -176,6 +178,9 @@ def _diamond_text(**replace):
         assert old in text
         text = text.replace(old, new)
     return text
+
+
+NOT_A_NUMBER = "is not a finite number"
 
 
 class TestMalformedPlaceInputs:
@@ -208,6 +213,56 @@ class TestMalformedPlaceInputs:
         bad = files["dir"] / "bad_topology.json"
         bad.write_text(json.dumps({"devices": devices, "bandwidth_bytes_per_sec": 1e6}))
         _place_fails_with_one_error_line(capsys, files, files["graph"], str(bad))
+
+    @pytest.mark.parametrize(
+        "node_fields, message",
+        [
+            ('"cost": "15"', NOT_A_NUMBER),  # float() per character read it as the vector (1.0, 5.0)
+            ('"cost": "1.5"', NOT_A_NUMBER),
+            ('"cost": [null, 1.0]', NOT_A_NUMBER),
+            ('"cost": []', "empty compute cost vector"),
+            ('"cost": true', NOT_A_NUMBER),
+            ('"cost": 1.0, "output_bytes": [1]', NOT_A_NUMBER),
+            ('"cost": 1.0, "output_bytes": "2e6"', NOT_A_NUMBER),
+            ('"cost": 1.0, "output_bytes": 1' + "0" * 400, NOT_A_NUMBER),  # an int no float can hold
+        ],
+        ids=["cost_digits_string", "cost_decimal_string", "cost_null_entry", "cost_empty_list", "cost_bool",
+             "output_bytes_list", "output_bytes_string", "output_bytes_int_beyond_float"],
+    )
+    def test_non_numeric_graph_field(self, files, capsys, node_fields, message):
+        bad = files["dir"] / "bad_graph.json"
+        bad.write_text(_diamond_text(**{'"cost": 1.0, "output_bytes": 0.0': node_fields}))
+        assert message in _place_fails_with_one_error_line(capsys, files, str(bad), files["topo"])
+
+    @pytest.mark.parametrize(
+        "device0, bandwidth, message",
+        [
+            ('"memory_bytes": null', "1e6", NOT_A_NUMBER),
+            ('"memory_bytes": "12e9"', "1e6", NOT_A_NUMBER),
+            ('"memory_bytes": 12e9, "compute_scale": 1e400', "1e6", NOT_A_NUMBER),
+            ('"memory_bytes": 12e9', "true", NOT_A_NUMBER),
+            ('"memory_bytes": 12e9', '"1e6"', NOT_A_NUMBER),
+            ('"memory_bytes": 12e9', "[[0, 1e6], [true, 0]]", NOT_A_NUMBER),
+            ('"memory_bytes": 12e9', "[1e6, 1e6]", "rows must be lists"),
+        ],
+        ids=["memory_null", "memory_string", "compute_scale_inf", "bandwidth_bool", "bandwidth_string",
+             "bandwidth_matrix_bool_entry", "bandwidth_rows_not_lists"],
+    )
+    def test_non_numeric_topology_field(self, files, capsys, device0, bandwidth, message):
+        bad = files["dir"] / "bad_topology.json"
+        bad.write_text(
+            f'{{"devices": [{{"id": 0, {device0}}}, {{"id": 1, "memory_bytes": 12e9}}], '
+            f'"bandwidth_bytes_per_sec": {bandwidth}}}'
+        )
+        assert message in _place_fails_with_one_error_line(capsys, files, files["graph"], str(bad))
+
+    def test_bandwidth_matrix_with_zero_diagonal_is_legal(self, files, capsys):
+        topo = files["dir"] / "matrix_topology.json"
+        topo.write_text(json.dumps({**TOPO_DOC, "bandwidth_bytes_per_sec": [[0, 1e6], [2e6, 0]]}))
+        out = str(files["dir"] / "place_out")
+        rc = run(["place", "--scheme", "mincut", "--graph", files["graph"], "--topology", str(topo), "--out", out])
+        assert rc == 0
+        assert "makespan" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--balance-tolerance=nan", "--refinement-passes=-1"])
     def test_invalid_partitioner_flag(self, files, capsys, flag):
@@ -306,6 +361,16 @@ class TestTrainEvaluate:
         assert rc == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_threads_other_than_one_is_single_line_error(self, files, tmp_path, capsys):
+        cfg_path = write_run_config(tmp_path, files["topo"], trainer={"episodes": 1, "workers": 2, "threads": 2})
+        out = tmp_path / "threads_out"
+        rc = run(["train", "--config", cfg_path, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "threads" in err
+        assert not (out / "checkpoint.json").exists()
+
     def test_evaluate_report(self, files, tmp_path, capsys):
         # dataset
         ds = tmp_path / "ds"
@@ -386,3 +451,44 @@ class TestFreshCheckpointBehavesLikeRandom:
             rnd.append(np.mean(r_runtimes))
         ratio = np.mean(zs) / np.mean(rnd)
         assert 0.75 <= ratio <= 1.25
+
+
+def _recording_namespace():
+    """A Namespace plus the set of attribute names read from it."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(), reads
+
+
+class TestDeclaredFlagsAreRead:
+    """A subcommand declares only the flags its handler reads."""
+
+    @pytest.mark.parametrize("command", ["datagen", "simulate", "place", "train", "evaluate", "oracle"])
+    def test_handler_reads_every_declared_flag(self, files, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # commands without --out write to the working directory
+        ds = str(tmp_path / "ds")
+        graph_topo = ["--graph", files["graph"], "--topology", files["topo"]]
+        datagen = ["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "2", "--out", ds]
+        argv = {
+            "datagen": datagen,
+            "simulate": ["simulate", *graph_topo, "--placement", files["placement"]],
+            "place": ["place", "--scheme", "random", *graph_topo],
+            "train": ["train", "--config", write_run_config(tmp_path, files["topo"])],
+            "evaluate": ["evaluate", "--checkpoint", str(tmp_path / "ckpt.json"), "--dataset", ds,
+                         "--topology", files["topo"]],
+            "oracle": ["oracle", *graph_topo],
+        }[command]
+        if command == "evaluate":
+            assert run(datagen) == 0
+            save_policy_checkpoint(tmp_path / "ckpt.json", init_policy(PolicyConfig(num_devices=2, message_rounds=1)))
+        args, reads = _recording_namespace()
+        cli.build_parser().parse_args(argv, namespace=args)
+        reads.clear()
+        assert args.func(args) == 0
+        unread = set(vars(args)) - reads - {"command", "func"}
+        assert not unread, f"{command} declares flags its handler never reads: {sorted(unread)}"

@@ -221,6 +221,13 @@ class TestPolicyForward:
             probs, _ = policy_forward(st, two_device, params)
             assert np.isfinite(probs).all()
 
+    def test_nan_logits_rejected(self, diamond, two_device):
+        params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0)
+        params.nets["head"].biases[-1][0] = np.nan  # set after the constructor's finiteness check
+        st = reset(diamond, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
+        with pytest.raises(PolicyError, match="non-finite"):
+            policy_forward(st, two_device, params)
+
 
 class TestPolicyBackward:
     def test_zero_advantages_zero_entropy_give_zero_gradient(self, diamond, two_device):
