@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -142,26 +143,63 @@ def cmd_place(args):
     return 0
 
 
-_RUN_CONFIG_KEYS = {"topology", "dataset", "family", "out", "seed", "env", "policy", "trainer"}
-_ENV_KEYS = {"mode", "memory_threshold_gb", "penalty_per_gb", "reward_scale", "init_mode"}
-_POLICY_KEYS = {"message_rounds", "mode", "head_hidden"}
-_TRAINER_KEYS = {
-    "episodes",
-    "workers",
-    "lr_start",
-    "lr_end",
-    "entropy_start",
-    "entropy_end",
-    "baseline_window",
-    "randomize_visit_order",
-    "threads",
+# Run-config schema: key -> kind, per section. "int" is a JSON integer (not a
+# bool), "number" a finite JSON number, "bool" true or false; a trailing "?"
+# also admits null.
+_RUN_CONFIG = {
+    "topology": "str",
+    "dataset": "str",
+    "family": "object",
+    "out": "str",
+    "seed": "int",
+    "env": "object",
+    "policy": "object",
+    "trainer": "object",
 }
+_SECTIONS = {
+    "env": {
+        "mode": "str",
+        "memory_threshold_gb": "number",
+        "penalty_per_gb": "number",
+        "reward_scale": "number?",
+        "init_mode": "str",
+    },
+    "policy": {"message_rounds": "int", "mode": "str", "head_hidden": "int?"},
+    "trainer": {
+        "episodes": "int",
+        "workers": "int",
+        "lr_start": "number",
+        "lr_end": "number",
+        "entropy_start": "number",
+        "entropy_end": "number",
+        "baseline_window": "int",
+        "randomize_visit_order": "bool",
+        "threads": "int",
+    },
+    "family": {f.name: {"int": "int", "float": "number", "str": "str"}[f.type] for f in fields(datagen.FamilySpec)},
+}
+_KIND_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,), "str": (str,), "object": (dict,)}
+_KIND_NAMES = {"int": "an integer", "number": "a finite number", "bool": "true or false", "str": "a string",
+               "object": "a JSON object"}
 
 
-def _check_keys(doc, allowed, where):
-    unknown = set(doc) - allowed
+def _check_section(doc, schema, where):
+    """Keys of doc must be in schema and each value of its kind."""
+    if type(doc) is not dict:
+        raise CliError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(schema)
     if unknown:
         raise CliError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        kind = schema[key].rstrip("?")
+        if value is None and schema[key].endswith("?"):
+            continue
+        ok = type(value) in _KIND_TYPES[kind]
+        if ok and kind == "number":
+            ok = -sys.float_info.max <= value <= sys.float_info.max
+        if not ok:
+            null = " or null" if schema[key].endswith("?") else ""
+            raise CliError(f"{where} key {key!r} must be {_KIND_NAMES[kind]}{null}, not {json.dumps(value)}")
 
 
 def load_run_config(text):
@@ -169,14 +207,15 @@ def load_run_config(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise CliError(f"config is not valid JSON: {e}") from e
-    _check_keys(doc, _RUN_CONFIG_KEYS, "config")
+    _check_section(doc, _RUN_CONFIG, "config")
     if "topology" not in doc:
         raise CliError("config needs a 'topology' path")
     if ("dataset" in doc) == ("family" in doc):
         raise CliError("config needs exactly one of 'dataset' or 'family'")
-    _check_keys(doc.get("env", {}), _ENV_KEYS, "env")
-    _check_keys(doc.get("policy", {}), _POLICY_KEYS, "policy")
-    _check_keys(doc.get("trainer", {}), _TRAINER_KEYS, "trainer")
+    for section, schema in _SECTIONS.items():
+        _check_section(doc.get(section, {}), schema, section)
+    if "family" in doc and "family" not in doc["family"]:
+        raise CliError("config family needs a 'family' name")
     return doc
 
 

@@ -8,6 +8,8 @@ accept a single vector or a batch of row vectors.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +116,9 @@ def dense_backward(net: DenseNet, tape: list, grad_out: np.ndarray):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
-    e = np.exp(z)
-    return e / e.sum()
+    """Softmax over the last axis: one vector or a batch of rows."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def entropy(probs: np.ndarray) -> float:
@@ -209,8 +211,26 @@ def params_to_doc(params: list[np.ndarray]):
     return [{"shape": list(p.shape), "data": p.ravel().tolist()} for p in params]
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def params_from_doc(doc) -> list[np.ndarray]:
-    return [np.array(e["data"], dtype=np.float64).reshape(e["shape"]) for e in doc]
+    """Parameter arrays from [{"shape": [...], "data": [...]}, ...]; raises
+    ValueError unless each entry holds prod(shape) finite numbers."""
+    if type(doc) is not list:
+        raise ValueError("checkpoint 'params' must be a list")
+    out = []
+    for i, e in enumerate(doc):
+        shape = e.get("shape") if type(e) is dict else None
+        data = e.get("data") if type(e) is dict else None
+        if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape) or type(data) is not list:
+            raise ValueError(f"checkpoint parameter {i} needs a 'shape' list of sizes and a 'data' list")
+        if len(data) != math.prod(shape):
+            raise ValueError(f"checkpoint parameter {i}: {len(data)} values for shape {shape}")
+        if not all((type(x) is float or type(x) is int) and -_FLOAT_MAX <= x <= _FLOAT_MAX for x in data):
+            raise ValueError(f"checkpoint parameter {i}: data holds a value that is not a finite number")
+        out.append(np.array(data, dtype=np.float64).reshape(shape))
+    return out
 
 
 CHECKPOINT_FORMAT = "placement-opt-checkpoint-v1"
@@ -226,6 +246,13 @@ def load_checkpoint(path):
     """Returns (params, extra dict); keys other than params and extra are ignored."""
     with open(path) as f:
         doc = json.load(f)
+    if type(doc) is not dict:
+        raise ValueError("checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unknown checkpoint format {doc.get('format')!r}")
-    return params_from_doc(doc["params"]), doc.get("extra", {})
+    if "params" not in doc:
+        raise ValueError("checkpoint has no 'params'")
+    extra = doc.get("extra", {})
+    if type(extra) is not dict:
+        raise ValueError("checkpoint 'extra' must be a JSON object")
+    return params_from_doc(doc["params"]), extra

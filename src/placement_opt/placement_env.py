@@ -121,15 +121,18 @@ def featurize(state: EpisodeState, topology: DeviceTopology) -> np.ndarray:
     n = graph.num_nodes
     m = topology.num_devices
     feats = np.zeros((n, m + 4), dtype=np.float64)
-    max_c = graph.max_compute_seconds()
-    max_b = graph.max_output_bytes()
-    for v in range(n):
-        g = graph.nodes[v]
-        feats[v, 0] = g.cost_on(0) / max_c if max_c > 0 else 0.0
-        feats[v, 1] = g.output_bytes / max_b if max_b > 0 else 0.0
-        feats[v, 2 + state.placement[v]] = 1.0
-        feats[v, m + 2] = 1.0 if state.visited[v] else 0.0
-        feats[v, m + 3] = 1.0 if v == state.current_node else 0.0
+    costs = np.array([g.cost_on(0) for g in graph.nodes], dtype=np.float64)
+    sizes = np.array([g.output_bytes for g in graph.nodes], dtype=np.float64)
+    max_c = costs.max(initial=0.0)
+    max_b = sizes.max(initial=0.0)
+    if max_c > 0:
+        feats[:, 0] = costs / max_c
+    if max_b > 0:
+        feats[:, 1] = sizes / max_b
+    feats[np.arange(n), 2 + np.array(state.placement, dtype=np.intp)] = 1.0
+    feats[:, m + 2] = state.visited
+    if state.current_node is not None:
+        feats[state.current_node, m + 3] = 1.0
     return feats
 
 

@@ -12,14 +12,19 @@ Two deliberately weaker variants are kept for ablations: ``simple_aggregator``
 (one net over the sum of all raw node features) and ``simple_partitioner``
 (per-set sums of raw features through three nets, no message passing).
 
-All forward passes record tapes; ``policy_backward`` accumulates exact
-gradients of the episode loss sum(-log pi(a|s) * A - beta * entropy).
+Every pass works on a batch of states: their graphs form one disjoint union,
+and messages and pooled sets are grouped row sums over edge and id lists
+(``np.add.reduceat``), so no dense adjacency is built. One state is a batch
+of one. ``policy_backward`` keeps no per-step tapes: it re-runs one batched
+forward over the recorded states and one batched reverse pass per net,
+giving exact gradients of the episode loss sum(-log pi(a|s) * A - beta *
+entropy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +34,6 @@ from .neural_primitives import (
     DenseNet,
     dense_backward,
     dense_forward,
-    entropy,
     make_dense,
     softmax,
 )
@@ -83,10 +87,15 @@ class PolicyConfig:
 
     @staticmethod
     def from_header(doc) -> "PolicyConfig":
+        if type(doc) is not dict:
+            raise PolicyError("policy header must be a JSON object")
+        for key in ("num_devices", "message_rounds", "head_hidden"):
+            if type(doc.get(key)) is not int and (key != "head_hidden" or doc.get(key) is not None):
+                raise PolicyError(f"policy header {key!r} must be an integer, not {doc.get(key)!r}")
         return PolicyConfig(
-            num_devices=int(doc["num_devices"]),
-            message_rounds=int(doc["message_rounds"]),
-            mode=doc["mode"],
+            num_devices=doc["num_devices"],
+            message_rounds=doc["message_rounds"],
+            mode=doc.get("mode"),
             head_hidden=doc.get("head_hidden"),
         )
 
@@ -144,60 +153,154 @@ def init_policy(cfg: PolicyConfig, seed: int = 0) -> PolicyParameters:
     return PolicyParameters(config=cfg, nets=nets)
 
 
-@lru_cache(maxsize=128)
-def _graph_index(graph: ComputationGraph):
-    """Adjacency matrices and per-node relation id lists, cached per graph."""
-    n = graph.num_nodes
-    a_down = np.zeros((n, n))  # a_down[v, u] = 1 iff u is a direct parent of v
-    a_up = np.zeros((n, n))
-    for v in range(n):
-        for p in graph.parents[v]:
-            a_down[v, p] = 1.0
-        for c in graph.children[v]:
-            a_up[v, c] = 1.0
+class _Index(NamedTuple):
+    """One graph's message routes and, per node, its pooled sets.
+
+    A grouping (targets, starts, sources) sums rows: row targets[i] of the
+    result is the sum of the input rows sources[starts[i]:starts[i + 1]], in
+    that order, and every other row is zero."""
+
+    down: tuple  # each node's parents: the down stream's messages
+    up: tuple  # each node's children: the up stream's messages
+    pool: list  # per node v, per POOL_SETS entry: v's set of that kind, grouped as target 0
+
+
+def _grouping(parts, shifts) -> tuple:
+    """Grouping under which target b sums the rows parts[b] + shifts[b]."""
+    counts = np.array([len(p) for p in parts], dtype=np.intp)
+    targets = np.flatnonzero(counts)
+    sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, counts)
+    return targets, _offsets(counts[targets]), sources
+
+
+def _offsets(counts) -> np.ndarray:
+    """Exclusive prefix sums: where each of a run of parts starts."""
+    out = np.zeros(len(counts), dtype=np.intp)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _union(groupings, target_shifts, source_shifts) -> tuple:
+    """Disjoint union of groupings: grouping b's targets shifted by
+    target_shifts[b] and its sources by source_shifts[b]. Both shifts of the
+    first grouping are 0, so the union of one is that grouping."""
+    if len(groupings) == 1:
+        return groupings[0]
+    targets, starts, sources = zip(*groupings)
+    groups = np.array([len(t) for t in targets], dtype=np.intp)
+    edges = np.array([len(s) for s in sources], dtype=np.intp)
+    return (
+        np.concatenate(targets) + np.repeat(target_shifts, groups),
+        np.concatenate(starts) + np.repeat(_offsets(edges), groups),
+        np.concatenate(sources) + np.repeat(source_shifts, edges),
+    )
+
+
+def _group_sum(rows: np.ndarray, targets, starts, size: int) -> np.ndarray:
+    """(size, width) group sums of rows already gathered in source order."""
+    if len(starts) == size:  # every target has a group
+        return np.add.reduceat(rows, starts, axis=0)
+    out = np.zeros((size, rows.shape[1]))
+    if len(starts):
+        out[targets] = np.add.reduceat(rows, starts, axis=0)
+    return out
+
+
+def _build_index(graph: ComputationGraph) -> _Index:
     idx = reachability(graph)
-    sets = [relation_sets(idx, v) for v in range(n)]
-    return a_down, a_up, sets
+    zero = np.zeros(graph.num_nodes, dtype=np.intp)
+    return _Index(
+        down=_grouping(graph.parents, zero),
+        up=_grouping(graph.children, zero),
+        pool=[tuple(_grouping([ids], [0]) for ids in relation_sets(idx, v)) for v in range(graph.num_nodes)],
+    )
 
 
-def embed(features: np.ndarray, graph: ComputationGraph, params: PolicyParameters):
-    """k rounds of two-direction message passing. Returns (emb (n, 2F), tape)."""
+_INDEXES: dict[int, tuple] = {}  # id(graph) -> (graph, _Index), oldest first
+_INDEX_CAPACITY = 128
+
+
+def _graph_index(graph: ComputationGraph) -> _Index:
+    """Edge groupings and per-node pooled-set groupings, cached per graph
+    object. Keyed by identity, because hashing a graph walks all its nodes;
+    an entry holds its graph, so the id cannot be reused while it is cached."""
+    hit = _INDEXES.get(id(graph))
+    if hit is None:
+        if len(_INDEXES) >= _INDEX_CAPACITY:
+            del _INDEXES[next(iter(_INDEXES))]
+        hit = _INDEXES[id(graph)] = (graph, _build_index(graph))
+    return hit[1]
+
+
+class _Batch(NamedTuple):
+    """Disjoint union of B states' graphs, as in PyG's mini-batching: rows
+    stacked in state order, each state's edges and sets shifted by its first
+    row. No dense adjacency is built."""
+
+    down: tuple
+    up: tuple
+    pool: tuple  # per POOL_SETS entry, that set's rows grouped by state
+    current: np.ndarray  # each state's current row
+    starts: np.ndarray  # each state's first row
+    rows: int
+
+
+def _batch(graphs, nodes) -> _Batch:
+    index = [_graph_index(g) for g in graphs]
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+    starts = _offsets(sizes)
+    states = np.arange(len(graphs))
+    pool = [ix.pool[v] for ix, v in zip(index, nodes)]
+    return _Batch(
+        down=_union([ix.down for ix in index], starts, starts),
+        up=_union([ix.up for ix in index], starts, starts),
+        pool=tuple(_union([p[k] for p in pool], states, starts) for k in range(len(POOL_SETS))),
+        current=starts + np.array(nodes, dtype=np.intp),
+        starts=starts,
+        rows=int(sizes.sum()),
+    )
+
+
+def embed(features: np.ndarray, graph, params: PolicyParameters):
+    """k rounds of two-direction message passing over one graph or a batch's
+    disjoint union. Returns (emb (rows, 2F), tape)."""
     cfg = params.config
-    a_down, a_up, _ = _graph_index(graph)
+    links = _graph_index(graph) if isinstance(graph, ComputationGraph) else graph
+    rows = features.shape[0]
     streams = {"down": features, "up": features}
-    adj = {"down": a_down, "up": a_up}
     rounds = []
     for _ in range(cfg.message_rounds):
         record = {}
-        for d in ("down", "up"):
+        for d, (targets, starts, sources) in (("down", links.down), ("up", links.up)):
             x = streams[d]
             fout, ftape = dense_forward(params.nets[f"f_{d}"], x)
-            msg = adj[d] @ fout
+            msg = _group_sum(fout[sources], targets, starts, rows)
             gin = np.concatenate([x, msg], axis=1)
             xnew, gtape = dense_forward(params.nets[f"g_{d}"], gin)
             record[d] = (ftape, gtape)
             streams[d] = xnew
         rounds.append(record)
     emb = np.concatenate([streams["down"], streams["up"]], axis=1)
-    return emb, {"rounds": rounds, "adj": adj, "emb": emb}
+    return emb, {"rounds": rounds, "links": links, "emb": emb}
 
 
-def embed_backward(tape, demb, graph, params, grads, offsets):
-    """Accumulate f/g gradients; feature gradients are not needed upstream."""
-    cfg = params.config
-    f = cfg.feature_dim
-    d_streams = {"down": demb[:, :f].copy(), "up": demb[:, f:].copy()}
+def embed_backward(tape, demb, params, grads, offsets):
+    """Accumulate f/g gradients; feature gradients are not needed upstream.
+    A message into v from u flows back from v to u, so each stream's reverse
+    pass sums over the other direction's grouping."""
+    f = params.config.feature_dim
+    links = tape["links"]
+    rows = demb.shape[0]
+    d_streams = {"down": demb[:, :f], "up": demb[:, f:]}
     for record in reversed(tape["rounds"]):
-        for d in ("down", "up"):
+        for d, (targets, starts, sources) in (("down", links.up), ("up", links.down)):
             ftape, gtape = record[d]
             g_grads, dgin = dense_backward(params.nets[f"g_{d}"], gtape, d_streams[d])
             _acc(grads, offsets[f"g_{d}"], g_grads)
-            dx = dgin[:, :f]
-            dmsg = dgin[:, f:]
-            dfout = tape["adj"][d].T @ dmsg
+            dfout = _group_sum(dgin[sources, f:], targets, starts, rows)
             f_grads, dx_f = dense_backward(params.nets[f"f_{d}"], ftape, dfout)
             _acc(grads, offsets[f"f_{d}"], f_grads)
-            d_streams[d] = dx + dx_f
+            d_streams[d] = dgin[:, :f] + dx_f
 
 
 def _acc(grads, offset, net_grads):
@@ -206,19 +309,27 @@ def _acc(grads, offset, net_grads):
         grads[offset + 2 * i + 1] += db
 
 
-def pool_and_decide(emb, sets_v, v, params: PolicyParameters):
-    """Three-set pooling around node v plus the head. Returns (logits, tape)."""
-    pieces = [emb[v]]
-    pool_tapes = {}
-    for name, ids in zip(POOL_SETS, sets_v):
-        lout, ltape = dense_forward(params.nets[f"l_{name}"], emb)
-        s = lout[ids].sum(axis=0) if ids else np.zeros(lout.shape[1])
-        ctx, htape = dense_forward(params.nets[f"h_{name}"], s)
-        pool_tapes[name] = (ltape, htape, ids)
+def pool_and_decide(emb, sets, current, params: PolicyParameters):
+    """Three-set pooling around each state's current row, then the head.
+
+    sets[k] groups the rows of POOL_SETS[k] by state (see _Index) and current
+    holds each state's current row; returns (logits (B, D), tape). One state
+    may also be given as three id lists and its row, for logits of shape (D,).
+    """
+    single = np.ndim(current) == 0
+    if single:
+        sets = [_grouping([ids], [0]) for ids in sets]
+        current = np.array([current])
+    pieces = [emb[current]]
+    pool_tapes = []
+    for name, (targets, starts, sources) in zip(POOL_SETS, sets):
+        lout, ltape = dense_forward(params.nets[f"l_{name}"], emb[sources])
+        ctx, htape = dense_forward(params.nets[f"h_{name}"], _group_sum(lout, targets, starts, len(current)))
+        pool_tapes.append((ltape, htape, (targets, starts, sources)))
         pieces.append(ctx)
-    head_in = np.concatenate(pieces)
-    logits, head_tape = dense_forward(params.nets["head"], head_in)
-    return logits, {"pool": pool_tapes, "head": head_tape, "v": v, "n": emb.shape[0]}
+    logits, head_tape = dense_forward(params.nets["head"], np.concatenate(pieces, axis=1))
+    tape = {"pool": pool_tapes, "head": head_tape, "current": current, "rows": emb.shape[0]}
+    return (logits[0] if single else logits), tape
 
 
 def pool_backward(tape, dlogits, params, grads, offsets):
@@ -226,108 +337,141 @@ def pool_backward(tape, dlogits, params, grads, offsets):
     e = params.nets["head"].in_dim // 4
     head_grads, dhead_in = dense_backward(params.nets["head"], tape["head"], dlogits)
     _acc(grads, offsets["head"], head_grads)
-    demb = np.zeros((tape["n"], e))
-    demb[tape["v"]] += dhead_in[:e]
+    demb = np.zeros((tape["rows"], e))
+    demb[tape["current"]] = dhead_in[:, :e]
     for k, name in enumerate(POOL_SETS):
-        ltape, htape, ids = tape["pool"][name]
-        h_grads, ds = dense_backward(params.nets[f"h_{name}"], htape, dhead_in[(k + 1) * e : (k + 2) * e])
+        ltape, htape, (targets, starts, sources) = tape["pool"][k]
+        h_grads, ds = dense_backward(params.nets[f"h_{name}"], htape, dhead_in[:, (k + 1) * e : (k + 2) * e])
         _acc(grads, offsets[f"h_{name}"], h_grads)
-        dlout = np.zeros((tape["n"], e))
-        if ids:
-            dlout[ids] = ds
-        l_grads, demb_l = dense_backward(params.nets[f"l_{name}"], ltape, dlout)
+        counts = np.diff(starts, append=len(sources))
+        l_grads, dsources = dense_backward(params.nets[f"l_{name}"], ltape, ds[np.repeat(targets, counts)])
         _acc(grads, offsets[f"l_{name}"], l_grads)
-        demb += demb_l
+        demb[sources] += dsources  # a state's current row and its three sets are disjoint
     return demb
 
 
-def policy_forward(state, topology, params: PolicyParameters):
-    """Distribution over devices for the state's current node.
-
-    Returns (probabilities, tape); the tape carries everything backward needs.
-    """
+def _forward(steps, params: PolicyParameters):
+    """One batched pass over step records. Returns (probs (B, D), tape)."""
     cfg = params.config
-    feats = placement_env.featurize(state, topology)
-    graph = state.graph
-    v = state.current_node
-    tape = {"mode": cfg.mode, "graph": graph, "features": feats, "v": v}
-
+    batch = _batch([s["graph"] for s in steps], [s["v"] for s in steps])
+    feats = np.concatenate([s["features"] for s in steps])
+    tape = {}
     if cfg.mode == FULL:
-        emb, etape = embed(feats, graph, params)
-        _, _, sets = _graph_index(graph)
-        logits, ptape = pool_and_decide(emb, sets[v], v, params)
-        tape["embed"] = etape
-        tape["pool"] = ptape
+        emb, tape["embed"] = embed(feats, batch, params)
+        logits, tape["pool"] = pool_and_decide(emb, batch.pool, batch.current, params)
     elif cfg.mode == SIMPLE_AGGREGATOR:
-        total = feats.sum(axis=0)
-        z, atape = dense_forward(params.nets["agg"], total)
-        logits, head_tape = dense_forward(params.nets["head"], z)
-        tape["agg"] = atape
-        tape["head"] = head_tape
+        z, tape["agg"] = dense_forward(params.nets["agg"], np.add.reduceat(feats, batch.starts, axis=0))
+        logits, tape["head"] = dense_forward(params.nets["head"], z)
     else:
-        _, _, sets = _graph_index(graph)
-        pieces = [feats[v]]
-        agg_tapes = {}
-        for name, ids in zip(POOL_SETS, sets[v]):
-            s = feats[ids].sum(axis=0) if ids else np.zeros(feats.shape[1])
-            ctx, atape = dense_forward(params.nets[f"agg_{name}"], s)
-            agg_tapes[name] = (atape, ids)
+        pieces = [feats[batch.current]]
+        tape["agg"] = []
+        for name, (targets, starts, sources) in zip(POOL_SETS, batch.pool):
+            pooled = _group_sum(feats[sources], targets, starts, len(steps))
+            ctx, atape = dense_forward(params.nets[f"agg_{name}"], pooled)
+            tape["agg"].append(atape)
             pieces.append(ctx)
-        logits, head_tape = dense_forward(params.nets["head"], np.concatenate(pieces))
-        tape["agg"] = agg_tapes
-        tape["head"] = head_tape
-
+        logits, tape["head"] = dense_forward(params.nets["head"], np.concatenate(pieces, axis=1))
     if not np.isfinite(logits).all():
         raise PolicyError("non-finite logits")
-    probs = softmax(logits)
-    tape["probs"] = probs
+    return softmax(logits), tape
+
+
+def _backward(tape, dlogits, params: PolicyParameters, grads, offsets):
+    cfg = params.config
+    if cfg.mode == FULL:
+        demb = pool_backward(tape["pool"], dlogits, params, grads, offsets)
+        embed_backward(tape["embed"], demb, params, grads, offsets)
+        return
+    head_grads, dhead_in = dense_backward(params.nets["head"], tape["head"], dlogits)
+    _acc(grads, offsets["head"], head_grads)
+    if cfg.mode == SIMPLE_AGGREGATOR:
+        a_grads, _ = dense_backward(params.nets["agg"], tape["agg"], dhead_in)
+        _acc(grads, offsets["agg"], a_grads)
+        return
+    f = cfg.feature_dim
+    for k, name in enumerate(POOL_SETS):
+        dpooled = dhead_in[:, (k + 1) * f : (k + 2) * f]
+        a_grads, _ = dense_backward(params.nets[f"agg_{name}"], tape["agg"][k], dpooled)
+        _acc(grads, offsets[f"agg_{name}"], a_grads)
+
+
+def policy_forward(state, topology, params: PolicyParameters):
+    """Distribution over devices for the current node of one state, or of
+    each state in a sequence, in one batched pass over their graphs.
+
+    Returns (probs, tape). probs is (D,) for one state and (B, D) for a
+    sequence. tape["steps"] holds one step record per state (graph,
+    features, current node v, probs): all that policy_backward replays. For
+    one state the tape is its step record plus the forward's internals.
+    """
+    single = isinstance(state, placement_env.EpisodeState)
+    states = (state,) if single else state
+    steps = [
+        {"graph": s.graph, "features": placement_env.featurize(s, topology), "v": s.current_node} for s in states
+    ]
+    probs, tape = _forward(steps, params)
+    for step, p in zip(steps, probs):
+        step["probs"] = p
+    if single:
+        return probs[0], {**tape, **steps[0]}
+    tape["steps"] = steps
     return probs, tape
+
+
+def _loss_and_dlogits(probs, actions, advantages, beta):
+    """Per-row loss -log pi(a) A - beta H and its logit gradient, (B, D) probs."""
+    rows = np.arange(len(actions))
+    with np.errstate(divide="ignore"):
+        logp = np.where(probs > 0.0, np.log(probs), 0.0)
+    h = -(probs * logp).sum(axis=1)
+    loss = -np.log(probs[rows, actions]) * advantages - beta * h
+    one_hot = np.zeros_like(probs)
+    one_hot[rows, actions] = 1.0
+    dlogits = advantages[:, None] * (probs - one_hot) + beta * probs * (logp + h[:, None])
+    return loss, dlogits
 
 
 def step_loss_and_dlogits(tape, action, advantage, beta):
     """Loss contribution and its logit gradient for one recorded step."""
-    probs = tape["probs"]
-    h = entropy(probs)
-    loss = -np.log(probs[action]) * advantage - beta * h
-    one_hot = np.zeros_like(probs)
-    one_hot[action] = 1.0
-    with np.errstate(divide="ignore"):
-        logp = np.where(probs > 0.0, np.log(probs), 0.0)
-    dlogits = advantage * (probs - one_hot) + beta * probs * (logp + h)
-    return loss, dlogits
+    loss, dlogits = _loss_and_dlogits(tape["probs"][None], [action], np.array([advantage], dtype=np.float64), beta)
+    return loss[0], dlogits[0]
 
 
-def policy_backward(tapes, actions, advantages, beta, params: PolicyParameters):
-    """Gradients of sum_i [-log pi(a_i|s_i) A_i - beta H_i] over an episode.
+MAX_BATCH_ROWS = 1 << 15  # union rows per rematerialized pass; bounds policy_backward's memory
 
-    Returns (total loss, flat gradient list aligned with params.flat_params()).
+
+def _chunks(steps):
+    """(lo, hi) runs of steps whose graphs hold at most MAX_BATCH_ROWS rows
+    together (a larger graph runs alone)."""
+    lo, rows = 0, 0
+    for i, s in enumerate(steps):
+        n = s["graph"].num_nodes
+        if rows and rows + n > MAX_BATCH_ROWS:
+            yield lo, i
+            lo, rows = i, 0
+        rows += n
+    if lo < len(steps):
+        yield lo, len(steps)
+
+
+def policy_backward(steps, actions, advantages, beta, params: PolicyParameters):
+    """Gradients of sum_i [-log pi(a_i|s_i) A_i - beta H_i] over step records.
+
+    Keeps no tapes from the rollout: one batched forward over the steps'
+    states (stacked as rows of a disjoint union) is re-run, then one batched
+    reverse pass per net. Returns (total loss, flat gradient list aligned
+    with params.flat_params()).
     """
-    if not (len(tapes) == len(actions) == len(advantages)):
-        raise PolicyError("tapes/actions/advantages length mismatch")
-    cfg = params.config
+    if not (len(steps) == len(actions) == len(advantages)):
+        raise PolicyError("steps/actions/advantages length mismatch")
     offsets = params.net_offsets()
     grads = [np.zeros_like(p) for p in params.flat_params()]
+    actions = np.asarray(actions, dtype=np.intp)
+    advantages = np.asarray(advantages, dtype=np.float64)
     total = 0.0
-    for tape, action, adv in zip(tapes, actions, advantages):
-        loss, dlogits = step_loss_and_dlogits(tape, action, adv, beta)
-        total += loss
-        if cfg.mode == FULL:
-            demb = pool_backward(tape["pool"], dlogits, params, grads, offsets)
-            embed_backward(tape["embed"], demb, tape["graph"], params, grads, offsets)
-        elif cfg.mode == SIMPLE_AGGREGATOR:
-            head_grads, dz = dense_backward(params.nets["head"], tape["head"], dlogits)
-            _acc(grads, offsets["head"], head_grads)
-            a_grads, _ = dense_backward(params.nets["agg"], tape["agg"], dz)
-            _acc(grads, offsets["agg"], a_grads)
-        else:
-            f = cfg.feature_dim
-            head_grads, dhead_in = dense_backward(params.nets["head"], tape["head"], dlogits)
-            _acc(grads, offsets["head"], head_grads)
-            for k, name in enumerate(POOL_SETS):
-                atape, _ids = tape["agg"][name]
-                a_grads, _ = dense_backward(
-                    params.nets[f"agg_{name}"], atape, dhead_in[(k + 1) * f : (k + 2) * f]
-                )
-                _acc(grads, offsets[f"agg_{name}"], a_grads)
+    for lo, hi in _chunks(steps):
+        probs, tape = _forward(steps[lo:hi], params)
+        loss, dlogits = _loss_and_dlogits(probs, actions[lo:hi], advantages[lo:hi], beta)
+        total += float(loss.sum())
+        _backward(tape, dlogits, params, grads, offsets)
     return total, grads
-

@@ -1,10 +1,12 @@
 """REINFORCE training loop with a per-(graph, step) moving-average baseline.
 
-Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle,
-run one episode against the shared parameter snapshot, and compute their own
-gradients. Workers run serially in index order, their gradients are summed in
-that order, and a single Adam step is applied. Learning rate and entropy
-weight decay linearly across epochs.
+Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle
+and run one episode against the shared parameter snapshot. The episodes
+advance in lockstep, one batched policy forward per step over the unfinished
+ones, and each worker samples from its own [seed, epoch, w] stream. Each
+episode's gradient is one rematerialized batched backward; gradients are
+summed in worker order and a single Adam step is applied. Learning rate and
+entropy weight decay linearly across epochs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class TrainerConfig:
 
     def __post_init__(self):
         if self.threads != 1:
-            raise TrainerError("threads must be 1: training is serial")
+            raise TrainerError("threads must be 1: training runs in one thread")
+        if self.episodes < 0:
+            raise TrainerError("episodes must be >= 0")
         if self.workers < 1:
             raise TrainerError("workers must be >= 1")
         if self.baseline_window < 1:
@@ -87,13 +91,62 @@ class BaselineTable:
 @dataclass
 class EpisodeTrace:
     graph_name: str
-    tapes: list
+    steps: list  # per step: the policy's step record (graph, features, v, probs)
     actions: list[int]
     rewards: list[float]
     entropies: list[float]
     final_placement: tuple[int, ...]
     final_runtime: float  # penalized seconds
     initial_runtime: float | None
+
+
+def rollouts(
+    params: PolicyParameters,
+    graphs: list,
+    topology: DeviceTopology,
+    reward_cfg: RewardConfig,
+    rngs: list,
+    init_mode: str = "all_device_0",
+    randomize_order: bool = False,
+    action_overrides=None,
+    greedy: bool = False,
+) -> list[EpisodeTrace]:
+    """Episodes on graphs[i] drawing from rngs[i], advanced in lockstep: each
+    step runs one batched policy forward over the unfinished episodes' states.
+    An episode draws only from its own rng, in the order it would alone, so
+    its actions do not depend on the others. action_overrides[i] fixes
+    episode i's action sequence (tests); greedy takes argmax (smallest device
+    id on exact ties)."""
+    states, traces = [], []
+    for graph, rng in zip(graphs, rngs):
+        order_seed = int(rng.integers(2**31)) if randomize_order else None
+        init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
+        state = placement_env.reset(
+            graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
+        )
+        states.append(state)
+        traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0, state.cached_runtime))
+    active = [i for i, state in enumerate(states) if not state.done]
+    while active:
+        probs, tape = policy_forward([states[i] for i in active], topology, params)
+        for i, p, record in zip(active, probs, tape["steps"]):
+            state, tr = states[i], traces[i]
+            if action_overrides is not None:
+                a = int(action_overrides[i][state.step_index])
+            elif greedy:
+                a = int(np.argmax(p))
+            else:
+                a = sample_action(p, rngs[i])
+            states[i], reward, _ = placement_env.step(state, a, topology, reward_cfg)
+            tr.steps.append(record)
+            tr.actions.append(a)
+            tr.rewards.append(reward)
+            tr.entropies.append(entropy(p))
+        active = [i for i in active if not states[i].done]
+    for tr, state in zip(traces, states):
+        tr.final_placement = state.placement
+        tr.final_runtime = placement_env.final_runtime(state, topology, reward_cfg)
+    return traces
 
 
 def rollout(
@@ -107,38 +160,10 @@ def rollout(
     action_override=None,
     greedy: bool = False,
 ) -> EpisodeTrace:
-    """One full episode. action_override fixes the action sequence (tests);
-    greedy takes argmax (smallest device id on exact ties)."""
-    order_seed = int(rng.integers(2**31)) if randomize_order else None
-    init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
-    state = placement_env.reset(
-        graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
-    )
-    initial_runtime = state.cached_runtime
-    tapes, actions, rewards, entropies = [], [], [], []
-    while not state.done:
-        probs, tape = policy_forward(state, topology, params)
-        if action_override is not None:
-            a = int(action_override[state.step_index])
-        elif greedy:
-            a = int(np.argmax(probs))
-        else:
-            a = sample_action(probs, rng)
-        state, reward, _ = placement_env.step(state, a, topology, reward_cfg)
-        tapes.append(tape)
-        actions.append(a)
-        rewards.append(reward)
-        entropies.append(entropy(probs))
-    return EpisodeTrace(
-        graph_name=graph.name,
-        tapes=tapes,
-        actions=actions,
-        rewards=rewards,
-        entropies=entropies,
-        final_placement=state.placement,
-        final_runtime=placement_env.final_runtime(state, topology, reward_cfg),
-        initial_runtime=initial_runtime,
-    )
+    """One full episode (rollouts with one episode). action_override fixes
+    the action sequence (tests); greedy takes argmax."""
+    overrides = None if action_override is None else [action_override]
+    return rollouts(params, [graph], topology, reward_cfg, [rng], init_mode, randomize_order, overrides, greedy)[0]
 
 
 def cumulative_rewards(trace: EpisodeTrace) -> np.ndarray:
@@ -182,18 +207,16 @@ def train_epoch(
     order = shuffle_rng.permutation(len(graphs))
     picks = [graphs[order[w % len(graphs)]] for w in range(cfg.workers)]
 
-    traces = [
-        rollout(
-            params,
-            picks[w],
-            topology,
-            reward_cfg,
-            np.random.default_rng([cfg.seed, epoch, w]),
-            init_mode=cfg.init_mode,
-            randomize_order=cfg.randomize_visit_order,
-        )
-        for w in range(cfg.workers)
-    ]
+    rngs = [np.random.default_rng([cfg.seed, epoch, w]) for w in range(cfg.workers)]
+    traces = rollouts(
+        params,
+        picks,
+        topology,
+        reward_cfg,
+        rngs,
+        init_mode=cfg.init_mode,
+        randomize_order=cfg.randomize_visit_order,
+    )
 
     # Workers are synchronous: all advantages use the pre-epoch baselines,
     # then episodes enter the table in worker order.
@@ -206,7 +229,7 @@ def train_epoch(
     grads = [np.zeros_like(p) for p in flat]
 
     for tr, adv in zip(traces, advantages):  # fixed worker-index order
-        _, g = policy_backward(tr.tapes, tr.actions, adv, beta, params)
+        _, g = policy_backward(tr.steps, tr.actions, adv, beta, params)
         for acc, gi in zip(grads, g):
             acc += gi
 

@@ -8,6 +8,7 @@ import pytest
 
 from placement_opt import cli
 from placement_opt.graph_core import load_graph
+from placement_opt.neural_primitives import CHECKPOINT_FORMAT, params_to_doc
 from placement_opt.policy_gnn import PolicyConfig, init_policy
 from placement_opt.sim_engine import load_topology
 from placement_opt.trainer import save_policy_checkpoint
@@ -423,6 +424,189 @@ class TestTrainEvaluate:
         )
         assert rc == 1
         assert "devices" in capsys.readouterr().err
+
+
+def _fails_with_one_error_line(capsys, argv):
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestMalformedRunConfig:
+    """Each bad run-config value ends in one error line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("trainer", "workers", "8"),
+            ("trainer", "workers", 8.0),
+            ("trainer", "episodes", True),
+            ("trainer", "baseline_window", None),
+            ("trainer", "threads", [1]),
+            ("trainer", "lr_start", "0.01"),
+            ("trainer", "lr_end", True),
+            ("trainer", "entropy_start", None),
+            ("trainer", "entropy_end", 1e400),
+            ("trainer", "randomize_visit_order", 1),
+            ("trainer", "randomize_visit_order", "true"),
+            ("env", "penalty_per_gb", "2"),
+            ("env", "memory_threshold_gb", [10.7]),
+            ("env", "reward_scale", False),
+            ("env", "mode", 1),
+            ("policy", "message_rounds", 1.5),
+            ("policy", "message_rounds", "3"),
+            ("policy", "head_hidden", 2.5),
+            ("config", "seed", "1"),
+            ("config", "topology", 3),
+        ],
+    )
+    def test_bad_value(self, files, tmp_path, capsys, section, key, value):
+        cfg = {
+            "topology": files["topo"],
+            "dataset": str(tmp_path / "ds"),
+            "env": {"mode": "intermediate"},
+            "policy": {"message_rounds": 1},
+            "trainer": {"episodes": 1, "workers": 1},
+        }
+        (cfg if section == "config" else cfg[section])[key] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        err = _fails_with_one_error_line(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert repr(key) in err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1]", '"run"', "null", '{"topology": "t.json", "dataset": "d", "trainer": [1]}',
+         '{"topology": "t.json", "dataset": "d", "env": "terminal"}',
+         '{"topology": "t.json", "dataset": "d", "policy": null}',
+         '{"topology": "t.json", "family": 3}'],
+    )
+    def test_non_object_document_or_section(self, tmp_path, capsys, text):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        err = _fails_with_one_error_line(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert "object" in err
+
+    @pytest.mark.parametrize(
+        "family",
+        [{"family": "branch_blocks", "count": "4"}, {"family": "branch_blocks", "blocks": 1.0},
+         {"family": "branch_blocks", "compute_lo": None}, {"family": 3}, {"family": "branch_blocks", "bogus": 1},
+         {"count": 4}],
+    )
+    def test_bad_family(self, files, tmp_path, capsys, family):
+        path = write_run_config(tmp_path, files["topo"], family=family)
+        _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(tmp_path / "o")])
+
+    def test_nullable_and_bool_values_accepted(self, files, tmp_path):
+        cfg_path = write_run_config(
+            tmp_path, files["topo"],
+            env={"mode": "terminal", "reward_scale": None, "penalty_per_gb": 2},
+            policy={"message_rounds": 1, "head_hidden": None},
+            trainer={"episodes": 1, "workers": 2, "lr_start": 1, "lr_end": 0.5, "randomize_visit_order": True},
+        )
+        assert run(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+
+
+def _valid_checkpoint_doc():
+    params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0)
+    return {"format": CHECKPOINT_FORMAT, "params": params_to_doc(params.flat_params()),
+            "extra": {"policy": params.config.to_header()}}
+
+
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _set_entry(field, value):
+    def mutate(doc):
+        doc["params"][1][field] = value
+    return mutate
+
+
+def _set_datum(value):
+    def mutate(doc):
+        doc["params"][0]["data"][3] = value
+    return mutate
+
+
+class TestMalformedCheckpoint:
+    """Each bad checkpoint document ends in one error line and exit 1."""
+
+    @pytest.fixture
+    def evaluate_argv(self, files, tmp_path):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "2",
+                    "--out", str(ds)]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        return ckpt, ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds), "--topology", files["topo"],
+                      "--out", str(tmp_path / "eval_out")]
+
+    def test_valid_document_evaluates(self, evaluate_argv):
+        ckpt, argv = evaluate_argv
+        ckpt.write_text(json.dumps(_valid_checkpoint_doc()))
+        assert run(argv) == 0
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"checkpoint"', "3", "null", "{"])
+    def test_not_an_object(self, evaluate_argv, capsys, text):
+        ckpt, argv = evaluate_argv
+        ckpt.write_text(text)
+        _fails_with_one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _drop_params,
+            _set("params", {}),
+            _set("params", "weights"),
+            _set("params", None),
+            _set("params", [1, 2]),
+            _set("extra", []),
+            _set("extra", {"policy": [2, 1]}),
+            _set("extra", {"policy": {"num_devices": None, "message_rounds": 1, "mode": "full"}}),
+            _set_entry("shape", "12"),
+            _set_entry("shape", [-1]),
+            _set_entry("data", "0.0"),
+            _set_datum("0.5"),
+            _set_datum(True),
+            _set_datum(None),
+            _set_datum([0.5]),
+            _set_datum(10**400),
+        ],
+        ids=["no_params", "params_object", "params_string", "params_null", "entries_not_objects",
+             "extra_list", "policy_header_list", "policy_header_null_devices", "string_shape", "negative_shape", "string_data", "string_datum", "bool_datum", "null_datum",
+             "list_datum", "huge_int_datum"],
+    )
+    def test_bad_document(self, evaluate_argv, capsys, mutate):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        mutate(doc)
+        ckpt.write_text(json.dumps(doc))
+        _fails_with_one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize("mutate", [_set_entry("data", [0.0]), _set_entry("shape", [2, 3, 4])],
+                             ids=["short_data", "long_shape"])
+    def test_data_length_must_match_shape(self, evaluate_argv, capsys, mutate):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        mutate(doc)
+        ckpt.write_text(json.dumps(doc))
+        assert "values for shape" in _fails_with_one_error_line(capsys, argv)
+
+    def test_non_finite_datum(self, evaluate_argv, capsys):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        doc["params"][0]["data"][0] = float("inf")
+        ckpt.write_text(json.dumps(doc))  # Python's json writes Infinity
+        assert "finite number" in _fails_with_one_error_line(capsys, argv)
 
 
 class TestFreshCheckpointBehavesLikeRandom:

@@ -7,6 +7,7 @@ from placement_opt.graph_core import (
     ComputationGraph,
     GraphError,
     OpGroup,
+    bitset_to_ids,
     load_graph,
     merge_and_colocate,
     reachability,
@@ -139,6 +140,34 @@ class TestReachability:
             for u in range(g.num_nodes):
                 for v in range(g.num_nodes):
                     assert bool(idx.ancestors[v] >> u & 1) == bool(idx.descendants[u] >> v & 1)
+
+
+def _bitset_to_ids_bit_by_bit(bits):
+    # the former implementation: one shift per bit position
+    out, i = [], 0
+    while bits:
+        if bits & 1:
+            out.append(i)
+        bits >>= 1
+        i += 1
+    return out
+
+
+class TestBitsetToIds:
+    def test_zero(self):
+        assert bitset_to_ids(0) == [] == _bitset_to_ids_bit_by_bit(0)
+
+    @pytest.mark.parametrize("k", [0, 1, 62, 63, 64, 65, 1023, 1499])
+    def test_single_bit(self, k):
+        assert bitset_to_ids(1 << k) == [k] == _bitset_to_ids_bit_by_bit(1 << k)
+
+    def test_matches_bit_by_bit_on_random_bitsets(self):
+        rng = np.random.default_rng(1500)
+        for _ in range(200):
+            width = int(rng.integers(1, 1501))
+            density = float(rng.uniform(0.0, 1.0))
+            bits = sum(1 << int(i) for i in np.flatnonzero(rng.random(width) < density))
+            assert bitset_to_ids(bits) == _bitset_to_ids_bit_by_bit(bits)
 
 
 class TestTopologicalOrder:

@@ -99,6 +99,14 @@ class TestSoftmaxSample:
         assert np.log(probs[a]) == pytest.approx(np.log(0.5))
         assert entropy(probs) == pytest.approx(np.log(2))
 
+    def test_batch_rows_are_independent(self):
+        # Each row is shifted by its own max: rows far apart in scale stay finite.
+        logits = np.array([[1000.0, 999.0], [0.0, 1.0], [-800.0, -801.0]])
+        probs = softmax(logits)
+        for row, p in zip(logits, probs):
+            assert np.array_equal(p, softmax(row))
+        assert np.allclose(probs.sum(axis=1), 1.0)
+
     def test_extreme_logits_stable(self):
         rng = np.random.default_rng(0)
         probs = softmax(np.array([1000.0, 0.0]))

@@ -125,6 +125,30 @@ class TestFeaturize:
         feats = featurize(st, two_device)
         assert (feats[:, 1] == 0.0).all()
 
+    def test_matches_per_node_loop(self, two_device):
+        # The vectorized featurize equals the per-node definition exactly,
+        # mid-episode, from a random initial placement, on 2 and 3 devices.
+        from conftest import make_topology
+
+        rng = np.random.default_rng(118)
+        for topo in (two_device, make_topology(3)):
+            m = topo.num_devices
+            for _ in range(20):
+                g = random_dag(rng, max_nodes=9, bytes_range=(0.0, 4e6))
+                cfg = RewardConfig(mode="terminal", reward_scale=1.0)
+                st = reset(g, topo, cfg, init_mode="random", init_seed=int(rng.integers(100)))
+                for _ in range(int(rng.integers(g.num_nodes + 1))):
+                    st, _, _ = step(st, int(rng.integers(m)), topo, cfg)
+                expected = np.zeros((g.num_nodes, m + 4))
+                max_c, max_b = g.max_compute_seconds(), g.max_output_bytes()
+                for v, node in enumerate(g.nodes):
+                    expected[v, 0] = node.cost_on(0) / max_c if max_c > 0 else 0.0
+                    expected[v, 1] = node.output_bytes / max_b if max_b > 0 else 0.0
+                    expected[v, 2 + st.placement[v]] = 1.0
+                    expected[v, m + 2] = 1.0 if st.visited[v] else 0.0
+                    expected[v, m + 3] = 1.0 if v == st.current_node else 0.0
+                assert np.array_equal(featurize(st, topo), expected)
+
     def test_feature_dim(self, two_device):
         assert placement_env.feature_dim(2) == 6
         assert placement_env.feature_dim(4) == 8

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from placement_opt import placement_env
+from placement_opt import datagen, placement_env
 from placement_opt.graph_core import ComputationGraph, OpGroup
 from placement_opt.neural_primitives import finite_difference_check
 from placement_opt.placement_env import RewardConfig, featurize, reset, step
@@ -297,3 +297,188 @@ class TestConfig:
     def test_header_round_trip(self):
         cfg = PolicyConfig(num_devices=3, message_rounds=5, mode=SIMPLE_PARTITIONER, head_hidden=32)
         assert PolicyConfig.from_header(cfg.to_header()) == cfg
+
+
+def _reference_step_grads(record, action, advantage, beta, params):
+    """The unbatched reference: one step's forward with its own tapes over a
+    dense adjacency, then the per-step reverse pass. Returns the step's
+    probabilities and its gradient list aligned with params.flat_params()."""
+    from placement_opt.graph_core import reachability, relation_sets
+    from placement_opt.neural_primitives import dense_backward, dense_forward, softmax
+
+    cfg = params.config
+    nets = params.nets
+    offsets = params.net_offsets()
+    grads = [np.zeros_like(p) for p in params.flat_params()]
+
+    def acc(name, net_grads):
+        for i, (dw, db) in enumerate(net_grads):
+            grads[offsets[name] + 2 * i] += dw
+            grads[offsets[name] + 2 * i + 1] += db
+
+    graph, feats, v = record["graph"], record["features"], record["v"]
+    n, f = feats.shape
+    sets = relation_sets(reachability(graph), v)
+    adj = {"down": np.zeros((n, n)), "up": np.zeros((n, n))}
+    for u, w in graph.edges:
+        adj["down"][w, u] = 1.0
+        adj["up"][u, w] = 1.0
+    if cfg.mode == "full":
+        streams, rounds = {"down": feats, "up": feats}, []
+        for _ in range(cfg.message_rounds):
+            record_round = {}
+            for d in ("down", "up"):
+                fout, ftape = dense_forward(nets[f"f_{d}"], streams[d])
+                streams[d], gtape = dense_forward(nets[f"g_{d}"], np.concatenate([streams[d], adj[d] @ fout], axis=1))
+                record_round[d] = (ftape, gtape)
+            rounds.append(record_round)
+        emb = np.concatenate([streams["down"], streams["up"]], axis=1)
+        pieces, pool = [emb[v]], []
+        for name, ids in zip(("parents", "children", "parallel"), sets):
+            lout, ltape = dense_forward(nets[f"l_{name}"], emb)
+            ctx, htape = dense_forward(nets[f"h_{name}"], lout[ids].sum(axis=0) if ids else np.zeros(2 * f))
+            pool.append((name, ids, ltape, htape))
+            pieces.append(ctx)
+    elif cfg.mode == "simple_aggregator":
+        z, atape = dense_forward(nets["agg"], feats.sum(axis=0))
+        pieces = None
+    else:
+        pieces, agg = [feats[v]], []
+        for name, ids in zip(("parents", "children", "parallel"), sets):
+            ctx, atape = dense_forward(nets[f"agg_{name}"], feats[ids].sum(axis=0) if ids else np.zeros(f))
+            agg.append((name, atape))
+            pieces.append(ctx)
+    logits, head_tape = dense_forward(nets["head"], np.concatenate(pieces) if pieces is not None else z)
+    probs = softmax(logits)
+    _, dlogits = step_loss_and_dlogits({"probs": probs}, action, advantage, beta)
+    head_grads, dhead = dense_backward(nets["head"], head_tape, dlogits)
+    acc("head", head_grads)
+    if cfg.mode == "simple_aggregator":
+        acc("agg", dense_backward(nets["agg"], atape, dhead)[0])
+    elif cfg.mode == "simple_partitioner":
+        for k, (name, atape) in enumerate(agg):
+            acc(f"agg_{name}", dense_backward(nets[f"agg_{name}"], atape, dhead[(k + 1) * f : (k + 2) * f])[0])
+    else:
+        e = 2 * f
+        demb = np.zeros((n, e))
+        demb[v] += dhead[:e]
+        for k, (name, ids, ltape, htape) in enumerate(pool):
+            h_grads, ds = dense_backward(nets[f"h_{name}"], htape, dhead[(k + 1) * e : (k + 2) * e])
+            acc(f"h_{name}", h_grads)
+            dlout = np.zeros((n, e))
+            if ids:
+                dlout[ids] = ds
+            l_grads, demb_l = dense_backward(nets[f"l_{name}"], ltape, dlout)
+            acc(f"l_{name}", l_grads)
+            demb += demb_l
+        d_streams = {"down": demb[:, :f], "up": demb[:, f:]}
+        for record_round in reversed(rounds):
+            for d in ("down", "up"):
+                ftape, gtape = record_round[d]
+                g_grads, dgin = dense_backward(nets[f"g_{d}"], gtape, d_streams[d])
+                acc(f"g_{d}", g_grads)
+                f_grads, dx = dense_backward(nets[f"f_{d}"], ftape, adj[d].T @ dgin[:, f:])
+                acc(f"f_{d}", f_grads)
+                d_streams[d] = dgin[:, :f] + dx
+    return probs, grads
+
+
+def _episode_records(graph, topology, params, seed):
+    """Step records of one sampled episode from a random initial placement."""
+    from placement_opt.trainer import rollout
+
+    env_cfg = RewardConfig(mode="intermediate")
+    trace = rollout(params, graph, topology, env_cfg, np.random.default_rng(seed), init_mode="random",
+                    randomize_order=True)
+    return trace.steps, trace.actions
+
+
+def _assert_close_per_tensor(grads, expected, tol=1e-12):
+    for g, r in zip(grads, expected):
+        scale = max(np.max(np.abs(r)), 1e-300)
+        assert np.max(np.abs(g - r)) <= tol * scale
+
+
+class TestBatchedExactness:
+    """The batched passes against per-state references, within 1e-12."""
+
+    GRAPHS = {
+        "diamond": lambda: make_graph("diamond", [1, 2, 2, 1], [2e6, 0, 2e6, 0], {(0, 1), (0, 2), (1, 3), (2, 3)}),
+        "one": lambda: make_graph("one", [1.0], [1e6], set()),
+        "random9": lambda: random_dag(np.random.default_rng(9), max_nodes=9, bytes_range=(0.1, 4e6)),
+        "branch_blocks": lambda: datagen.generate_family(
+            datagen.FamilySpec(family="branch_blocks", count=2, blocks=2, branches_lo=2, branches_hi=3, seed=4)
+        )[0],
+    }
+
+    @pytest.mark.parametrize("mode", [FULL, SIMPLE_AGGREGATOR, SIMPLE_PARTITIONER])
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_backward_matches_per_step_reference(self, two_device, mode, graph):
+        g = self.GRAPHS[graph]()
+        params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=3, mode=mode), seed=21), lo=-0.05)
+        steps, actions = _episode_records(g, two_device, params, seed=5)
+        rng = np.random.default_rng(6)
+        advantages = rng.normal(size=len(steps))
+        beta = 0.01
+        _, grads = policy_backward(steps, actions, advantages, beta, params)
+        expected = [np.zeros_like(p) for p in params.flat_params()]
+        for record, a, adv in zip(steps, actions, advantages):
+            probs, step_grads = _reference_step_grads(record, a, adv, beta, params)
+            assert np.max(np.abs(probs - record["probs"])) <= 1e-12
+            for acc, gi in zip(expected, step_grads):
+                acc += gi
+        _assert_close_per_tensor(grads, expected)
+
+    @pytest.mark.parametrize("mode", [FULL, SIMPLE_AGGREGATOR, SIMPLE_PARTITIONER])
+    def test_steps_of_several_graphs_in_one_call(self, two_device, mode):
+        # One backward over the steps of four episodes on different graphs
+        # equals the sum of the four per-episode backwards.
+        params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=2, mode=mode), seed=22), lo=-0.05)
+        episodes = [_episode_records(self.GRAPHS[name](), two_device, params, seed=k)
+                    for k, name in enumerate(sorted(self.GRAPHS))]
+        rng = np.random.default_rng(7)
+        advantages = [rng.normal(size=len(steps)) for steps, _ in episodes]
+        expected = [np.zeros_like(p) for p in params.flat_params()]
+        for (steps, actions), adv in zip(episodes, advantages):
+            for acc, gi in zip(expected, policy_backward(steps, actions, adv, 0.02, params)[1]):
+                acc += gi
+        all_steps = [s for steps, _ in episodes for s in steps]
+        all_actions = [a for _, actions in episodes for a in actions]
+        _, grads = policy_backward(all_steps, all_actions, np.concatenate(advantages), 0.02, params)
+        _assert_close_per_tensor(grads, expected)
+
+    def test_row_budget_splits_the_rematerialized_batch(self, two_device, monkeypatch):
+        import placement_opt.policy_gnn as policy_gnn
+
+        g = self.GRAPHS["branch_blocks"]()
+        params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=3), seed=23), lo=-0.05)
+        steps, actions = _episode_records(g, two_device, params, seed=8)
+        advantages = np.random.default_rng(9).normal(size=len(steps))
+        loss, whole = policy_backward(steps, actions, advantages, 0.01, params)
+        chunks = []
+        monkeypatch.setattr(policy_gnn, "MAX_BATCH_ROWS", 3 * g.num_nodes)
+        original = policy_gnn._forward
+        monkeypatch.setattr(policy_gnn, "_forward", lambda s, p: chunks.append(len(s)) or original(s, p))
+        chunked_loss, chunked = policy_backward(steps, actions, advantages, 0.01, params)
+        assert chunks == [3] * (len(steps) // 3) + ([len(steps) % 3] if len(steps) % 3 else [])
+        assert abs(chunked_loss - loss) <= 1e-12 * abs(loss)
+        _assert_close_per_tensor(chunked, whole)
+
+    @pytest.mark.parametrize("mode", [FULL, SIMPLE_AGGREGATOR, SIMPLE_PARTITIONER])
+    def test_forward_over_a_sequence_matches_single_states(self, two_device, mode):
+        params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=3, mode=mode), seed=24), lo=-0.05)
+        env_cfg = RewardConfig(mode="terminal", reward_scale=1.0)
+        rng = np.random.default_rng(10)
+        states = []
+        for name in sorted(self.GRAPHS) * 2:
+            st = reset(self.GRAPHS[name](), two_device, env_cfg, init_mode="random", init_seed=len(states))
+            for _ in range(int(rng.integers(st.graph.num_nodes))):
+                st, _, _ = step(st, int(rng.integers(2)), two_device, env_cfg)
+            states.append(st)
+        probs, tape = policy_forward(states, two_device, params)
+        assert probs.shape == (len(states), 2)
+        for st, row, record in zip(states, probs, tape["steps"]):
+            single, _ = policy_forward(st, two_device, params)
+            assert np.max(np.abs(row - single)) <= 1e-12
+            assert record["graph"] is st.graph and record["v"] == st.current_node
+            assert np.array_equal(record["features"], featurize(st, two_device))

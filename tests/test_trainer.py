@@ -3,10 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from placement_opt import datagen, placement_env
 from placement_opt.baselines import exhaustive_search
-from placement_opt.neural_primitives import AdamState, adam_step
+from placement_opt.neural_primitives import AdamState, adam_step, sample_action
 from placement_opt.placement_env import RewardConfig
-from placement_opt.policy_gnn import PolicyConfig, init_policy, policy_backward
+from placement_opt.policy_gnn import PolicyConfig, init_policy, policy_backward, policy_forward
 from placement_opt.sim_engine import Placement, simulate
 from placement_opt.trainer import (
     BaselineTable,
@@ -24,7 +25,7 @@ from placement_opt.trainer import (
     CURVE_COLUMNS,
 )
 
-from conftest import make_graph, make_topology
+from conftest import make_graph, make_topology, random_dag
 
 PCFG = PolicyConfig(num_devices=2, message_rounds=2)
 TERMINAL = RewardConfig(mode="terminal", reward_scale=1.0)
@@ -146,7 +147,7 @@ class TestTrainEpoch:
             rng = np.random.default_rng([cfg.seed, epoch, 0])
             tr = rollout(ref, g, two_device, reward_cfg, rng)
             adv = compute_advantages(tr, ref_table)
-            _, grads = policy_backward(tr.tapes, tr.actions, adv, cfg.entropy_at(epoch), ref)
+            _, grads = policy_backward(tr.steps, tr.actions, adv, cfg.entropy_at(epoch), ref)
             adam_step(ref.flat_params(), grads, ref_adam, lr_scale=cfg.lr_at(epoch))
 
         for p, q in zip(params.flat_params(), ref.flat_params()):
@@ -174,6 +175,61 @@ class TestTrainEpoch:
         adam = AdamState.for_params(params.flat_params(), lr=1.0)
         with pytest.raises(TrainerError):
             train_epoch(params, [], two_device, cfg, TERMINAL, 0, BaselineTable(5), adam)
+
+
+def _sequential_rollout(params, graph, topology, reward_cfg, rng):
+    """The unbatched reference: one episode, one single-state policy forward
+    per step, random init and visit order drawn from rng first."""
+    order_seed = int(rng.integers(2**31))
+    init_seed = int(rng.integers(2**31))
+    state = placement_env.reset(graph, topology, reward_cfg, init_mode="random", init_seed=init_seed,
+                                order_seed=order_seed)
+    actions, rewards, probs = [], [], []
+    while not state.done:
+        p, _ = policy_forward(state, topology, params)
+        a = sample_action(p, rng)
+        state, r, _ = placement_env.step(state, a, topology, reward_cfg)
+        actions.append(a)
+        rewards.append(r)
+        probs.append(p)
+    return actions, rewards, probs, state.placement, placement_env.final_runtime(state, topology, reward_cfg)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_epoch_matches_independent_rollouts(self, workers):
+        # Workers on graphs of 1 to ~20 nodes finish at different steps; each
+        # must act exactly as it would alone on its own [seed, epoch, w] stream.
+        topo = make_topology(3, bandwidth=4e6)
+        graphs = [
+            make_graph("one", [2.0], [1e6], set()),
+            expensive_chain(),
+            random_dag(np.random.default_rng(31), max_nodes=9, bytes_range=(0.1, 4e6)),
+            datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=2, blocks=2, seed=6))[0],
+            random_dag(np.random.default_rng(32), max_nodes=6, bytes_range=(0.1, 4e6)),
+        ]
+        reward_cfg = RewardConfig(mode="intermediate")
+        cfg = TrainerConfig(episodes=4, workers=workers, seed=17, init_mode="random", randomize_visit_order=True)
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=5)
+        epoch = 2
+        order = np.random.default_rng([cfg.seed, epoch, 0xD15]).permutation(len(graphs))
+        picks = [graphs[order[w % len(graphs)]] for w in range(workers)]
+        assert workers == 1 or len({g.num_nodes for g in picks}) > 1
+        expected = [
+            _sequential_rollout(params, g, topo, reward_cfg, np.random.default_rng([cfg.seed, epoch, w]))
+            for w, g in enumerate(picks)
+        ]
+        adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        _, traces = train_epoch(params, graphs, topo, cfg, reward_cfg, epoch, BaselineTable(5), adam)
+        assert [tr.graph_name for tr in traces] == [g.name for g in picks]
+        for tr, (actions, rewards, probs, placement, runtime) in zip(traces, expected):
+            assert tr.actions == actions
+            assert tr.rewards == rewards
+            assert tr.final_placement == placement
+            assert tr.final_runtime == runtime
+            assert len(tr.steps) == len(probs)
+            for record, p in zip(tr.steps, probs):
+                assert np.max(np.abs(record["probs"] - p)) <= 1e-12
 
 
 class TestTrain:
@@ -227,6 +283,11 @@ class TestTrain:
             TrainerConfig(lr_start=1e-4, lr_end=1e-3)
         with pytest.raises(TrainerError):
             TrainerConfig(baseline_window=0)
+
+    def test_negative_episodes_rejected(self):
+        assert TrainerConfig(episodes=0).episodes == 0
+        with pytest.raises(TrainerError, match="episodes"):
+            TrainerConfig(episodes=-1)
 
     @pytest.mark.parametrize("threads", [0, 2, 4])
     def test_threads_other_than_one_rejected(self, threads):
