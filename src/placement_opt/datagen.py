@@ -145,10 +145,6 @@ def _encoder_decoder(rng, spec, name):
     return ComputationGraph.build(name, nodes, edges)
 
 
-def encoder_decoder_node_count(layers: int, unroll: int) -> int:
-    return 2 * layers * unroll + unroll
-
-
 def _layered_random(rng, spec, name):
     n_layers = int(rng.integers(spec.layers_lo, spec.layers_hi + 1))
     widths = [int(rng.integers(spec.branches_lo, spec.branches_hi + 1)) for _ in range(n_layers)]
@@ -219,11 +215,18 @@ def write_dataset(directory: str, spec: FamilySpec) -> dict:
 
 
 def read_dataset(directory: str):
-    """Returns (manifest, train graphs, test graphs)."""
+    """Returns (manifest, train graphs, test graphs). The manifest must be an
+    object whose 'members' list holds objects with a string 'file' and a
+    'split' of "train" or "test"; otherwise raises DatagenError."""
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = json.load(f)
+    members = manifest.get("members") if type(manifest) is dict else None
+    if type(members) is not list:
+        raise DatagenError(f"dataset manifest in {directory} must be a JSON object with a 'members' list")
     train, test = [], []
-    for entry in manifest["members"]:
+    for i, entry in enumerate(members):
+        if type(entry) is not dict or type(entry.get("file")) is not str or entry.get("split") not in ("train", "test"):
+            raise DatagenError(f"dataset manifest member {i} needs a string 'file' and a 'split' of train or test")
         with open(os.path.join(directory, entry["file"])) as f:
             g = load_graph(f.read())
         (train if entry["split"] == "train" else test).append(g)

@@ -126,10 +126,9 @@ def entropy(probs: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw of one action from probs with one uniform; a draw
-    above a rounded-down cumsum(probs)[-1] picks the last action."""
-    u = rng.random()
+def sample_action(probs: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw of one action from probs with the uniform u in
+    [0, 1); a u above a rounded-down cumsum(probs)[-1] picks the last action."""
     a = int(np.searchsorted(np.cumsum(probs), u))
     return min(a, len(probs) - 1)
 
@@ -171,40 +170,6 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         p -= (state.lr * lr_scale) * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
-def finite_difference_check(loss_fn, params, grads, h=1e-5, max_coords=None, rng=None, exclude=None):
-    """Max relative error between central differences and analytic grads.
-
-    loss_fn takes the params list and returns a scalar. When max_coords is
-    given, a seeded random subset of coordinates is probed. exclude is an
-    optional list of boolean masks (True = skip); coordinates sitting exactly
-    on a relu kink should be excluded by the caller.
-    """
-    coords = []
-    for i, p in enumerate(params):
-        for j in range(p.size):
-            if exclude is not None and exclude[i].ravel()[j]:
-                continue
-            coords.append((i, j))
-    if max_coords is not None and len(coords) > max_coords:
-        rng = rng or np.random.default_rng(0)
-        pick = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(k)] for k in pick]
-    worst = 0.0
-    for i, j in coords:
-        flat = params[i].ravel()
-        orig = flat[j]
-        flat[j] = orig + h
-        up = loss_fn(params)
-        flat[j] = orig - h
-        down = loss_fn(params)
-        flat[j] = orig
-        numeric = (up - down) / (2.0 * h)
-        analytic = grads[i].ravel()[j]
-        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
-        worst = max(worst, err)
-    return worst
 
 
 def params_to_doc(params: list[np.ndarray]):

@@ -14,11 +14,10 @@ Two deliberately weaker variants are kept for ablations: ``simple_aggregator``
 
 Every pass works on a batch of states: their graphs form one disjoint union,
 and messages and pooled sets are grouped row sums over edge and id lists
-(``np.add.reduceat``), so no dense adjacency is built. One state is a batch
-of one. ``policy_backward`` keeps no per-step tapes: it re-runs one batched
-forward over the recorded states and one batched reverse pass per net,
-giving exact gradients of the episode loss sum(-log pi(a|s) * A - beta *
-entropy).
+(``np.add.reduceat``), so no dense adjacency is built. ``policy_backward``
+keeps no per-step tapes: it re-runs one batched forward over the recorded
+states and one batched reverse pass per net, giving exact gradients of the
+episode loss sum(-log pi(a|s) * A - beta * entropy).
 """
 
 from __future__ import annotations
@@ -261,11 +260,11 @@ def _batch(graphs, nodes) -> _Batch:
     )
 
 
-def embed(features: np.ndarray, graph, params: PolicyParameters):
-    """k rounds of two-direction message passing over one graph or a batch's
-    disjoint union. Returns (emb (rows, 2F), tape)."""
+def embed(features: np.ndarray, links, params: PolicyParameters):
+    """k rounds of two-direction message passing over the down and up
+    groupings of links, a batch's disjoint union (see _Batch). Returns
+    (emb (rows, 2F), tape)."""
     cfg = params.config
-    links = _graph_index(graph) if isinstance(graph, ComputationGraph) else graph
     rows = features.shape[0]
     streams = {"down": features, "up": features}
     rounds = []
@@ -313,13 +312,8 @@ def pool_and_decide(emb, sets, current, params: PolicyParameters):
     """Three-set pooling around each state's current row, then the head.
 
     sets[k] groups the rows of POOL_SETS[k] by state (see _Index) and current
-    holds each state's current row; returns (logits (B, D), tape). One state
-    may also be given as three id lists and its row, for logits of shape (D,).
+    holds each state's current row; returns (logits (B, D), tape).
     """
-    single = np.ndim(current) == 0
-    if single:
-        sets = [_grouping([ids], [0]) for ids in sets]
-        current = np.array([current])
     pieces = [emb[current]]
     pool_tapes = []
     for name, (targets, starts, sources) in zip(POOL_SETS, sets):
@@ -329,7 +323,7 @@ def pool_and_decide(emb, sets, current, params: PolicyParameters):
         pieces.append(ctx)
     logits, head_tape = dense_forward(params.nets["head"], np.concatenate(pieces, axis=1))
     tape = {"pool": pool_tapes, "head": head_tape, "current": current, "rows": emb.shape[0]}
-    return (logits[0] if single else logits), tape
+    return logits, tape
 
 
 def pool_backward(tape, dlogits, params, grads, offsets):
@@ -395,25 +389,20 @@ def _backward(tape, dlogits, params: PolicyParameters, grads, offsets):
         _acc(grads, offsets[f"agg_{name}"], a_grads)
 
 
-def policy_forward(state, topology, params: PolicyParameters):
-    """Distribution over devices for the current node of one state, or of
-    each state in a sequence, in one batched pass over their graphs.
+def policy_forward(states, topology, params: PolicyParameters):
+    """Distribution over devices for the current node of each state in a
+    sequence, in one batched pass over their graphs.
 
-    Returns (probs, tape). probs is (D,) for one state and (B, D) for a
-    sequence. tape["steps"] holds one step record per state (graph,
-    features, current node v, probs): all that policy_backward replays. For
-    one state the tape is its step record plus the forward's internals.
+    Returns (probs (B, D), tape). tape["steps"] holds one step record per
+    state (graph, features, current node v, probs): all that
+    policy_backward replays.
     """
-    single = isinstance(state, placement_env.EpisodeState)
-    states = (state,) if single else state
     steps = [
         {"graph": s.graph, "features": placement_env.featurize(s, topology), "v": s.current_node} for s in states
     ]
     probs, tape = _forward(steps, params)
     for step, p in zip(steps, probs):
         step["probs"] = p
-    if single:
-        return probs[0], {**tape, **steps[0]}
     tape["steps"] = steps
     return probs, tape
 
@@ -429,12 +418,6 @@ def _loss_and_dlogits(probs, actions, advantages, beta):
     one_hot[rows, actions] = 1.0
     dlogits = advantages[:, None] * (probs - one_hot) + beta * probs * (logp + h[:, None])
     return loss, dlogits
-
-
-def step_loss_and_dlogits(tape, action, advantage, beta):
-    """Loss contribution and its logit gradient for one recorded step."""
-    loss, dlogits = _loss_and_dlogits(tape["probs"][None], [action], np.array([advantage], dtype=np.float64), beta)
-    return loss[0], dlogits[0]
 
 
 MAX_BATCH_ROWS = 1 << 15  # union rows per rematerialized pass; bounds policy_backward's memory

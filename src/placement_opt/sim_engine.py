@@ -128,18 +128,6 @@ def load_topology(data) -> DeviceTopology:
     return DeviceTopology(devices=tuple(sorted(devs, key=lambda d: d.id)), bandwidth_bytes_per_sec=bw)
 
 
-def save_topology(topology: DeviceTopology) -> str:
-    bw = topology.bandwidth_bytes_per_sec
-    doc = {
-        "devices": [
-            {"id": d.id, "memory_bytes": d.memory_bytes, "compute_scale": d.compute_scale}
-            for d in topology.devices
-        ],
-        "bandwidth_bytes_per_sec": bw if isinstance(bw, (int, float)) else [list(r) for r in bw],
-    }
-    return json.dumps(doc, indent=2)
-
-
 @dataclass(frozen=True)
 class Placement:
     """Total node -> device assignment."""

@@ -100,7 +100,7 @@ class EpisodeTrace:
     initial_runtime: float | None
 
 
-def rollouts(
+def rollout(
     params: PolicyParameters,
     graphs: list,
     topology: DeviceTopology,
@@ -113,17 +113,23 @@ def rollouts(
 ) -> list[EpisodeTrace]:
     """Episodes on graphs[i] drawing from rngs[i], advanced in lockstep: each
     step runs one batched policy forward over the unfinished episodes' states.
-    An episode draws only from its own rng, in the order it would alone, so
-    its actions do not depend on the others. action_overrides[i] fixes
-    episode i's action sequence (tests); greedy takes argmax (smallest device
-    id on exact ties)."""
-    states, traces = [], []
+
+    An episode draws all its randomness at reset, in this order: its
+    visit-order and initial-placement seeds when asked for, then one uniform
+    per step unless it is greedy or overridden. Episodes sharing one rng
+    therefore draw exactly what they would one after another, and no
+    episode's actions depend on the others. action_overrides[i] fixes
+    episode i's action sequence (tests); greedy takes argmax (smallest
+    device id on exact ties)."""
+    sampled = action_overrides is None and not greedy
+    states, traces, uniforms = [], [], []
     for graph, rng in zip(graphs, rngs):
         order_seed = int(rng.integers(2**31)) if randomize_order else None
         init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
         state = placement_env.reset(
             graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
         )
+        uniforms.append(rng.random(len(state.visit_order)) if sampled else None)
         states.append(state)
         traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0, state.cached_runtime))
     active = [i for i, state in enumerate(states) if not state.done]
@@ -136,7 +142,7 @@ def rollouts(
             elif greedy:
                 a = int(np.argmax(p))
             else:
-                a = sample_action(p, rngs[i])
+                a = sample_action(p, uniforms[i][state.step_index])
             states[i], reward, _ = placement_env.step(state, a, topology, reward_cfg)
             tr.steps.append(record)
             tr.actions.append(a)
@@ -147,23 +153,6 @@ def rollouts(
         tr.final_placement = state.placement
         tr.final_runtime = placement_env.final_runtime(state, topology, reward_cfg)
     return traces
-
-
-def rollout(
-    params: PolicyParameters,
-    graph,
-    topology: DeviceTopology,
-    reward_cfg: RewardConfig,
-    rng: np.random.Generator,
-    init_mode: str = "all_device_0",
-    randomize_order: bool = False,
-    action_override=None,
-    greedy: bool = False,
-) -> EpisodeTrace:
-    """One full episode (rollouts with one episode). action_override fixes
-    the action sequence (tests); greedy takes argmax."""
-    overrides = None if action_override is None else [action_override]
-    return rollouts(params, [graph], topology, reward_cfg, [rng], init_mode, randomize_order, overrides, greedy)[0]
 
 
 def cumulative_rewards(trace: EpisodeTrace) -> np.ndarray:
@@ -208,7 +197,7 @@ def train_epoch(
     picks = [graphs[order[w % len(graphs)]] for w in range(cfg.workers)]
 
     rngs = [np.random.default_rng([cfg.seed, epoch, w]) for w in range(cfg.workers)]
-    traces = rollouts(
+    traces = rollout(
         params,
         picks,
         topology,
@@ -300,11 +289,8 @@ def write_curve(path, curve):
     write_csv(path, CURVE_COLUMNS, curve)
 
 
-def save_policy_checkpoint(path, params: PolicyParameters, extra=None):
-    header = {"policy": params.config.to_header()}
-    if extra:
-        header.update(extra)
-    save_checkpoint(path, params.flat_params(), extra=header)
+def save_policy_checkpoint(path, params: PolicyParameters):
+    save_checkpoint(path, params.flat_params(), extra={"policy": params.config.to_header()})
 
 
 def load_policy_checkpoint(path):
@@ -337,18 +323,18 @@ def predict_placement(
     reward_cfg: RewardConfig | None = None,
     n_samples: int = 0,
     seed: int = 0,
-    init_mode: str = "all_device_0",
 ) -> Prediction:
-    """One greedy rollout plus n sampled rollouts; best penalized runtime wins."""
+    """One greedy rollout plus n sampled ones on one stream, the sampled ones
+    in lockstep; the best penalized runtime wins (then the smallest
+    placement)."""
     if params.config.num_devices != topology.num_devices:
         raise TrainerError(
             f"checkpoint is for {params.config.num_devices} devices, topology has {topology.num_devices}"
         )
     reward_cfg = reward_cfg or RewardConfig(mode=placement_env.TERMINAL)
     rng = np.random.default_rng(seed)
-    candidates = [rollout(params, graph, topology, reward_cfg, rng, init_mode=init_mode, greedy=True)]
-    for _ in range(n_samples):
-        candidates.append(rollout(params, graph, topology, reward_cfg, rng, init_mode=init_mode))
+    candidates = rollout(params, [graph], topology, reward_cfg, [rng], greedy=True)
+    candidates += rollout(params, [graph] * n_samples, topology, reward_cfg, [rng] * n_samples)
     best = min(candidates, key=lambda tr: (tr.final_runtime, tr.final_placement))
     placement = Placement(best.final_placement)
     runtime, result = placement_env.evaluate_placement(graph, topology, placement, reward_cfg)

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from placement_opt.graph_core import ComputationGraph, OpGroup
+from placement_opt.placement_env import reset, step
+from placement_opt.policy_gnn import policy_forward
 from placement_opt.sim_engine import Device, DeviceTopology
 
 
@@ -31,6 +34,61 @@ def random_dag(rng, max_nodes=8, edge_prob=0.4, cost_range=(0.1, 5.0), bytes_ran
     costs = rng.uniform(*cost_range, size=n)
     sizes = rng.uniform(*bytes_range, size=n)
     return make_graph("random", costs, sizes, edges)
+
+
+def forward_one(state, topology, params):
+    """One state's device distribution (D,) and its step record, from the
+    batched policy forward over a batch of one."""
+    probs, tape = policy_forward([state], topology, params)
+    return probs[0], tape["steps"][0]
+
+
+def episode_states(graph, topology, actions, reward_cfg):
+    """The states an episode taking actions from its initial state visits."""
+    states = [reset(graph, topology, reward_cfg)]
+    for a in actions[:-1]:
+        states.append(step(states[-1], a, topology, reward_cfg)[0])
+    return states
+
+
+def step_loss(probs, action, advantage, beta):
+    """One step's loss -log pi(a) * A - beta * H(pi), from its probabilities."""
+    p = probs[probs > 0.0]
+    return -np.log(probs[action]) * advantage + beta * float((p * np.log(p)).sum())
+
+
+def finite_difference_check(loss_fn, params, grads, h=1e-5, max_coords=None, rng=None, exclude=None):
+    """Max relative error between central differences and analytic grads.
+
+    loss_fn takes the params list and returns a scalar. When max_coords is
+    given, a seeded random subset of coordinates is probed. exclude is an
+    optional list of boolean masks (True = skip); coordinates sitting exactly
+    on a relu kink should be excluded by the caller.
+    """
+    coords = []
+    for i, p in enumerate(params):
+        for j in range(p.size):
+            if exclude is not None and exclude[i].ravel()[j]:
+                continue
+            coords.append((i, j))
+    if max_coords is not None and len(coords) > max_coords:
+        rng = rng or np.random.default_rng(0)
+        pick = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = [coords[int(k)] for k in pick]
+    worst = 0.0
+    for i, j in coords:
+        flat = params[i].ravel()
+        orig = flat[j]
+        flat[j] = orig + h
+        up = loss_fn(params)
+        flat[j] = orig - h
+        down = loss_fn(params)
+        flat[j] = orig
+        numeric = (up - down) / (2.0 * h)
+        analytic = grads[i].ravel()[j]
+        err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8)
+        worst = max(worst, err)
+    return worst
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from placement_opt.baselines import (
     place_single_device,
 )
 from placement_opt.graph_core import ComputationGraph, OpGroup
-from placement_opt.neural_primitives import AdamState, finite_difference_check
+from placement_opt.neural_primitives import AdamState
 from placement_opt.placement_env import BYTES_PER_GB, RewardConfig, penalized_runtime, reset, step
 from placement_opt.policy_gnn import (
     FULL,
@@ -30,12 +30,19 @@ from placement_opt.policy_gnn import (
     init_policy,
     policy_backward,
     policy_forward,
-    step_loss_and_dlogits,
 )
 from placement_opt.sim_engine import Placement, SimulationResult, oracle_simulate, simulate
 from placement_opt.trainer import BaselineTable, TrainerConfig, train, train_epoch, predict_placement
 
-from conftest import make_graph, make_topology, random_dag
+from conftest import (
+    episode_states,
+    finite_difference_check,
+    forward_one,
+    make_graph,
+    make_topology,
+    random_dag,
+    step_loss,
+)
 
 
 def criterion(n, label):
@@ -117,22 +124,13 @@ def test_gradient_exactness():
         for p in params.flat_params():
             p += prng.uniform(0.01, 0.05, size=p.shape)  # keep relu units off their kinks
 
-        def replay():
-            tapes = []
-            st = reset(g, topo, env_cfg)
-            for a in actions:
-                _, tape = policy_forward(st, topo, params)
-                tapes.append(tape)
-                st, _, _ = step(st, a, topo, env_cfg)
-            return tapes
-
-        _, grads = policy_backward(replay(), actions, advantages, beta, params)
+        states = episode_states(g, topo, actions, env_cfg)
+        _, tape = policy_forward(states, topo, params)
+        _, grads = policy_backward(tape["steps"], actions, advantages, beta, params)
 
         def loss_fn(_):
-            return sum(
-                step_loss_and_dlogits(t, a, adv, beta)[0]
-                for t, a, adv in zip(replay(), actions, advantages)
-            )
+            probs, _ = policy_forward(states, topo, params)
+            return sum(step_loss(p, a, adv, beta) for p, a, adv in zip(probs, actions, advantages))
 
         err = finite_difference_check(loss_fn, params.flat_params(), grads, h=1e-5)
         assert err <= 1e-4, f"{mode}: max relative error {err}"
@@ -160,7 +158,7 @@ def test_permutation_invariance():
         graph=g, placement=placement, visited=visited, current_node=current,
         step_index=sum(visited), visit_order=tuple(range(n)), reward_scale=1.0, cached_runtime=None,
     )
-    base, _ = policy_forward(state, topo, params)
+    base, _ = forward_one(state, topo, params)
 
     for _ in range(100):
         perm = rng.permutation(n)
@@ -186,7 +184,7 @@ def test_permutation_invariance():
             current_node=int(perm[current]), step_index=sum(visited),
             visit_order=tuple(range(n)), reward_scale=1.0, cached_runtime=None,
         )
-        probs, _ = policy_forward(p_state, topo, params)
+        probs, _ = forward_one(p_state, topo, params)
         assert np.max(np.abs(probs - base)) <= 1e-9
 
 

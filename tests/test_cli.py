@@ -384,7 +384,7 @@ class TestTrainEvaluate:
         # fresh checkpoint
         params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0)
         ckpt = tmp_path / "ckpt.json"
-        save_policy_checkpoint(ckpt, params, None)
+        save_policy_checkpoint(ckpt, params)
         out = tmp_path / "eval_out"
         rc = run(
             [
@@ -412,7 +412,7 @@ class TestTrainEvaluate:
         run(["datagen", "--family", "branch_blocks", "--count", "4", "--out", str(ds)])
         params = init_policy(PolicyConfig(num_devices=3, message_rounds=1), seed=0)
         ckpt = tmp_path / "ckpt3.json"
-        save_policy_checkpoint(ckpt, params, None)
+        save_policy_checkpoint(ckpt, params)
         rc = run(
             [
                 "evaluate",
@@ -676,3 +676,69 @@ class TestDeclaredFlagsAreRead:
         assert args.func(args) == 0
         unread = set(vars(args)) - reads - {"command", "func"}
         assert not unread, f"{command} declares flags its handler never reads: {sorted(unread)}"
+
+
+def _dataset_run_config(tmp_path, topo_path, dataset):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "topology": topo_path,
+        "dataset": str(dataset),
+        "seed": 4,
+        "env": {"mode": "intermediate"},
+        "policy": {"message_rounds": 1},
+        "trainer": {"episodes": 1, "workers": 3},
+    }))
+    return str(path)
+
+
+class TestDatasetManifest:
+    """train and evaluate read a dataset through its manifest."""
+
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "2",
+                    "--out", str(ds), "--seed", "8"]) == 0
+        return ds
+
+    def test_train_from_dataset_is_reproducible(self, files, tmp_path, dataset):
+        outputs = []
+        for k in range(2):
+            out = tmp_path / f"train{k}"
+            assert run(["train", "--config", _dataset_run_config(tmp_path, files["topo"], dataset),
+                        "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("checkpoint.json", "learning_curve.csv", "best_placements.json")])
+        assert outputs[0] == outputs[1]
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        train_names = {m["name"] for m in manifest["members"] if m["split"] == "train"}
+        assert set(json.loads((tmp_path / "train0" / "best_placements.json").read_text())) <= train_names
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            [],
+            {},
+            {"members": 3},
+            {"members": ["x"]},
+            {"members": [{"name": "g", "file": 5, "split": "test"}]},
+            {"members": [{"name": "g", "split": "test"}]},
+            {"members": [{"name": "g", "file": "g.json", "split": "validation"}]},
+            {"members": [{"name": "g", "file": "g.json"}]},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_malformed_manifest_is_single_line_error(self, files, tmp_path, capsys, dataset, manifest, command):
+        (dataset / "g.json").write_text(json.dumps(DIAMOND_DOC))
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(ckpt, init_policy(PolicyConfig(num_devices=2, message_rounds=1)))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--config", _dataset_run_config(tmp_path, files["topo"], dataset), "--out", str(out)],
+            "evaluate": ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                         "--topology", files["topo"], "--out", str(out)],
+        }[command]
+        err = _fails_with_one_error_line(capsys, argv)
+        assert "manifest" in err
+        assert not (out / "checkpoint.json").exists() and not (out / "evaluation.csv").exists()

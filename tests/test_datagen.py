@@ -6,13 +6,17 @@ from placement_opt.datagen import (
     LAYERED_RANDOM,
     DatagenError,
     FamilySpec,
-    encoder_decoder_node_count,
     generate_family,
     read_dataset,
     split,
     write_dataset,
 )
 from placement_opt.graph_core import reachability, relation_sets, save_graph, topological_order
+
+
+def encoder_decoder_node_count(layers: int, unroll: int) -> int:
+    """2*L*T cells plus T attention nodes."""
+    return 2 * layers * unroll + unroll
 
 
 def spec(**kw):

@@ -11,13 +11,14 @@ from placement_opt.neural_primitives import (
     dense_backward,
     dense_forward,
     entropy,
-    finite_difference_check,
     load_checkpoint,
     make_dense,
     sample_action,
     save_checkpoint,
     softmax,
 )
+
+from conftest import finite_difference_check
 
 
 class TestDenseForward:
@@ -94,7 +95,7 @@ class TestSoftmaxSample:
     def test_symmetric_logits(self):
         rng = np.random.default_rng(0)
         probs = softmax(np.zeros(2))
-        a = sample_action(probs, rng)
+        a = sample_action(probs, rng.random())
         assert np.allclose(probs, [0.5, 0.5])
         assert np.log(probs[a]) == pytest.approx(np.log(0.5))
         assert entropy(probs) == pytest.approx(np.log(2))
@@ -110,7 +111,7 @@ class TestSoftmaxSample:
     def test_extreme_logits_stable(self):
         rng = np.random.default_rng(0)
         probs = softmax(np.array([1000.0, 0.0]))
-        a = sample_action(probs, rng)
+        a = sample_action(probs, rng.random())
         assert a == 0
         assert probs[0] == pytest.approx(1.0)
         assert np.isfinite(np.log(probs[a]))
@@ -122,7 +123,7 @@ class TestSoftmaxSample:
         n = 100_000
         counts = np.zeros(4)
         for _ in range(n):
-            counts[sample_action(probs, rng)] += 1
+            counts[sample_action(probs, rng.random())] += 1
         for i in range(4):
             sigma = np.sqrt(n * probs[i] * (1 - probs[i]))
             assert abs(counts[i] - n * probs[i]) <= 3 * sigma
@@ -134,18 +135,14 @@ class TestSoftmaxSample:
             probs = softmax(logits)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert entropy(probs) >= 0.0
-            assert 0 <= sample_action(probs, rng) < len(probs)
+            assert 0 <= sample_action(probs, rng.random()) < len(probs)
 
     def test_draw_beyond_rounded_cdf_clamps_to_last_action(self):
         # Rounding can leave cumsum(probs)[-1] just below 1; a uniform draw
         # above it must still pick the last action, not index len(probs).
-        class StubRng:
-            def random(self):
-                return 0.99995
-
         probs = np.array([0.5, 0.4999])
-        assert np.cumsum(probs)[-1] < StubRng().random()
-        assert sample_action(probs, StubRng()) == 1
+        assert np.cumsum(probs)[-1] < 0.99995
+        assert sample_action(probs, 0.99995) == 1
 
 
 class TestAdam:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from placement_opt import datagen, placement_env
+from placement_opt import datagen, policy_gnn
 from placement_opt.graph_core import ComputationGraph, OpGroup
-from placement_opt.neural_primitives import finite_difference_check
 from placement_opt.placement_env import RewardConfig, featurize, reset, step
 from placement_opt.policy_gnn import (
     FULL,
@@ -15,10 +14,10 @@ from placement_opt.policy_gnn import (
     init_policy,
     policy_backward,
     policy_forward,
-    step_loss_and_dlogits,
+    pool_and_decide,
 )
 
-from conftest import make_graph, make_topology, random_dag
+from conftest import episode_states, finite_difference_check, forward_one, make_graph, random_dag, step_loss
 
 
 def nudge(params, seed=99, lo=0.01, hi=0.05):
@@ -29,17 +28,17 @@ def nudge(params, seed=99, lo=0.01, hi=0.05):
     return params
 
 
-def episode_replay(graph, topology, params, actions, env_cfg):
-    def run():
-        tapes = []
-        st = reset(graph, topology, env_cfg)
-        for a in actions:
-            _, tape = policy_forward(st, topology, params)
-            tapes.append(tape)
-            st, _, _ = step(st, a, topology, env_cfg)
-        return tapes
+def embed_one(features, graph, params):
+    """embed over one graph: the disjoint union of a batch of one."""
+    return embed(features, policy_gnn._batch([graph], [0]), params)
 
-    return run
+
+def pool_one(emb, sets, v, params):
+    """pool_and_decide for one state given as three id lists and its current
+    row; returns logits (D,)."""
+    groupings = [policy_gnn._grouping([ids], [0]) for ids in sets]
+    logits, _ = pool_and_decide(emb, groupings, np.array([v]), params)
+    return logits[0]
 
 
 class TestEmbed:
@@ -48,7 +47,7 @@ class TestEmbed:
         params = init_policy(cfg, seed=0)
         st = reset(diamond, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
         feats = featurize(st, two_device)
-        emb, _ = embed(feats, diamond, params)
+        emb, _ = embed_one(feats, diamond, params)
         assert np.array_equal(emb, np.concatenate([feats, feats], axis=1))
 
     def test_isolated_node_stream_recurrence(self, two_device):
@@ -58,7 +57,7 @@ class TestEmbed:
         params = init_policy(cfg, seed=1)
         st = reset(g, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
         feats = featurize(st, two_device)
-        emb, _ = embed(feats, g, params)
+        emb, _ = embed_one(feats, g, params)
         from placement_opt.neural_primitives import dense_forward
 
         for direction, half in (("down", emb[0, :6]), ("up", emb[0, 6:])):
@@ -76,7 +75,7 @@ class TestEmbed:
             g = random_dag(rng, max_nodes=12, bytes_range=(0.1, 4e6))
             n = g.num_nodes
             feats = rng.uniform(size=(n, 6))
-            emb, _ = embed(feats, g, params)
+            emb, _ = embed_one(feats, g, params)
             perm = rng.permutation(n)
             pg = ComputationGraph.build(
                 "p",
@@ -92,7 +91,7 @@ class TestEmbed:
             )
             pfeats = np.empty_like(feats)
             pfeats[perm] = feats
-            pemb, _ = embed(pfeats, pg, params)
+            pemb, _ = embed_one(pfeats, pg, params)
             assert np.max(np.abs(pemb[perm] - emb)) <= 1e-9
 
 
@@ -102,12 +101,11 @@ class TestPoolAndDecide:
         cfg = PolicyConfig(num_devices=2, message_rounds=1)
         params = init_policy(cfg, seed=4)
         st = reset(g, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
-        probs, tape = policy_forward(st, two_device, params)
+        _, tape = policy_forward([st], two_device, params)
         from placement_opt.neural_primitives import dense_forward
-        from placement_opt.policy_gnn import pool_and_decide
 
         emb = tape["embed"]["emb"]
-        logits, _ = pool_and_decide(emb, ([], [], []), 0, params)
+        logits = pool_one(emb, ([], [], []), 0, params)
         # independent assembly of the same head input
         pieces = [emb[0]]
         for s in ("parents", "children", "parallel"):
@@ -124,11 +122,9 @@ class TestPoolAndDecide:
         cfg = PolicyConfig(num_devices=2, message_rounds=1)
         params = init_policy(cfg, seed=6)
         emb = rng.uniform(size=(g.num_nodes, 12))
-        from placement_opt.policy_gnn import pool_and_decide
-
         ids = list(range(g.num_nodes - 1))
-        l1, _ = pool_and_decide(emb, (ids, [], []), g.num_nodes - 1, params)
-        l2, _ = pool_and_decide(emb, (ids[::-1], [], []), g.num_nodes - 1, params)
+        l1 = pool_one(emb, (ids, [], []), g.num_nodes - 1, params)
+        l2 = pool_one(emb, (ids[::-1], [], []), g.num_nodes - 1, params)
         assert np.max(np.abs(l1 - l2)) <= 1e-12
 
     def test_swapping_parallel_and_child_changes_logits(self, two_device):
@@ -139,13 +135,11 @@ class TestPoolAndDecide:
         params = nudge(init_policy(cfg, seed=0))
         rng = np.random.default_rng(7)
         emb = rng.uniform(size=(4, 12))
-        from placement_opt.policy_gnn import pool_and_decide
-
         # current node v=1: parents {0}, children {3}, parallel {2}
-        base, _ = pool_and_decide(emb, ([0], [3], [2]), 1, params)
+        base = pool_one(emb, ([0], [3], [2]), 1, params)
         swapped_emb = emb.copy()
         swapped_emb[[2, 3]] = emb[[3, 2]]
-        swapped, _ = pool_and_decide(swapped_emb, ([0], [3], [2]), 1, params)
+        swapped = pool_one(swapped_emb, ([0], [3], [2]), 1, params)
         assert np.max(np.abs(base - swapped)) > 1e-6
 
 
@@ -155,7 +149,7 @@ class TestPolicyForward:
             cfg = PolicyConfig(num_devices=2, message_rounds=2, mode=mode)
             params = init_policy(cfg, seed=8)
             st = reset(diamond, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
-            probs, _ = policy_forward(st, two_device, params)
+            probs, _ = forward_one(st, two_device, params)
             assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_fresh_params_near_uniform(self, diamond, two_device):
@@ -165,7 +159,7 @@ class TestPolicyForward:
         st = reset(diamond, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
         for seed in range(20):
             params = init_policy(PolicyConfig(num_devices=2, message_rounds=2), seed=seed)
-            probs, _ = policy_forward(st, two_device, params)
+            probs, _ = forward_one(st, two_device, params)
             offsets.append(abs(probs[0] - 0.5))
         assert np.mean(offsets) < 0.1
         assert np.mean([o < 0.2 for o in offsets]) >= 0.9
@@ -181,16 +175,16 @@ class TestPolicyForward:
         st1, _, _ = step(st0, 0, two_device, env_cfg)  # current node 1, node 0 visited
         # build a state with the same flags but different current node by
         # permuting which identical-featured node carries the flags
-        probs0, _ = policy_forward(st0, two_device, params)
+        probs0, _ = forward_one(st0, two_device, params)
         # identical features everywhere: moving the current flag between
         # identical nodes keeps the sum, hence the distribution
         import dataclasses
 
         st0b = dataclasses.replace(st0, current_node=2)
-        probs0b, _ = policy_forward(st0b, two_device, params)
+        probs0b, _ = forward_one(st0b, two_device, params)
         assert np.allclose(probs0, probs0b, atol=1e-12)
         # but visiting changes the sum, so st1 may differ
-        probs1, _ = policy_forward(st1, two_device, params)
+        probs1, _ = forward_one(st1, two_device, params)
         assert not np.allclose(probs0, probs1, atol=1e-9)
 
     def test_full_mode_k0_uses_only_partition_structure(self, two_device):
@@ -202,14 +196,14 @@ class TestPolicyForward:
         closed = make_graph("closed", [1.0, 2.0, 3.0], [1e6, 2e6, 3e6], {(0, 1), (1, 2), (0, 2)})
         cfg = PolicyConfig(num_devices=2, message_rounds=0)
         params = init_policy(cfg, seed=10)
-        pa, _ = policy_forward(reset(chain, two_device, env_cfg), two_device, params)
-        pb, _ = policy_forward(reset(closed, two_device, env_cfg), two_device, params)
+        pa, _ = forward_one(reset(chain, two_device, env_cfg), two_device, params)
+        pb, _ = forward_one(reset(closed, two_device, env_cfg), two_device, params)
         assert np.allclose(pa, pb, atol=1e-12)
         # while with k=1 message passing the extra edge is visible
         cfg1 = PolicyConfig(num_devices=2, message_rounds=1)
         params1 = nudge(init_policy(cfg1, seed=10))
-        pa1, _ = policy_forward(reset(chain, two_device, env_cfg), two_device, params1)
-        pb1, _ = policy_forward(reset(closed, two_device, env_cfg), two_device, params1)
+        pa1, _ = forward_one(reset(chain, two_device, env_cfg), two_device, params1)
+        pb1, _ = forward_one(reset(closed, two_device, env_cfg), two_device, params1)
         assert not np.allclose(pa1, pb1, atol=1e-9)
 
     def test_logits_finite_for_extreme_inputs(self, two_device):
@@ -218,7 +212,7 @@ class TestPolicyForward:
             cfg = PolicyConfig(num_devices=2, message_rounds=4, mode=mode)
             params = init_policy(cfg, seed=11)
             st = reset(g, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
-            probs, _ = policy_forward(st, two_device, params)
+            probs, _ = forward_one(st, two_device, params)
             assert np.isfinite(probs).all()
 
     def test_nan_logits_rejected(self, diamond, two_device):
@@ -226,7 +220,7 @@ class TestPolicyForward:
         params.nets["head"].biases[-1][0] = np.nan  # set after the constructor's finiteness check
         st = reset(diamond, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
         with pytest.raises(PolicyError, match="non-finite"):
-            policy_forward(st, two_device, params)
+            policy_forward([st], two_device, params)
 
 
 class TestPolicyBackward:
@@ -235,8 +229,8 @@ class TestPolicyBackward:
         params = init_policy(cfg, seed=12)
         env_cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         actions = [0, 1, 0, 1]
-        tapes = episode_replay(diamond, two_device, params, actions, env_cfg)()
-        loss, grads = policy_backward(tapes, actions, [0.0] * 4, 0.0, params)
+        _, tape = policy_forward(episode_states(diamond, two_device, actions, env_cfg), two_device, params)
+        loss, grads = policy_backward(tape["steps"], actions, [0.0] * 4, 0.0, params)
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in grads)
 
@@ -249,8 +243,8 @@ class TestPolicyBackward:
         params = init_policy(cfg, seed=13)
         env_cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         st = reset(g, two_device, env_cfg)
-        probs, tape = policy_forward(st, two_device, params)
-        _, grads = policy_backward([tape], [0], [1.0], 0.0, params)
+        _, record = forward_one(st, two_device, params)
+        _, grads = policy_backward([record], [0], [1.0], 0.0, params)
         out_bias_grad = grads[-1]
         assert out_bias_grad[0] < 0 < out_bias_grad[1]
 
@@ -262,16 +256,13 @@ class TestPolicyBackward:
         actions = [1, 0, 1, 0]
         advantages = [0.5, -1.0, 2.0, 0.3]
         beta = 0.01
-        replay = episode_replay(diamond, two_device, params, actions, env_cfg)
-        tapes = replay()
-        _, grads = policy_backward(tapes, actions, advantages, beta, params)
+        states = episode_states(diamond, two_device, actions, env_cfg)
+        _, tape = policy_forward(states, two_device, params)
+        _, grads = policy_backward(tape["steps"], actions, advantages, beta, params)
 
         def loss_fn(_):
-            total = 0.0
-            for tape, a, adv in zip(replay(), actions, advantages):
-                l, _ = step_loss_and_dlogits(tape, a, adv, beta)
-                total += l
-            return total
+            probs, _ = policy_forward(states, two_device, params)
+            return sum(step_loss(p, a, adv, beta) for p, a, adv in zip(probs, actions, advantages))
 
         err = finite_difference_check(
             loss_fn, params.flat_params(), grads, h=1e-5, max_coords=300, rng=np.random.default_rng(0)
@@ -350,7 +341,8 @@ def _reference_step_grads(record, action, advantage, beta, params):
             pieces.append(ctx)
     logits, head_tape = dense_forward(nets["head"], np.concatenate(pieces) if pieces is not None else z)
     probs = softmax(logits)
-    _, dlogits = step_loss_and_dlogits({"probs": probs}, action, advantage, beta)
+    logp = np.log(np.where(probs > 0.0, probs, 1.0))
+    dlogits = advantage * (probs - np.eye(len(probs))[action]) + beta * probs * (logp - (probs * logp).sum())
     head_grads, dhead = dense_backward(nets["head"], head_tape, dlogits)
     acc("head", head_grads)
     if cfg.mode == "simple_aggregator":
@@ -388,8 +380,8 @@ def _episode_records(graph, topology, params, seed):
     from placement_opt.trainer import rollout
 
     env_cfg = RewardConfig(mode="intermediate")
-    trace = rollout(params, graph, topology, env_cfg, np.random.default_rng(seed), init_mode="random",
-                    randomize_order=True)
+    (trace,) = rollout(params, [graph], topology, env_cfg, [np.random.default_rng(seed)], init_mode="random",
+                       randomize_order=True)
     return trace.steps, trace.actions
 
 
@@ -478,7 +470,7 @@ class TestBatchedExactness:
         probs, tape = policy_forward(states, two_device, params)
         assert probs.shape == (len(states), 2)
         for st, row, record in zip(states, probs, tape["steps"]):
-            single, _ = policy_forward(st, two_device, params)
+            single, _ = forward_one(st, two_device, params)
             assert np.max(np.abs(row - single)) <= 1e-12
             assert record["graph"] is st.graph and record["v"] == st.current_node
             assert np.array_equal(record["features"], featurize(st, two_device))

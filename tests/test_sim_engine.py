@@ -14,11 +14,22 @@ from placement_opt.sim_engine import (
     load_placement,
     load_topology,
     oracle_simulate,
-    save_topology,
     simulate,
 )
 
 from conftest import make_graph, make_topology, random_dag
+
+
+def save_topology(topology):
+    bw = topology.bandwidth_bytes_per_sec
+    doc = {
+        "devices": [
+            {"id": d.id, "memory_bytes": d.memory_bytes, "compute_scale": d.compute_scale}
+            for d in topology.devices
+        ],
+        "bandwidth_bytes_per_sec": bw if isinstance(bw, (int, float)) else [list(r) for r in bw],
+    }
+    return json.dumps(doc, indent=2)
 
 
 def random_placement(rng, graph, n_devices):

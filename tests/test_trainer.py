@@ -7,7 +7,7 @@ from placement_opt import datagen, placement_env
 from placement_opt.baselines import exhaustive_search
 from placement_opt.neural_primitives import AdamState, adam_step, sample_action
 from placement_opt.placement_env import RewardConfig
-from placement_opt.policy_gnn import PolicyConfig, init_policy, policy_backward, policy_forward
+from placement_opt.policy_gnn import PolicyConfig, init_policy, policy_backward
 from placement_opt.sim_engine import Placement, simulate
 from placement_opt.trainer import (
     BaselineTable,
@@ -25,10 +25,15 @@ from placement_opt.trainer import (
     CURVE_COLUMNS,
 )
 
-from conftest import make_graph, make_topology, random_dag
+from conftest import forward_one, make_graph, make_topology, random_dag
 
 PCFG = PolicyConfig(num_devices=2, message_rounds=2)
 TERMINAL = RewardConfig(mode="terminal", reward_scale=1.0)
+
+
+def one_rollout(params, graph, topology, reward_cfg, rng, **kw):
+    """The trace of a rollout of one episode."""
+    return rollout(params, [graph], topology, reward_cfg, [rng], **kw)[0]
 
 
 def expensive_chain():
@@ -40,15 +45,15 @@ class TestRollout:
     def test_single_node_trace(self, two_device):
         g = make_graph("one", [2.0], [0.0], set())
         params = init_policy(PCFG, seed=0)
-        tr = rollout(params, g, two_device, TERMINAL, np.random.default_rng(0))
+        tr = one_rollout(params, g, two_device, TERMINAL, np.random.default_rng(0))
         assert len(tr.actions) == 1
         assert tr.rewards[0] == -tr.final_runtime
         assert tr.final_runtime == 2.0
 
     def test_deterministic_given_seed(self, diamond, two_device):
         params = init_policy(PCFG, seed=1)
-        a = rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(42))
-        b = rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(42))
+        a = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(42))
+        b = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(42))
         assert a.actions == b.actions
         assert a.rewards == b.rewards
         assert a.final_placement == b.final_placement
@@ -57,8 +62,8 @@ class TestRollout:
         # Visit order on the diamond is 0,1,2,3, so forcing (0,0,1,0)
         # reproduces the hand-traced cross-device placement.
         params = init_policy(PCFG, seed=2)
-        tr = rollout(
-            params, diamond, two_device, TERMINAL, np.random.default_rng(0), action_override=[0, 0, 1, 0]
+        tr = one_rollout(
+            params, diamond, two_device, TERMINAL, np.random.default_rng(0), action_overrides=[[0, 0, 1, 0]]
         )
         assert tr.final_placement == (0, 0, 1, 0)
         res = simulate(diamond, two_device, Placement((0, 0, 1, 0)))
@@ -66,8 +71,8 @@ class TestRollout:
 
     def test_greedy_is_deterministic(self, diamond, two_device):
         params = init_policy(PCFG, seed=3)
-        a = rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(0), greedy=True)
-        b = rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(999), greedy=True)
+        a = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(0), greedy=True)
+        b = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(999), greedy=True)
         assert a.final_placement == b.final_placement
 
 
@@ -145,7 +150,7 @@ class TestTrainEpoch:
         ref_table = BaselineTable(cfg.baseline_window)
         for epoch in range(3):
             rng = np.random.default_rng([cfg.seed, epoch, 0])
-            tr = rollout(ref, g, two_device, reward_cfg, rng)
+            tr = one_rollout(ref, g, two_device, reward_cfg, rng)
             adv = compute_advantages(tr, ref_table)
             _, grads = policy_backward(tr.steps, tr.actions, adv, cfg.entropy_at(epoch), ref)
             adam_step(ref.flat_params(), grads, ref_adam, lr_scale=cfg.lr_at(epoch))
@@ -186,8 +191,8 @@ def _sequential_rollout(params, graph, topology, reward_cfg, rng):
                                 order_seed=order_seed)
     actions, rewards, probs = [], [], []
     while not state.done:
-        p, _ = policy_forward(state, topology, params)
-        a = sample_action(p, rng)
+        p, _ = forward_one(state, topology, params)
+        a = sample_action(p, rng.random())
         state, r, _ = placement_env.step(state, a, topology, reward_cfg)
         actions.append(a)
         rewards.append(r)
@@ -318,8 +323,8 @@ class TestPredict:
         params = init_policy(PCFG, seed=6)
         singles, bests = [], []
         for seed in range(30):
-            single = rollout(params, g, two_device, RewardConfig(mode="terminal"),
-                             np.random.default_rng([seed, 1]))
+            single = one_rollout(params, g, two_device, RewardConfig(mode="terminal"),
+                                 np.random.default_rng([seed, 1]))
             singles.append(single.final_runtime)
             best = predict_placement(params, g, two_device, n_samples=16, seed=seed)
             bests.append(best.runtime_seconds)
@@ -330,6 +335,67 @@ class TestPredict:
         topo4 = make_topology(4)
         with pytest.raises(TrainerError, match="devices"):
             predict_placement(params, diamond, topo4)
+
+
+def _reference_episodes(params, graph, topology, reward_cfg, n_samples, seed):
+    """predict_placement's episodes run one after another: the greedy one, then
+    n sampled ones on the same stream, one single-state forward per step."""
+    rng = np.random.default_rng(seed)
+    episodes = []
+    for k in range(1 + n_samples):
+        state = placement_env.reset(graph, topology, reward_cfg)
+        actions = []
+        while not state.done:
+            p, _ = forward_one(state, topology, params)
+            a = int(np.argmax(p)) if k == 0 else sample_action(p, rng.random())
+            state, _, _ = placement_env.step(state, a, topology, reward_cfg)
+            actions.append(a)
+        episodes.append((actions, state.placement, placement_env.final_runtime(state, topology, reward_cfg)))
+    return episodes
+
+
+class TestOneStream:
+    """Episodes that share one stream draw at reset exactly what they would
+    draw one after another."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7919, 2**40, [1, 2], [17, 3, 0xD15], [0, 0, 0]])
+    def test_vector_draw_equals_scalar_draws(self, seed):
+        for k in (0, 1, 5, 64):
+            scalar = np.random.default_rng(seed)
+            vector = np.random.default_rng(seed)
+            drawn = [scalar.random() for _ in range(k)]
+            assert vector.random(k).tolist() == drawn
+            assert vector.random() == scalar.random()  # both streams are at the same point
+
+    @pytest.mark.parametrize("devices", [2, 3])
+    @pytest.mark.parametrize("n_samples", [0, 1, 4, 16])
+    def test_predict_matches_sequential_reference(self, monkeypatch, devices, n_samples):
+        import placement_opt.trainer as trainer
+
+        topo = make_topology(devices, bandwidth=4e6)
+        graph = random_dag(np.random.default_rng(40 + devices), max_nodes=9, bytes_range=(0.1, 4e6))
+        params = init_policy(PolicyConfig(num_devices=devices, message_rounds=2), seed=devices)
+        reward_cfg = RewardConfig(mode="terminal")
+        traces, original = [], trainer.rollout
+
+        def recording_rollout(*args, **kwargs):
+            out = original(*args, **kwargs)
+            traces.extend(out)
+            return out
+
+        monkeypatch.setattr(trainer, "rollout", recording_rollout)
+        pred = predict_placement(params, graph, topo, reward_cfg, n_samples=n_samples, seed=11)
+        expected = _reference_episodes(params, graph, topo, reward_cfg, n_samples, seed=11)
+        assert len(traces) == 1 + n_samples
+        for tr, (actions, placement, runtime) in zip(traces, expected):
+            assert tr.actions == actions
+            assert tr.final_placement == placement
+            assert tr.final_runtime == runtime
+        _, best_placement, best_runtime = min(expected, key=lambda e: (e[2], e[1]))
+        assert pred.placement.assignment == best_placement
+        assert pred.runtime_seconds == best_runtime
+        if n_samples == 16:
+            assert len({tuple(a) for a, _, _ in expected}) > 2  # the samples explore
 
 
 class TestCheckpointHeader:
