@@ -9,7 +9,6 @@ depth bands.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -209,13 +208,20 @@ def exhaustive_search(
     reward_cfg: RewardConfig | None = None,
     budget: int = 2**20,
 ):
-    """Enumerate every placement; min penalized runtime, lexicographic ties.
+    """Exact optimum by branch-and-bound; min penalized runtime, lexicographic ties.
 
     Returns (Placement, runtime). Raises when |D| ** |V| exceeds the budget.
-    When two devices are interchangeable, a placement and its mirror (devices
-    swapped) simulate bit-identically, and the mirror with node 0 on device 0
-    comes first, so only those placements are enumerated. With 3+ devices bus
-    queues break ties on the destination id, so relabelling is not exact.
+    Nodes are assigned depth-first in id order with device 0 first, so leaves
+    are simulated in lexicographic order and the first minimum found is the
+    lexicographically first optimum. The first leaf (everything on device 0)
+    sets the incumbent; after that a partial assignment is skipped when its
+    lower bound exceeds incumbent * (1 + 1e-9), as every leaf below it is
+    then strictly slower and cannot take over. See _lower_bound for why the
+    bound holds. When two devices are interchangeable, a placement and its
+    mirror (devices swapped) simulate bit-identically, and the mirror with
+    node 0 on device 0 comes first, so node 0 stays on device 0. With 3+
+    devices bus queues break ties on the destination id, so relabelling is
+    not exact.
     """
     reward_cfg = reward_cfg or RewardConfig(mode=placement_env.TERMINAL)
     n = graph.num_nodes
@@ -223,15 +229,78 @@ def exhaustive_search(
     count = m**n
     if count > budget:
         raise BaselineError(f"{m}^{n} = {count} placements exceed the budget {budget}")
-    candidates = itertools.product(range(m), repeat=n)
-    if n and _interchangeable_pair(graph, topology):
-        candidates = ((0, *rest) for rest in itertools.product(range(2), repeat=n - 1))
+    first_devices = 1 if n and _interchangeable_pair(graph, topology) else m
+    bound = _lower_bound(graph, topology)
+    assign = [0] * n
     best_assign = None
     best_runtime = None
-    for assign in candidates:
-        result = simulate(graph, topology, Placement(assign))
+    # Entries (k, d): nodes 0..k-2 are as on the path above, node k-1 goes to d.
+    # Children are pushed in reverse, so device 0 pops first.
+    stack = [(0, 0)]
+    while stack:
+        k, d = stack.pop()
+        if k:
+            assign[k - 1] = d
+            if best_runtime is not None and bound(assign, k) > best_runtime * (1 + 1e-9):
+                continue
+        if k < n:
+            stack.extend((k + 1, c) for c in reversed(range(first_devices if k == 0 else m)))
+            continue
+        result = simulate(graph, topology, Placement(tuple(assign)))
         runtime = placement_env.penalized_runtime(result, topology, reward_cfg)
         if best_runtime is None or runtime < best_runtime:
             best_runtime = runtime
-            best_assign = assign
+            best_assign = tuple(assign)
     return Placement(best_assign), best_runtime
+
+
+def _lower_bound(graph: ComputationGraph, topology: DeviceTopology):
+    """bound(assign, k): a lower bound on the penalized runtime of every
+    placement that puts nodes 0..k-1 where assign does.
+
+    It is the larger of (a) each device's summed duration over its assigned
+    nodes, since a device runs one op at a time, and (b) the longest path with
+    assigned nodes at their device's duration, free nodes at their cheapest
+    duration, output_bytes / bandwidth on edges between assigned nodes on
+    different devices and 0 on every other edge. Term (b) makes the
+    simulator's own floating-point additions in the same order on values no
+    larger than its own, so by monotone rounding it never exceeds the
+    simulated makespan. Term (a) sums in another order than the simulator's
+    clock, which the caller's relative margin absorbs. The memory penalty is
+    >= 0 (RewardConfig enforces it), so the makespan bound holds for the
+    penalized runtime too.
+    """
+    n = graph.num_nodes
+    m = topology.num_devices
+    scale = [dev.compute_scale for dev in topology.devices]
+    dur = [[g.cost_on(d) * scale[d] for d in range(m)] for g in graph.nodes]
+    cheapest = [min(row) for row in dur]
+    size = [g.output_bytes for g in graph.nodes]
+    bw = [[topology.bandwidth(s, d) for d in range(m)] for s in range(m)]
+    order = topological_order(graph)
+    parents = graph.parents
+
+    def bound(assign, k):
+        load = [0.0] * m
+        for v in range(k):
+            load[assign[v]] += dur[v][assign[v]]
+        finish = [0.0] * n
+        for v in order:
+            ready = 0.0
+            if v < k:
+                a = assign[v]
+                for p in parents[v]:
+                    t = finish[p]
+                    if p < k and assign[p] != a:
+                        t = t + size[p] / bw[assign[p]][a]
+                    if t > ready:
+                        ready = t
+                finish[v] = ready + dur[v][a]
+            else:
+                for p in parents[v]:
+                    if finish[p] > ready:
+                        ready = finish[p]
+                finish[v] = ready + cheapest[v]
+        return max(max(load), max(finish, default=0.0))
+
+    return bound

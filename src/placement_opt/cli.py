@@ -71,7 +71,6 @@ def _emit_dot(args, out, graph, placement, stem):
 
 
 def cmd_datagen(args):
-    out = _outdir(args)
     spec = datagen.FamilySpec(
         family=args.family,
         count=args.count,
@@ -91,6 +90,7 @@ def cmd_datagen(args):
         bytes_hi=args.tensor_bytes[1],
         seed=args.seed,
     )
+    out = _outdir(args)
     manifest = datagen.write_dataset(out, spec)
     print(f"wrote {len(manifest['members'])} graphs to {out}")
     return 0
@@ -281,7 +281,15 @@ EVAL_SCHEMES = ("zero_shot", "random", "single_device", "mincut", "expert", "exh
 EVAL_COLUMNS = ["graph", "scheme", "penalized_runtime_s", "makespan_s", "peak_memory_bytes"]
 
 
+def _check_budget(args):
+    if args.budget < 1:
+        raise CliError(f"--budget must be >= 1, not {args.budget}")
+
+
 def cmd_evaluate(args):
+    if args.samples < 0:
+        raise CliError(f"--samples must be >= 0, not {args.samples}")
+    _check_budget(args)
     out = _outdir(args)
     params, _ = trainer.load_policy_checkpoint(args.checkpoint)
     topology = load_topology(_read(args.topology))
@@ -303,7 +311,7 @@ def cmd_evaluate(args):
         candidates["expert"] = baselines.place_expert_chain(graph, topology)
         exhaustive_ok = topology.num_devices**graph.num_nodes <= args.budget
         if exhaustive_ok:
-            candidates["exhaustive"], _ = baselines.exhaustive_search(graph, topology, reward_cfg)
+            candidates["exhaustive"], _ = baselines.exhaustive_search(graph, topology, reward_cfg, args.budget)
         for scheme in EVAL_SCHEMES:
             if scheme not in candidates:
                 continue
@@ -331,6 +339,7 @@ def cmd_evaluate(args):
 
 
 def cmd_oracle(args):
+    _check_budget(args)
     out = _outdir(args)
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))

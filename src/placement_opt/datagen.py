@@ -63,14 +63,19 @@ class FamilySpec:
             raise DatagenError("count must be >= 2")
         if not (0.0 < self.train_fraction < 1.0):
             raise DatagenError("train_fraction must be in (0, 1)")
-        for lo, hi, what in (
-            (self.branches_lo, self.branches_hi, "branches"),
-            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops"),
-            (self.layers_lo, self.layers_hi, "layers"),
-            (self.unroll_lo, self.unroll_hi, "unroll"),
-            (self.compute_lo, self.compute_hi, "compute"),
-            (self.bytes_lo, self.bytes_hi, "bytes"),
+        if self.blocks < 1:
+            raise DatagenError(f"blocks must be >= 1, not {self.blocks}")
+        # A count range starting at 0 yields empty or degenerate graphs.
+        for lo, hi, what, least in (
+            (self.branches_lo, self.branches_hi, "branches", 1),
+            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops", 1),
+            (self.layers_lo, self.layers_hi, "layers", 1),
+            (self.unroll_lo, self.unroll_hi, "unroll", 1),
+            (self.compute_lo, self.compute_hi, "compute", 0),
+            (self.bytes_lo, self.bytes_hi, "bytes", 0),
         ):
+            if not lo >= least:
+                raise DatagenError(f"{what}_lo must be >= {least}, not {lo}")
             if lo > hi:
                 raise DatagenError(f"{what} range is empty ({lo} > {hi})")
 

@@ -23,6 +23,8 @@ from placement_opt.sim_engine import Device, DeviceTopology, Placement, simulate
 from conftest import make_graph, make_topology, random_dag
 
 TCFG = RewardConfig(mode="terminal")
+# Peaks of a few MB over a 3 MB threshold make the memory penalty decide.
+PENALTY_CFG = RewardConfig(mode="terminal", memory_threshold_bytes=3e6, penalty_per_gb=2e3)
 
 
 class TestSingleDevice:
@@ -391,34 +393,33 @@ def full_enumeration(graph, topology, cfg):
 
 
 @pytest.fixture
-def count_simulations(monkeypatch):
+def simulated(monkeypatch):
+    """The assignments exhaustive_search simulates, in call order."""
     calls = []
 
-    def counting(*args):
-        calls.append(1)
-        return simulate(*args)
+    def recording(graph, topology, placement):
+        calls.append(placement.assignment)
+        return simulate(graph, topology, placement)
 
-    monkeypatch.setattr(baselines, "simulate", counting)
+    monkeypatch.setattr(baselines, "simulate", recording)
     return calls
 
 
 class TestExhaustiveMirrorPruning:
-    def test_memory_penalty_matches_full_enumeration(self, two_device, count_simulations):
-        # Peaks of a few MB over a 3 MB threshold make the penalty decide.
-        cfg = RewardConfig(mode="terminal", memory_threshold_bytes=3e6, penalty_per_gb=2e3)
+    def test_memory_penalty_matches_full_enumeration(self, two_device, simulated):
         rng = np.random.default_rng(51)
         penalized = 0
         for _ in range(12):
             g = random_dag(rng, max_nodes=8, bytes_range=(0.5e6, 4e6))
-            expected = full_enumeration(g, two_device, cfg)
-            count_simulations.clear()
-            assert exhaustive_search(g, two_device, cfg) == expected
-            assert len(count_simulations) == 2 ** (g.num_nodes - 1)
+            expected = full_enumeration(g, two_device, PENALTY_CFG)
+            simulated.clear()
+            assert exhaustive_search(g, two_device, PENALTY_CFG) == expected
+            assert_mirror_restricted(simulated, g.num_nodes)
             best = simulate(g, two_device, expected[0])
             penalized += expected[1] > best.makespan_seconds
         assert penalized > 0
 
-    def test_tied_optima_match_full_enumeration(self, two_device, count_simulations):
+    def test_tied_optima_match_full_enumeration(self, two_device, simulated):
         # Integer costs and zero-byte tensors: many placements tie.
         rng = np.random.default_rng(53)
         for _ in range(12):
@@ -426,30 +427,161 @@ class TestExhaustiveMirrorPruning:
             edges = {(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.3}
             g = make_graph("ties", rng.integers(0, 3, size=n).astype(float), [0.0] * n, edges)
             expected = full_enumeration(g, two_device, TCFG)
-            count_simulations.clear()
+            simulated.clear()
             assert exhaustive_search(g, two_device, TCFG) == expected
-            assert len(count_simulations) == 2 ** (n - 1)
+            assert_mirror_restricted(simulated, n)
 
     @pytest.mark.parametrize("case", ["compute_scale", "bandwidth_matrix", "cost_vectors", "memory_bytes"])
-    def test_distinguishable_devices_enumerate_everything(self, case, count_simulations):
+    def test_distinguishable_devices_enumerate_everything(self, case):
+        # Devices that differ are not mirror-restricted: the search reaches
+        # optima with node 0 on device 1. full_enumeration returns the
+        # lexicographically first optimum, so when it puts node 0 on device 1
+        # no optimum has node 0 on device 0. Device memory does not enter the
+        # runtime, so its optima always have a mirror with node 0 on device 0.
         rng = np.random.default_rng(57)
-        g = random_dag(rng, max_nodes=7, bytes_range=(0.5e6, 4e6))
-        n = g.num_nodes
         scales, bandwidth, memory = (1.0, 1.0), 1e6, (1e9, 1e9)
         if case == "compute_scale":
-            scales = (1.0, 2.0)
+            scales = (2.0, 1.0)
         elif case == "memory_bytes":
             memory = (1e9, 2e9)
         elif case == "bandwidth_matrix":
-            bandwidth = ((0.0, 1e6), (2e6, 0.0))
-        else:
-            nodes = [OpGroup(id=v, compute_seconds=(1.0, 1.0 + v % 2), output_bytes=1e6) for v in range(n)]
-            g = ComputationGraph.build("vec", nodes, set(g.edges))
+            bandwidth = ((0.0, 2e6), (0.5e6, 0.0))
         topo = DeviceTopology(
             devices=tuple(Device(id=i, memory_bytes=memory[i], compute_scale=s) for i, s in enumerate(scales)),
             bandwidth_bytes_per_sec=bandwidth,
         )
+        node0_on_1 = 0
+        for _ in range(12):
+            g = random_dag(rng, max_nodes=7, bytes_range=(0.5e6, 4e6))
+            if case == "cost_vectors":
+                nodes = [
+                    OpGroup(id=v, compute_seconds=(1.0 + (v + 1) % 2, 1.0 + v % 2), output_bytes=1e6)
+                    for v in range(g.num_nodes)
+                ]
+                g = ComputationGraph.build("vec", nodes, set(g.edges))
+            expected = full_enumeration(g, topo, TCFG)
+            assert exhaustive_search(g, topo, TCFG) == expected
+            node0_on_1 += expected[0].assignment[0] == 1
+        if case == "memory_bytes":
+            assert node0_on_1 == 0
+        else:
+            assert node0_on_1 > 0
+
+
+def assert_mirror_restricted(simulated, n):
+    """On two interchangeable devices only placements with node 0 on device 0
+    are simulated, so at most half of them."""
+    assert simulated and all(a[0] == 0 for a in simulated)
+    assert len(simulated) <= 2 ** (n - 1)
+
+
+def with_cost_vectors(rng, g, m):
+    nodes = [
+        OpGroup(id=v, compute_seconds=tuple(float(c) for c in costs), output_bytes=node.output_bytes)
+        for v, (node, costs) in enumerate(zip(g.nodes, rng.uniform(0.0, 3.0, size=(g.num_nodes, m))))
+    ]
+    return ComputationGraph.build("vec", nodes, set(g.edges))
+
+
+SEARCH_TOPOLOGIES = {
+    "3dev": make_topology(3),
+    "4dev": make_topology(4),
+    "scaled": make_topology(3, scales=[1.0, 1.5, 2.0]),
+    "bandwidth_matrix": make_topology(3, bandwidth=((0.0, 1e6, 3e6), (0.5e6, 0.0, 2e6), (4e6, 0.25e6, 0.0))),
+    "cost_vectors": make_topology(3),
+    "zero_work": make_topology(2),
+    "memory_penalty": make_topology(3),
+    "ties": make_topology(3),
+    "shuffled_ids": make_topology(2),
+}
+
+
+def search_graph(case, rng, m):
+    """One random graph for a named case, small enough to enumerate."""
+    max_nodes = {2: 8, 3: 6, 4: 5}[m]
+    if case in ("zero_work", "ties"):
+        # Integer costs, a third of them zero: zero-cost ops and many tied
+        # placements. Tensors are 0-2 MB, or all zero-byte for ties.
+        n = int(rng.integers(2, max_nodes + 1))
+        edges = {(u, v) for v in range(1, n) for u in range(v) if rng.random() < 0.4}
+        sizes = [0.0] * n if case == "ties" else rng.integers(0, 3, size=n) * 1e6
+        return make_graph(case, rng.integers(0, 3, size=n), sizes, edges)
+    g = random_dag(rng, max_nodes=max_nodes, bytes_range=(0.5e6, 4e6) if case == "memory_penalty" else (0.0, 4e6))
+    if case == "shuffled_ids":
+        # Ids no longer follow a topological order, so parents may be
+        # assigned after their children.
+        new = rng.permutation(g.num_nodes)
+        old = np.argsort(new)
+        return make_graph(
+            "shuffled",
+            [g.nodes[v].cost_on(0) for v in old],
+            [g.nodes[v].output_bytes for v in old],
+            {(int(new[u]), int(new[v])) for u, v in g.edges},
+        )
+    return with_cost_vectors(rng, g, m) if case == "cost_vectors" else g
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("case", list(SEARCH_TOPOLOGIES))
+    def test_matches_full_enumeration(self, case, simulated):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        topo = SEARCH_TOPOLOGIES[case]
+        cfg = PENALTY_CFG if case == "memory_penalty" else TCFG
+        leaves = total = penalized = 0
+        for _ in range(10):
+            g = search_graph(case, rng, topo.num_devices)
+            expected = full_enumeration(g, topo, cfg)
+            simulated.clear()
+            assert exhaustive_search(g, topo, cfg) == expected, g
+            # Leaves are simulated in lexicographic order, each at most once.
+            assert simulated == sorted(set(simulated))
+            leaves += len(simulated)
+            total += topo.num_devices**g.num_nodes
+            penalized += expected[1] > simulate(g, topo, expected[0]).makespan_seconds
+        assert leaves < total
+        if case == "memory_penalty":
+            assert penalized > 0
+
+    def test_margin_keeps_an_optimum_at_its_bound(self):
+        # A 5-op chain 4 -> 3 -> ... -> 0 with zero-byte tensors; device 1 is
+        # a few ulps faster, so the optimum runs the whole chain there and its
+        # runtime is the chain's total work. The per-device term of the bound
+        # sums that work in id order, which rounds above the simulated
+        # makespan (summed along the chain) and above earlier leaves: without
+        # the relative margin the optimum's leaf would be pruned.
+        costs = [0.5, 0.9, 0.7, 0.7, 0.5]
+        s1 = 1.0 - 4 * 2.0**-53
+        g = make_graph("chain", costs, [0.0] * 5, {(v + 1, v) for v in range(4)})
+        topo = make_topology(2, scales=[1.0, s1])
         expected = full_enumeration(g, topo, TCFG)
-        count_simulations.clear()
+        assert expected[0].assignment == (1, 1, 1, 1, 1)
+        assert sum(c * s1 for c in costs) > expected[1]
         assert exhaustive_search(g, topo, TCFG) == expected
-        assert len(count_simulations) == 2**n
+
+    def test_single_device_large_graph(self):
+        # 1 ** n == 1 passes the budget for any n; the search must not recurse.
+        spec = datagen.FamilySpec(
+            family="branch_blocks", count=2, blocks=128, branches_lo=2, branches_hi=4,
+            branch_ops_lo=2, branch_ops_hi=4, seed=89,
+        )
+        g = datagen.generate_family(spec)[0]
+        assert 1200 <= g.num_nodes <= 1600
+        topo = make_topology(1)
+        pl, runtime = exhaustive_search(g, topo, TCFG)
+        assert pl == place_single_device(g, topo)
+        assert runtime == simulate(g, topo, pl).makespan_seconds
+
+    def test_few_leaves_on_readme_topology(self, simulated):
+        # branch_blocks graphs of 10-12 nodes on two interchangeable devices
+        # at 1e6 bytes/s: the bound leaves under an eighth of the 2^(n-1)
+        # mirror-restricted leaves to simulate.
+        spec = datagen.FamilySpec(
+            family="branch_blocks", count=16, blocks=1, branches_lo=2, branches_hi=2,
+            branch_ops_lo=4, branch_ops_hi=5, seed=1,
+        )
+        topo = make_topology(2, memory=12e9, bandwidth=1e6)
+        for g in datagen.generate_family(spec):
+            assert 10 <= g.num_nodes <= 12
+            simulated.clear()
+            exhaustive_search(g, topo, TCFG)
+            assert len(simulated) < 2 ** (g.num_nodes - 1) / 8, g.name

@@ -291,6 +291,36 @@ class TestOracle:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSearchFlags:
+    """--samples below 0 and --budget below 1 end in one error line and exit 1."""
+
+    @pytest.mark.parametrize("flags", [["--samples", "-5"], ["--budget", "0"], ["--budget", "-1"]])
+    def test_evaluate(self, files, tmp_path, capsys, flags):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "1",
+                    "--out", str(ds)]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(str(ckpt), init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0))
+        out = tmp_path / "eval_out"
+        err = _fails_with_one_error_line(
+            capsys,
+            ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds), "--topology", files["topo"],
+             "--out", str(out), *flags],
+        )
+        assert flags[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_oracle(self, files, tmp_path, capsys, budget):
+        out = tmp_path / "oracle_out"
+        err = _fails_with_one_error_line(
+            capsys, ["oracle", "--graph", files["graph"], "--topology", files["topo"], "--budget", budget,
+                     "--out", str(out)]
+        )
+        assert "--budget" in err
+        assert not out.exists()
+
+
 class TestDatagen:
     def test_writes_manifest_and_graphs(self, tmp_path, capsys):
         out = tmp_path / "ds"
@@ -309,6 +339,25 @@ class TestDatagen:
         for m in manifest["members"]:
             g = load_graph((out / m["file"]).read_text())
             assert g.num_nodes >= 4
+
+    @pytest.mark.parametrize(
+        "family, flags, field",
+        [
+            ("branch_blocks", ["--blocks", "0"], "blocks"),
+            ("branch_blocks", ["--blocks", "-2"], "blocks"),
+            ("branch_blocks", ["--branches", "0", "0"], "branches_lo"),
+            ("branch_blocks", ["--branch-ops", "0", "0"], "branch_ops_lo"),
+            ("layered_random", ["--layers", "0", "0"], "layers_lo"),
+            ("encoder_decoder", ["--unroll", "0", "0"], "unroll_lo"),
+            ("encoder_decoder", ["--compute", "-1", "1"], "compute_lo"),
+            ("layered_random", ["--tensor-bytes", "-1", "1"], "bytes_lo"),
+        ],
+    )
+    def test_degenerate_sizes_are_single_line_errors(self, tmp_path, capsys, family, flags, field):
+        out = tmp_path / "ds"
+        err = _fails_with_one_error_line(capsys, ["datagen", "--family", family, *flags, "--out", str(out)])
+        assert field in err
+        assert not out.exists()
 
     def test_reproducible(self, tmp_path):
         args = ["datagen", "--family", "layered_random", "--count", "3", "--seed", "9"]
@@ -499,6 +548,14 @@ class TestMalformedRunConfig:
     def test_bad_family(self, files, tmp_path, capsys, family):
         path = write_run_config(tmp_path, files["topo"], family=family)
         _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("field, value", [("blocks", 0), ("branches_lo", 0), ("bytes_lo", -1.0)])
+    def test_degenerate_family_sizes(self, files, tmp_path, capsys, field, value):
+        family = {"family": "branch_blocks", "count": 4, field: value}
+        path = write_run_config(tmp_path, files["topo"], family=family)
+        err = _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(tmp_path / "o")])
+        assert field in err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     def test_nullable_and_bool_values_accepted(self, files, tmp_path):
         cfg_path = write_run_config(

@@ -113,6 +113,24 @@ class TestDeterminismAndSplit:
         with pytest.raises(DatagenError):
             split([], 1.5, 0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("blocks", 0), ("blocks", -2), ("branches_lo", 0), ("branch_ops_lo", 0), ("layers_lo", 0),
+         ("unroll_lo", 0), ("compute_lo", -0.5), ("compute_lo", float("nan")), ("bytes_lo", -1.0)],
+    )
+    def test_degenerate_sizes_rejected(self, field, value):
+        hi = {"compute_lo": "compute_hi", "bytes_lo": "bytes_hi"}.get(field, field.replace("_lo", "_hi"))
+        kw = {field: value} if field == "blocks" else {field: value, hi: max(value, 0)}
+        with pytest.raises(DatagenError, match=field):
+            spec(**kw)
+
+    @pytest.mark.parametrize("family", [BRANCH_BLOCKS, ENCODER_DECODER, LAYERED_RANDOM])
+    def test_unit_ranges_generate(self, family):
+        # The smallest accepted counts still give valid graphs.
+        s = spec(family=family, blocks=1, branches_lo=1, branches_hi=1, branch_ops_lo=1, branch_ops_hi=1,
+                 layers_lo=1, layers_hi=1, unroll_lo=1, unroll_hi=1, compute_lo=0.0, bytes_lo=0.0)
+        assert all(g.num_nodes >= 1 for g in generate_family(s))
+
 
 class TestDatasetIO:
     def test_write_read_round_trip(self, tmp_path):
