@@ -236,13 +236,6 @@ def cmd_train(args):
 
     topology = load_topology(_read(args.topology or doc["topology"]))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    if "dataset" in doc:
-        _, train_graphs, _ = datagen.read_dataset(doc["dataset"])
-    else:
-        fam = datagen.FamilySpec(**doc["family"])
-        graphs = datagen.generate_family(fam)
-        train_graphs, _ = datagen.split(graphs, fam.train_fraction, fam.seed)
-
     env_doc = doc.get("env", {})
     reward_cfg = _reward_config(env_doc)
     policy_doc = doc.get("policy", {})
@@ -254,6 +247,12 @@ def cmd_train(args):
     )
     trainer_doc = doc.get("trainer", {})
     cfg = trainer.TrainerConfig(seed=seed, init_mode=env_doc.get("init_mode", "all_device_0"), **trainer_doc)
+    if "dataset" in doc:
+        _, train_graphs, _ = datagen.read_dataset(doc["dataset"])
+    else:
+        fam = datagen.FamilySpec(**doc["family"])
+        graphs = datagen.generate_family(fam)
+        train_graphs, _ = datagen.split(graphs, fam.train_fraction, fam.seed)
 
     result = trainer.train(policy_cfg, cfg, train_graphs, topology, reward_cfg)
     curve_path = os.path.join(out, "learning_curve.csv")
@@ -298,13 +297,12 @@ def cmd_evaluate(args):
         raise CliError(f"dataset {args.dataset} has no test graphs")
     reward_cfg = RewardConfig(mode=placement_env.TERMINAL)
 
+    predictions = trainer.predict_placement(
+        params, test_graphs, topology, reward_cfg, n_samples=args.samples, seed=args.seed
+    )
     rows = []
-    for graph in test_graphs:
-        candidates = {}
-        pred = trainer.predict_placement(
-            params, graph, topology, reward_cfg, n_samples=args.samples, seed=args.seed
-        )
-        candidates["zero_shot"] = pred.placement
+    for graph, pred in zip(test_graphs, predictions):
+        candidates = {"zero_shot": pred.placement}
         candidates["random"] = baselines.place_random(graph, topology, args.seed)
         candidates["single_device"] = baselines.place_single_device(graph, topology)
         candidates["mincut"] = baselines.place_balanced_mincut(graph, topology).placement

@@ -284,16 +284,18 @@ def reachability(graph: ComputationGraph) -> ReachabilityIndex:
     return ReachabilityIndex(ancestors=tuple(anc), descendants=tuple(desc))
 
 
-def bitset_to_ids(bits: int):
-    """Ascending positions of the set bits, from one unpack of the bitset's
-    bytes. Most relation sets of a chained graph hold most of its nodes, so a
-    Python loop costs O(n) big-int operations per set even over set bits only."""
+def bitset_to_ids(bits: int) -> np.ndarray:
+    """Ascending positions of the set bits (np.intp), from one unpack of the
+    bitset's bytes. Most relation sets of a chained graph hold most of its
+    nodes, so a Python loop costs O(n) big-int operations per set even over
+    set bits only."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
 
 
-def relation_sets(index: ReachabilityIndex, v: int):
-    """(ancestor ids, descendant ids, parallel ids) of v; disjoint, cover V minus v."""
+def relation_id_arrays(index: ReachabilityIndex, v: int):
+    """relation_sets as ascending id arrays (np.intp), unpacked straight from
+    the bitsets without a Python list."""
     n = len(index.ancestors)
     if not (0 <= v < n):
         raise GraphError(f"node id {v} out of range 0..{n - 1}")
@@ -302,6 +304,11 @@ def relation_sets(index: ReachabilityIndex, v: int):
         bitset_to_ids(index.descendants[v]),
         bitset_to_ids(index.parallel_mask(v)),
     )
+
+
+def relation_sets(index: ReachabilityIndex, v: int):
+    """(ancestor ids, descendant ids, parallel ids) of v; disjoint, cover V minus v."""
+    return tuple(ids.tolist() for ids in relation_id_arrays(index, v))
 
 
 def topological_order(graph: ComputationGraph, seed=None):

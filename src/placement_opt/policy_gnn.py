@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import placement_env
-from .graph_core import ComputationGraph, reachability, relation_sets
+from .graph_core import ComputationGraph, reachability, relation_id_arrays
 from .neural_primitives import (
     DenseNet,
     dense_backward,
@@ -63,6 +63,8 @@ class PolicyConfig:
             raise PolicyError("message_rounds must be >= 0")
         if self.num_devices < 1:
             raise PolicyError("need at least one device")
+        if self.head_hidden is not None and self.head_hidden < 1:
+            raise PolicyError(f"policy 'head_hidden' must be >= 1 or null, not {self.head_hidden}")
 
     @property
     def feature_dim(self) -> int:
@@ -205,30 +207,47 @@ def _group_sum(rows: np.ndarray, targets, starts, size: int) -> np.ndarray:
     return out
 
 
+_FIRST = np.zeros(1, dtype=np.intp)
+_FIRST.flags.writeable = False
+
+
+def _set_grouping(ids: np.ndarray) -> tuple:
+    """Grouping under which target 0 sums the rows ids (none when ids is empty)."""
+    first = _FIRST[: min(len(ids), 1)]
+    return first, first, ids
+
+
 def _build_index(graph: ComputationGraph) -> _Index:
     idx = reachability(graph)
     zero = np.zeros(graph.num_nodes, dtype=np.intp)
     return _Index(
         down=_grouping(graph.parents, zero),
         up=_grouping(graph.children, zero),
-        pool=[tuple(_grouping([ids], [0]) for ids in relation_sets(idx, v)) for v in range(graph.num_nodes)],
+        pool=[tuple(map(_set_grouping, relation_id_arrays(idx, v))) for v in range(graph.num_nodes)],
     )
 
 
-_INDEXES: dict[int, tuple] = {}  # id(graph) -> (graph, _Index), oldest first
+_INDEXES: dict[int, tuple] = {}  # id(graph) -> (graph, _Index), least recently used first
 _INDEX_CAPACITY = 128
 
 
-def _graph_index(graph: ComputationGraph) -> _Index:
-    """Edge groupings and per-node pooled-set groupings, cached per graph
-    object. Keyed by identity, because hashing a graph walks all its nodes;
-    an entry holds its graph, so the id cannot be reused while it is cached."""
-    hit = _INDEXES.get(id(graph))
-    if hit is None:
-        if len(_INDEXES) >= _INDEX_CAPACITY:
-            del _INDEXES[next(iter(_INDEXES))]
-        hit = _INDEXES[id(graph)] = (graph, _build_index(graph))
-    return hit[1]
+def _graph_indexes(graphs) -> list:
+    """Each graph's edge groupings and per-node pooled-set groupings, cached
+    per graph object. Keyed by identity, because hashing a graph walks all its
+    nodes; an entry holds its graph, so the id cannot be reused while it is
+    cached. The least recently used entries are evicted beyond
+    _INDEX_CAPACITY, but never those of this batch: a rollout's batches only
+    shrink, so each graph's index is built at most once per rollout however
+    many graphs it holds."""
+    out = []
+    for g in graphs:
+        hit = _INDEXES.pop(id(g), None) or (g, _build_index(g))
+        _INDEXES[id(g)] = hit
+        out.append(hit[1])
+    keep = max(_INDEX_CAPACITY, len({id(g) for g in graphs}))
+    for key in list(_INDEXES)[: max(0, len(_INDEXES) - keep)]:
+        del _INDEXES[key]
+    return out
 
 
 class _Batch(NamedTuple):
@@ -245,7 +264,7 @@ class _Batch(NamedTuple):
 
 
 def _batch(graphs, nodes) -> _Batch:
-    index = [_graph_index(g) for g in graphs]
+    index = _graph_indexes(graphs)
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
     starts = _offsets(sizes)
     states = np.arange(len(graphs))
@@ -389,38 +408,7 @@ def _backward(tape, dlogits, params: PolicyParameters, grads, offsets):
         _acc(grads, offsets[f"agg_{name}"], a_grads)
 
 
-def policy_forward(states, topology, params: PolicyParameters):
-    """Distribution over devices for the current node of each state in a
-    sequence, in one batched pass over their graphs.
-
-    Returns (probs (B, D), tape). tape["steps"] holds one step record per
-    state (graph, features, current node v, probs): all that
-    policy_backward replays.
-    """
-    steps = [
-        {"graph": s.graph, "features": placement_env.featurize(s, topology), "v": s.current_node} for s in states
-    ]
-    probs, tape = _forward(steps, params)
-    for step, p in zip(steps, probs):
-        step["probs"] = p
-    tape["steps"] = steps
-    return probs, tape
-
-
-def _loss_and_dlogits(probs, actions, advantages, beta):
-    """Per-row loss -log pi(a) A - beta H and its logit gradient, (B, D) probs."""
-    rows = np.arange(len(actions))
-    with np.errstate(divide="ignore"):
-        logp = np.where(probs > 0.0, np.log(probs), 0.0)
-    h = -(probs * logp).sum(axis=1)
-    loss = -np.log(probs[rows, actions]) * advantages - beta * h
-    one_hot = np.zeros_like(probs)
-    one_hot[rows, actions] = 1.0
-    dlogits = advantages[:, None] * (probs - one_hot) + beta * probs * (logp + h[:, None])
-    return loss, dlogits
-
-
-MAX_BATCH_ROWS = 1 << 15  # union rows per rematerialized pass; bounds policy_backward's memory
+MAX_BATCH_ROWS = 1 << 15  # union rows per batched pass; bounds the memory of a forward or backward
 
 
 def _chunks(steps):
@@ -435,6 +423,37 @@ def _chunks(steps):
         rows += n
     if lo < len(steps):
         yield lo, len(steps)
+
+
+def policy_forward(states, topology, params: PolicyParameters):
+    """Distribution over devices for the current node of each state in a
+    sequence, in batched passes over their graphs of at most MAX_BATCH_ROWS
+    union rows each (see _chunks).
+
+    Returns (probs (B, D), tape). tape["steps"] holds one step record per
+    state (graph, features, current node v, probs): all that
+    policy_backward replays. No activations are kept.
+    """
+    steps = [
+        {"graph": s.graph, "features": placement_env.featurize(s, topology), "v": s.current_node} for s in states
+    ]
+    probs = np.concatenate([_forward(steps[lo:hi], params)[0] for lo, hi in _chunks(steps)])
+    for step, p in zip(steps, probs):
+        step["probs"] = p
+    return probs, {"steps": steps}
+
+
+def _loss_and_dlogits(probs, actions, advantages, beta):
+    """Per-row loss -log pi(a) A - beta H and its logit gradient, (B, D) probs."""
+    rows = np.arange(len(actions))
+    with np.errstate(divide="ignore"):
+        logp = np.where(probs > 0.0, np.log(probs), 0.0)
+    h = -(probs * logp).sum(axis=1)
+    loss = -np.log(probs[rows, actions]) * advantages - beta * h
+    one_hot = np.zeros_like(probs)
+    one_hot[rows, actions] = 1.0
+    dlogits = advantages[:, None] * (probs - one_hot) + beta * probs * (logp + h[:, None])
+    return loss, dlogits
 
 
 def policy_backward(steps, actions, advantages, beta, params: PolicyParameters):

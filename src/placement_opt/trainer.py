@@ -109,26 +109,27 @@ def rollout(
     init_mode: str = "all_device_0",
     randomize_order: bool = False,
     action_overrides=None,
-    greedy: bool = False,
 ) -> list[EpisodeTrace]:
     """Episodes on graphs[i] drawing from rngs[i], advanced in lockstep: each
     step runs one batched policy forward over the unfinished episodes' states.
 
     An episode draws all its randomness at reset, in this order: its
     visit-order and initial-placement seeds when asked for, then one uniform
-    per step unless it is greedy or overridden. Episodes sharing one rng
-    therefore draw exactly what they would one after another, and no
-    episode's actions depend on the others. action_overrides[i] fixes
-    episode i's action sequence (tests); greedy takes argmax (smallest
-    device id on exact ties)."""
-    sampled = action_overrides is None and not greedy
+    per step unless it is overridden. An episode whose rng is None is greedy:
+    it draws nothing and takes argmax (smallest device id on exact ties).
+    Episodes sharing one rng therefore draw exactly what they would one after
+    another, and no episode's actions depend on the others.
+    action_overrides[i] fixes episode i's action sequence (tests)."""
     states, traces, uniforms = [], [], []
     for graph, rng in zip(graphs, rngs):
+        if rng is None and (randomize_order or init_mode == "random"):
+            raise TrainerError("a greedy episode has no rng to draw a visit order or initial placement from")
         order_seed = int(rng.integers(2**31)) if randomize_order else None
         init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
         state = placement_env.reset(
             graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
         )
+        sampled = rng is not None and action_overrides is None
         uniforms.append(rng.random(len(state.visit_order)) if sampled else None)
         states.append(state)
         traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0, state.cached_runtime))
@@ -139,7 +140,7 @@ def rollout(
             state, tr = states[i], traces[i]
             if action_overrides is not None:
                 a = int(action_overrides[i][state.step_index])
-            elif greedy:
+            elif uniforms[i] is None:
                 a = int(np.argmax(p))
             else:
                 a = sample_action(p, uniforms[i][state.step_index])
@@ -296,6 +297,8 @@ def save_policy_checkpoint(path, params: PolicyParameters):
 def load_policy_checkpoint(path):
     """Returns (PolicyParameters, extra)."""
     flat, extra = load_checkpoint(path)
+    if "policy" not in extra:
+        raise TrainerError("checkpoint has no policy header ('extra' lacks 'policy')")
     cfg = PolicyConfig.from_header(extra["policy"])
     params = init_policy(cfg, seed=0)
     template = params.flat_params()
@@ -318,29 +321,38 @@ class Prediction:
 
 def predict_placement(
     params: PolicyParameters,
-    graph,
+    graphs: list,
     topology: DeviceTopology,
     reward_cfg: RewardConfig | None = None,
     n_samples: int = 0,
     seed: int = 0,
-) -> Prediction:
-    """One greedy rollout plus n sampled ones on one stream, the sampled ones
-    in lockstep; the best penalized runtime wins (then the smallest
-    placement)."""
+) -> list[Prediction]:
+    """One Prediction per graph: the best of one greedy episode and n_samples
+    sampled ones on the graph's own np.random.default_rng(seed) stream, by
+    penalized runtime, then the smallest placement. Every graph's episodes
+    run in one lockstep rollout."""
     if params.config.num_devices != topology.num_devices:
         raise TrainerError(
             f"checkpoint is for {params.config.num_devices} devices, topology has {topology.num_devices}"
         )
     reward_cfg = reward_cfg or RewardConfig(mode=placement_env.TERMINAL)
-    rng = np.random.default_rng(seed)
-    candidates = rollout(params, [graph], topology, reward_cfg, [rng], greedy=True)
-    candidates += rollout(params, [graph] * n_samples, topology, reward_cfg, [rng] * n_samples)
-    best = min(candidates, key=lambda tr: (tr.final_runtime, tr.final_placement))
-    placement = Placement(best.final_placement)
-    runtime, result = placement_env.evaluate_placement(graph, topology, placement, reward_cfg)
-    return Prediction(
-        placement=placement,
-        runtime_seconds=runtime,
-        makespan_seconds=result.makespan_seconds,
-        peak_memory_bytes=result.peak_memory_bytes,
-    )
+    per_graph = 1 + n_samples
+    rngs = []
+    for _ in graphs:
+        rngs += [None] + [np.random.default_rng(seed)] * n_samples
+    traces = rollout(params, [g for g in graphs for _ in range(per_graph)], topology, reward_cfg, rngs)
+    predictions = []
+    for k, graph in enumerate(graphs):
+        episodes = traces[k * per_graph : (k + 1) * per_graph]
+        best = min(episodes, key=lambda tr: (tr.final_runtime, tr.final_placement))
+        placement = Placement(best.final_placement)
+        runtime, result = placement_env.evaluate_placement(graph, topology, placement, reward_cfg)
+        predictions.append(
+            Prediction(
+                placement=placement,
+                runtime_seconds=runtime,
+                makespan_seconds=result.makespan_seconds,
+                peak_memory_bytes=result.peak_memory_bytes,
+            )
+        )
+    return predictions

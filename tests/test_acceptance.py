@@ -290,7 +290,7 @@ def test_zero_shot_generalization():
     ratios, beats = [], []
     for g in test_graphs:
         _, opt = exhaustive_search(g, topo, eval_cfg)
-        pred = predict_placement(result.params, g, topo, eval_cfg, n_samples=0)
+        (pred,) = predict_placement(result.params, [g], topo, eval_cfg, n_samples=0)
         rand = sorted(
             placement_env.evaluate_placement(g, topo, place_random(g, topo, s), eval_cfg)[0]
             for s in range(64)

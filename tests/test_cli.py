@@ -507,6 +507,8 @@ class TestMalformedRunConfig:
             ("policy", "message_rounds", 1.5),
             ("policy", "message_rounds", "3"),
             ("policy", "head_hidden", 2.5),
+            ("policy", "head_hidden", 0),
+            ("policy", "head_hidden", -3),
             ("config", "seed", "1"),
             ("config", "topology", 3),
         ],
@@ -658,6 +660,25 @@ class TestMalformedCheckpoint:
         ckpt.write_text(json.dumps(doc))
         assert "values for shape" in _fails_with_one_error_line(capsys, argv)
 
+    @pytest.mark.parametrize("head_hidden", [0, -3])
+    def test_head_hidden_below_one(self, evaluate_argv, capsys, head_hidden):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        doc["extra"]["policy"]["head_hidden"] = head_hidden
+        ckpt.write_text(json.dumps(doc))
+        assert "'head_hidden'" in _fails_with_one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize("extra", [{}, None], ids=["empty_extra", "no_extra"])
+    def test_no_policy_header(self, evaluate_argv, capsys, extra):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        if extra is None:
+            del doc["extra"]
+        else:
+            doc["extra"] = extra
+        ckpt.write_text(json.dumps(doc))
+        assert "no policy header" in _fails_with_one_error_line(capsys, argv)
+
     def test_non_finite_datum(self, evaluate_argv, capsys):
         ckpt, argv = evaluate_argv
         doc = _valid_checkpoint_doc()
@@ -683,7 +704,7 @@ class TestFreshCheckpointBehavesLikeRandom:
         zs, rnd = [], []
         for i, g in enumerate(graphs):
             params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=i)
-            pred = trainer.predict_placement(params, g, topo, cfg)
+            (pred,) = trainer.predict_placement(params, [g], topo, cfg)
             zs.append(pred.runtime_seconds)
             r_runtimes = [
                 placement_env.evaluate_placement(g, topo, baselines.place_random(g, topo, s), cfg)[0]

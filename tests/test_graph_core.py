@@ -11,6 +11,7 @@ from placement_opt.graph_core import (
     load_graph,
     merge_and_colocate,
     reachability,
+    relation_id_arrays,
     relation_sets,
     save_graph,
     topological_order,
@@ -106,6 +107,23 @@ class TestReachability:
         idx = reachability(diamond)
         with pytest.raises(GraphError, match="out of range"):
             relation_sets(idx, 4)
+        with pytest.raises(GraphError, match="out of range"):
+            relation_id_arrays(idx, -1)
+
+    def test_id_arrays_match_relation_sets(self):
+        # Seeded DAGs up to 200 nodes, so bitsets span several bytes; the
+        # arrays equal relation_sets' lists and the bit-by-bit reference.
+        rng = np.random.default_rng(11)
+        for _ in range(15):
+            g = random_dag(rng, max_nodes=200, edge_prob=0.05)
+            idx = reachability(g)
+            for v in range(g.num_nodes):
+                arrays = relation_id_arrays(idx, v)
+                bits = (idx.ancestors[v], idx.descendants[v], idx.parallel_mask(v))
+                for ids, listed, b in zip(arrays, relation_sets(idx, v), bits):
+                    assert ids.dtype == np.intp
+                    assert np.array_equal(ids, listed)
+                    assert np.array_equal(ids, _bitset_to_ids_bit_by_bit(b))
 
     def _dfs_descendants(self, g, v):
         seen, stack = set(), [v]
@@ -155,11 +173,11 @@ def _bitset_to_ids_bit_by_bit(bits):
 
 class TestBitsetToIds:
     def test_zero(self):
-        assert bitset_to_ids(0) == [] == _bitset_to_ids_bit_by_bit(0)
+        assert bitset_to_ids(0).tolist() == [] == _bitset_to_ids_bit_by_bit(0)
 
     @pytest.mark.parametrize("k", [0, 1, 62, 63, 64, 65, 1023, 1499])
     def test_single_bit(self, k):
-        assert bitset_to_ids(1 << k) == [k] == _bitset_to_ids_bit_by_bit(1 << k)
+        assert bitset_to_ids(1 << k).tolist() == [k] == _bitset_to_ids_bit_by_bit(1 << k)
 
     def test_matches_bit_by_bit_on_random_bitsets(self):
         rng = np.random.default_rng(1500)
@@ -167,7 +185,7 @@ class TestBitsetToIds:
             width = int(rng.integers(1, 1501))
             density = float(rng.uniform(0.0, 1.0))
             bits = sum(1 << int(i) for i in np.flatnonzero(rng.random(width) < density))
-            assert bitset_to_ids(bits) == _bitset_to_ids_bit_by_bit(bits)
+            assert bitset_to_ids(bits).tolist() == _bitset_to_ids_bit_by_bit(bits)
 
 
 class TestTopologicalOrder:

@@ -103,8 +103,9 @@ class TestPoolAndDecide:
         st = reset(g, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
         _, tape = policy_forward([st], two_device, params)
         from placement_opt.neural_primitives import dense_forward
+        from placement_opt.policy_gnn import _forward
 
-        emb = tape["embed"]["emb"]
+        emb = _forward(tape["steps"], params)[1]["embed"]["emb"]
         logits = pool_one(emb, ([], [], []), 0, params)
         # independent assembly of the same head input
         pieces = [emb[0]]
@@ -284,6 +285,10 @@ class TestConfig:
             PolicyConfig(num_devices=2, message_rounds=-1)
         with pytest.raises(PolicyError):
             PolicyConfig(num_devices=0)
+        for width in (0, -3):
+            with pytest.raises(PolicyError, match="'head_hidden'"):
+                PolicyConfig(num_devices=2, head_hidden=width)
+        assert PolicyConfig(num_devices=2, head_hidden=1).head_hidden == 1
 
     def test_header_round_trip(self):
         cfg = PolicyConfig(num_devices=3, message_rounds=5, mode=SIMPLE_PARTITIONER, head_hidden=32)

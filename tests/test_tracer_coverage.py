@@ -52,15 +52,15 @@ def test_rollout_and_policy_layers_record_train_and_predict(monkeypatch):
     tracing.install(rec)
     rec.op, rec.active = 0, True
     trainer.train_epoch(params, graphs, topo, cfg, RewardConfig(), 0, trainer.BaselineTable(5), adam)
-    trainer.predict_placement(params, graphs[0], topo, n_samples=3, seed=1)
+    trainer.predict_placement(params, graphs, topo, n_samples=3, seed=1)
     rec.active = False
 
     summary = rec.summary()
-    assert summary["ops"]["trainer.rollout"]["calls"] == 3
+    assert summary["ops"]["trainer.rollout"]["calls"] == 2
     assert summary["ops"]["policy_gnn.policy_forward"]["calls"] > 0
     edges = summary["edges"]
     assert edges[("trainer.rollout", "trainer.train_epoch")] == 1
-    assert edges[("trainer.rollout", "trainer.predict_placement")] == 2  # greedy, then the samples
+    assert edges[("trainer.rollout", "trainer.predict_placement")] == 1  # every graph's episodes in lockstep
     forwards = summary["ops"]["policy_gnn.policy_forward"]["calls"]
     assert edges[("policy_gnn.policy_forward", "trainer.rollout")] == forwards
     assert edges[("policy_gnn.policy_backward", "trainer.train_epoch")] == 2  # one per episode

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from placement_opt import datagen, placement_env
+from placement_opt import datagen, placement_env, policy_gnn
 from placement_opt.baselines import exhaustive_search
 from placement_opt.neural_primitives import AdamState, adam_step, sample_action
 from placement_opt.placement_env import RewardConfig
@@ -70,10 +70,18 @@ class TestRollout:
         assert tr.final_runtime == res.makespan_seconds == 8.0
 
     def test_greedy_is_deterministic(self, diamond, two_device):
+        # An episode without a stream is greedy: it takes each step's argmax.
         params = init_policy(PCFG, seed=3)
-        a = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(0), greedy=True)
-        b = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(999), greedy=True)
+        a = one_rollout(params, diamond, two_device, TERMINAL, None)
+        b = one_rollout(params, diamond, two_device, TERMINAL, None)
         assert a.final_placement == b.final_placement
+        assert a.actions == [int(np.argmax(record["probs"])) for record in a.steps]
+
+    @pytest.mark.parametrize("kw", [{"randomize_order": True}, {"init_mode": "random"}])
+    def test_greedy_episode_draws_no_order_or_init(self, diamond, two_device, kw):
+        params = init_policy(PCFG, seed=3)
+        with pytest.raises(TrainerError, match="greedy"):
+            one_rollout(params, diamond, two_device, TERMINAL, None, **kw)
 
 
 class TestAdvantages:
@@ -259,7 +267,7 @@ class TestTrain:
         assert best_r == opt
         assert best_pl[0] == best_pl[1]
         # the converged policy's greedy rollout also colocates
-        pred = predict_placement(result.params, g, two_device)
+        (pred,) = predict_placement(result.params, [g], two_device)
         assert pred.placement.assignment[0] == pred.placement.assignment[1]
         assert pred.runtime_seconds == 2.0
 
@@ -305,15 +313,15 @@ class TestTrain:
 class TestPredict:
     def test_zero_samples_is_pure_greedy(self, diamond, two_device):
         params = init_policy(PCFG, seed=4)
-        a = predict_placement(params, diamond, two_device, n_samples=0, seed=1)
-        b = predict_placement(params, diamond, two_device, n_samples=0, seed=2)
+        (a,) = predict_placement(params, [diamond], two_device, n_samples=0, seed=1)
+        (b,) = predict_placement(params, [diamond], two_device, n_samples=0, seed=2)
         assert a.placement == b.placement
 
     def test_sampling_only_improves(self, diamond, two_device):
         # Best-of-(greedy + n) is never worse than greedy alone.
         params = init_policy(PCFG, seed=4)
-        greedy = predict_placement(params, diamond, two_device, n_samples=0)
-        sampled = predict_placement(params, diamond, two_device, n_samples=16, seed=0)
+        (greedy,) = predict_placement(params, [diamond], two_device, n_samples=0)
+        (sampled,) = predict_placement(params, [diamond], two_device, n_samples=16, seed=0)
         assert sampled.runtime_seconds <= greedy.runtime_seconds
 
     def test_untrained_best_of_many_beats_single_random_on_average(self, two_device):
@@ -326,7 +334,7 @@ class TestPredict:
             single = one_rollout(params, g, two_device, RewardConfig(mode="terminal"),
                                  np.random.default_rng([seed, 1]))
             singles.append(single.final_runtime)
-            best = predict_placement(params, g, two_device, n_samples=16, seed=seed)
+            (best,) = predict_placement(params, [g], two_device, n_samples=16, seed=seed)
             bests.append(best.runtime_seconds)
         assert np.mean(bests) <= np.mean(singles)
 
@@ -334,7 +342,7 @@ class TestPredict:
         params = init_policy(PCFG, seed=0)
         topo4 = make_topology(4)
         with pytest.raises(TrainerError, match="devices"):
-            predict_placement(params, diamond, topo4)
+            predict_placement(params, [diamond], topo4)
 
 
 def _reference_episodes(params, graph, topology, reward_cfg, n_samples, seed):
@@ -384,7 +392,7 @@ class TestOneStream:
             return out
 
         monkeypatch.setattr(trainer, "rollout", recording_rollout)
-        pred = predict_placement(params, graph, topo, reward_cfg, n_samples=n_samples, seed=11)
+        (pred,) = predict_placement(params, [graph], topo, reward_cfg, n_samples=n_samples, seed=11)
         expected = _reference_episodes(params, graph, topo, reward_cfg, n_samples, seed=11)
         assert len(traces) == 1 + n_samples
         for tr, (actions, placement, runtime) in zip(traces, expected):
@@ -396,6 +404,112 @@ class TestOneStream:
         assert pred.runtime_seconds == best_runtime
         if n_samples == 16:
             assert len({tuple(a) for a, _, _ in expected}) > 2  # the samples explore
+
+
+def _mixed_graphs():
+    """Graphs of 0 to ~20 nodes, each of a different size."""
+    return [
+        random_dag(np.random.default_rng(41), max_nodes=9, bytes_range=(0.1, 4e6)),
+        make_graph("empty", [], [], set()),
+        make_graph("one", [2.0], [1e6], set()),
+        datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=2, blocks=2, seed=6))[0],
+        expensive_chain(),
+        random_dag(np.random.default_rng(43), max_nodes=6, bytes_range=(0.1, 4e6)),
+    ]
+
+
+def _record_rollouts(monkeypatch):
+    """Patch trainer.rollout to also append each call's traces to the list it returns."""
+    import placement_opt.trainer as trainer
+
+    calls, original = [], trainer.rollout
+
+    def recording_rollout(*args, **kwargs):
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(trainer, "rollout", recording_rollout)
+    return calls
+
+
+class TestCrossGraphPredict:
+    """predict_placement runs every graph's episodes in one lockstep rollout;
+    each graph acts exactly as it would alone on its own stream."""
+
+    @pytest.mark.parametrize("devices", [2, 3])
+    @pytest.mark.parametrize("n_samples", [0, 1, 4])
+    def test_matches_per_graph_sequential_reference(self, monkeypatch, devices, n_samples):
+        topo = make_topology(devices, bandwidth=4e6)
+        graphs = _mixed_graphs()
+        assert len({g.num_nodes for g in graphs}) == len(graphs)
+        params = init_policy(PolicyConfig(num_devices=devices, message_rounds=2), seed=devices)
+        reward_cfg = RewardConfig(mode="terminal")
+        calls = _record_rollouts(monkeypatch)
+        preds = predict_placement(params, graphs, topo, reward_cfg, n_samples=n_samples, seed=11)
+        assert len(calls) == 1 and len(preds) == len(graphs)
+        per_graph = 1 + n_samples
+        assert len(calls[0]) == len(graphs) * per_graph
+        for k, (graph, pred) in enumerate(zip(graphs, preds)):
+            expected = _reference_episodes(params, graph, topo, reward_cfg, n_samples, seed=11)
+            for tr, (actions, placement, runtime) in zip(calls[0][k * per_graph : (k + 1) * per_graph], expected):
+                assert tr.graph_name == graph.name
+                assert tr.actions == actions
+                assert tr.final_placement == placement
+                assert tr.final_runtime == runtime
+            _, best_placement, best_runtime = min(expected, key=lambda e: (e[2], e[1]))
+            assert pred.placement.assignment == best_placement
+            assert pred.runtime_seconds == best_runtime
+
+    def test_no_graphs(self, two_device):
+        assert predict_placement(init_policy(PCFG, seed=0), [], two_device, n_samples=4) == []
+
+    def test_row_budget_splits_the_forward(self, monkeypatch):
+        # A budget of 12 rows splits most steps' forwards into several
+        # passes; every episode still acts as in the unsplit run.
+        topo = make_topology(3, bandwidth=4e6)
+        graphs = _mixed_graphs()
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=8)
+        reward_cfg = RewardConfig(mode="terminal")
+        calls = _record_rollouts(monkeypatch)
+        whole = predict_placement(params, graphs, topo, reward_cfg, n_samples=4, seed=5)
+        passes, original = [], policy_gnn._forward
+
+        def recording_forward(steps, p):
+            passes.append([s["graph"].num_nodes for s in steps])
+            return original(steps, p)
+
+        monkeypatch.setattr(policy_gnn, "MAX_BATCH_ROWS", 12)
+        monkeypatch.setattr(policy_gnn, "_forward", recording_forward)
+        split = predict_placement(params, graphs, topo, reward_cfg, n_samples=4, seed=5)
+        assert all(sum(rows) <= 12 or len(rows) == 1 for rows in passes)
+        assert max(len(rows) for rows in passes) > 1 and max(sum(rows) for rows in passes) > 12  # one ran alone
+        assert len(passes) > max(len(tr.actions) for tr in calls[0])  # steps were split
+        assert split == whole
+        for a, b in zip(calls[0], calls[1]):
+            assert a.actions == b.actions
+            assert a.final_placement == b.final_placement
+            assert a.final_runtime == b.final_runtime
+            for ra, rb in zip(a.steps, b.steps):
+                assert np.max(np.abs(ra["probs"] - rb["probs"])) <= 1e-12
+
+    def test_each_index_built_once_beyond_cache_capacity(self, monkeypatch):
+        # Five graphs against a cache of two: each graph's index is still
+        # built once, and the predictions equal an uncapped run's.
+        topo = make_topology(2, bandwidth=4e6)
+        graphs = [g for g in _mixed_graphs() if g.num_nodes > 0]
+        assert len(graphs) == 5
+        params = init_policy(PolicyConfig(num_devices=2, message_rounds=2), seed=4)
+        monkeypatch.setattr(policy_gnn, "_INDEXES", {})
+        uncapped = predict_placement(params, graphs, topo, n_samples=3, seed=2)
+        built, original = [], policy_gnn._build_index
+        monkeypatch.setattr(policy_gnn, "_INDEXES", {})
+        monkeypatch.setattr(policy_gnn, "_INDEX_CAPACITY", 2)
+        monkeypatch.setattr(policy_gnn, "_build_index", lambda g: built.append(g) or original(g))
+        assert predict_placement(params, graphs, topo, n_samples=3, seed=2) == uncapped
+        assert sorted(map(id, built)) == sorted(map(id, graphs))
+        assert len(policy_gnn._INDEXES) == 2  # batches shrink as graphs finish, and the cache with them
+        predict_placement(params, graphs[:1], topo, n_samples=3, seed=2)
+        assert len(policy_gnn._INDEXES) == 2 and id(graphs[0]) in policy_gnn._INDEXES
 
 
 class TestCheckpointHeader:
@@ -411,6 +525,6 @@ class TestCheckpointHeader:
         for p, q in zip(params.flat_params(), result.params.flat_params()):
             assert np.array_equal(p, q)
         # the reloaded policy predicts identically
-        a = predict_placement(result.params, g, two_device)
-        b = predict_placement(params, g, two_device)
+        (a,) = predict_placement(result.params, [g], two_device)
+        (b,) = predict_placement(params, [g], two_device)
         assert a.placement == b.placement
