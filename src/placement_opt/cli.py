@@ -8,6 +8,7 @@ failure exits nonzero with a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import baselines, datagen, placement_env, trainer
-from .fileio import write_atomic, write_csv
+from .fileio import json_document, write_atomic, write_csv
 from .graph_core import load_graph
 from .placement_env import BYTES_PER_GB, RewardConfig
 from .policy_gnn import PolicyConfig
@@ -232,7 +233,7 @@ def cmd_train(args):
     doc = load_run_config(_read(args.config))
     out = args.out or doc.get("out") or "."
     os.makedirs(out, exist_ok=True)
-    write_atomic(os.path.join(out, "run_config.json"), json.dumps(doc, indent=2))
+    write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
 
     topology = load_topology(_read(args.topology or doc["topology"]))
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
@@ -262,12 +263,11 @@ def cmd_train(args):
     best_path = os.path.join(out, "best_placements.json")
     write_atomic(
         best_path,
-        json.dumps(
+        json_document(
             {
                 name: {"assignment": list(p), "runtime_s": r}
                 for name, (p, r) in sorted(result.best_placements.items())
-            },
-            indent=2,
+            }
         ),
     )
     print(f"trained {cfg.episodes} epochs on {len(train_graphs)} graphs")
@@ -421,9 +421,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process; each parse_args call still makes a
+    fresh Namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, KeyError) as e:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import json_document, write_atomic
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
@@ -215,7 +215,7 @@ def write_dataset(directory: str, spec: FamilySpec) -> dict:
         write_atomic(os.path.join(directory, fname), save_graph(g))
         members.append({"name": g.name, "file": fname, "split": "train" if g.name in train_names else "test"})
     manifest = {"spec": asdict(spec), "seed": spec.seed, "members": members}
-    write_atomic(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2))
+    write_atomic(os.path.join(directory, "manifest.json"), json_document(manifest))
     return manifest
 
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import json_document
+
+
+_INF = float("inf")
+
 
 class GraphError(ValueError):
     """Invalid graph document or graph operation."""
@@ -34,9 +39,9 @@ class OpGroup:
         if len(self.compute_seconds) == 0:
             raise GraphError(f"node {self.id}: empty compute cost vector")
         for c in self.compute_seconds:
-            if not (c >= 0.0) or c != c or c == float("inf"):
+            if not 0.0 <= c < _INF:
                 raise GraphError(f"node {self.id}: compute cost {c} not finite and >= 0")
-        if not (0.0 <= self.output_bytes < float("inf")):
+        if not 0.0 <= self.output_bytes < _INF:
             raise GraphError(f"node {self.id}: output_bytes {self.output_bytes} not finite and >= 0")
 
     def cost_on(self, device: int) -> float:
@@ -69,31 +74,7 @@ class ComputationGraph:
                     raise GraphError(f"duplicate node id {i}")
                 seen.add(i)
             raise GraphError(f"node ids {ids} are not dense 0..{n - 1}")
-        edge_set = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop on node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) references a missing node")
-            if (u, v) in edge_set:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            edge_set.add((u, v))
-        parents = [[] for _ in range(n)]
-        children = [[] for _ in range(n)]
-        for u, v in sorted(edge_set):
-            children[u].append(v)
-            parents[v].append(u)
-        g = ComputationGraph(
-            name=name,
-            nodes=nodes,
-            edges=frozenset(edge_set),
-            parents=tuple(tuple(p) for p in parents),
-            children=tuple(tuple(c) for c in children),
-        )
-        cycle = _find_cycle(g)
-        if cycle is not None:
-            raise GraphError("cycle detected: " + " -> ".join(map(str, cycle)))
-        return g
+        return _indexed(name, nodes, list(edges))
 
     @property
     def num_nodes(self) -> int:
@@ -105,6 +86,38 @@ class ComputationGraph:
 
     def max_output_bytes(self) -> float:
         return max((g.output_bytes for g in self.nodes), default=0.0)
+
+
+def _indexed(name, nodes: tuple, edges: list) -> ComputationGraph:
+    """Check the edges among nodes with dense ids 0..n-1, in order (self-loop,
+    missing node, duplicate; then cycles), and index the graph."""
+    n = len(nodes)
+    edge_set = set(edges)
+    # Edges that all run from a lower id to a higher one are in range and
+    # admit no self-loop or cycle; only duplicates remain to be ruled out.
+    forward = all(0 <= u < v < n for u, v in edges)
+    if not forward or len(edge_set) != len(edges):
+        seen = set()
+        for u, v in edges:
+            if u == v:
+                raise GraphError(f"self-loop on node {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u}, {v}) references a missing node")
+            if (u, v) in seen:
+                raise GraphError(f"duplicate edge ({u}, {v})")
+            seen.add((u, v))
+    parents = [[] for _ in range(n)]
+    children = [[] for _ in range(n)]
+    # Sorting a list already in order (as save_graph writes it) is one pass.
+    for u, v in sorted(edges):
+        children[u].append(v)
+        parents[v].append(u)
+    g = ComputationGraph(name, nodes, frozenset(edge_set), tuple(map(tuple, parents)), tuple(map(tuple, children)))
+    if not forward:
+        cycle = _find_cycle(g)
+        if cycle is not None:
+            raise GraphError("cycle detected: " + " -> ".join(map(str, cycle)))
+    return g
 
 
 def _find_cycle(graph: ComputationGraph):
@@ -183,7 +196,8 @@ def load_graph(data) -> ComputationGraph:
     raw_nodes = doc["nodes"]
     if not isinstance(raw_nodes, (list, tuple)):
         raise GraphError("'nodes' must be a list")
-    orig_ids = []
+    # One pass over the nodes: keys, id and values, in document order.
+    orig_ids, fields = [], []
     for nd in raw_nodes:
         if not isinstance(nd, dict):
             raise GraphError(f"node {nd!r} is not an object")
@@ -193,31 +207,34 @@ def load_graph(data) -> ComputationGraph:
             unknown = ", ".join(sorted(map(repr, nd.keys() - _NODE_KEYS)))
             allowed = ", ".join(sorted(_NODE_KEYS))
             raise GraphError(f"node {nd['id']!r}: unknown key {unknown} (allowed: {allowed})")
-        orig_ids.append(_int_id(nd["id"], "node id"))
-    if len(set(orig_ids)) != len(orig_ids):
-        dup = sorted(i for i in set(orig_ids) if orig_ids.count(i) > 1)
-        raise GraphError(f"duplicate node id {dup[0]}")
-    remap = {orig: new for new, orig in enumerate(sorted(orig_ids))}
-    sparse = orig_ids and sorted(orig_ids) != list(range(len(orig_ids)))
-
-    nodes = []
-    for nd, orig in zip(raw_nodes, orig_ids):
+        orig = _int_id(nd["id"], "node id")
         cost = nd.get("cost", 0.0)
         if isinstance(cost, (list, tuple)):
-            cost_vec = tuple([_number(c, orig, "cost") for c in cost])
+            cost = tuple([_number(c, orig, "cost") for c in cost])
         else:
-            cost_vec = (_number(cost, orig, "cost"),)
-        members = tuple(str(m) for m in nd.get("members", ()))
-        if sparse and not members and remap[orig] != orig:
-            members = (str(orig),)
-        nodes.append(
-            OpGroup(
-                id=remap[orig],
-                compute_seconds=cost_vec,
-                output_bytes=_number(nd.get("output_bytes", 0.0), orig, "output_bytes"),
-                members=members,
-            )
-        )
+            cost = (_number(cost, orig, "cost"),)
+        size = _number(nd.get("output_bytes", 0.0), orig, "output_bytes")
+        members = nd.get("members", ())
+        if members != ():
+            if not isinstance(members, (list, tuple)):
+                raise GraphError(f"node {orig}: members {members!r} is not a list")
+            members = tuple(map(str, members))
+        orig_ids.append(orig)
+        fields.append((cost, size, members))
+
+    n = len(orig_ids)
+    remap = range(n)  # original id -> dense id; a range when they are equal
+    if orig_ids != list(remap):
+        if len(set(orig_ids)) != n:
+            dup = sorted(i for i in set(orig_ids) if orig_ids.count(i) > 1)
+            raise GraphError(f"duplicate node id {dup[0]}")
+        remap = {orig: new for new, orig in enumerate(sorted(orig_ids))}
+        by_id = sorted(zip(orig_ids, fields))
+        fields = [
+            (cost, size, (members or (str(orig),)) if orig != new else members)
+            for new, (orig, (cost, size, members)) in enumerate(by_id)
+        ]
+    nodes = tuple([OpGroup(i, cost, size, members) for i, (cost, size, members) in enumerate(fields)])
 
     edges = []
     raw_edges = doc.get("edges", ())
@@ -231,7 +248,7 @@ def load_graph(data) -> ComputationGraph:
             raise GraphError(f"edge ({u}, {v}) references a missing node")
         edges.append((remap[u], remap[v]))
 
-    return ComputationGraph.build(str(doc.get("name", "")), nodes, edges)
+    return _indexed(str(doc.get("name", "")), nodes, edges)
 
 
 def save_graph(graph: ComputationGraph) -> str:
@@ -249,7 +266,7 @@ def save_graph(graph: ComputationGraph) -> str:
         ],
         "edges": sorted([u, v] for u, v in graph.edges),
     }
-    return json.dumps(doc, indent=2)
+    return json_document(doc)
 
 
 @dataclass(frozen=True)

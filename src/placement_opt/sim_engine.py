@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .fileio import json_document
 from .graph_core import ComputationGraph
 
 
@@ -88,6 +89,17 @@ def _number(x, what: str) -> float:
     raise SimError(f"{what} {x!r} is not a finite number")
 
 
+_TOPOLOGY_KEYS = frozenset({"devices", "bandwidth_bytes_per_sec"})
+_DEVICE_KEYS = frozenset({"id", "memory_bytes", "compute_scale"})
+
+
+def _known_keys(doc: dict, allowed: frozenset, where: str):
+    """A key outside allowed is an error, not a value silently left unread."""
+    if not doc.keys() <= allowed:
+        unknown = ", ".join(sorted(map(repr, doc.keys() - allowed)))
+        raise SimError(f"{where}: unknown key {unknown} (allowed: {', '.join(sorted(allowed))})")
+
+
 def load_topology(data) -> DeviceTopology:
     """Parse the topology JSON document."""
     if isinstance(data, (bytes, str)):
@@ -99,6 +111,7 @@ def load_topology(data) -> DeviceTopology:
         doc = data
     if not isinstance(doc, dict):
         raise SimError("topology document must be an object")
+    _known_keys(doc, _TOPOLOGY_KEYS, "topology")
     raw_devices = doc.get("devices", ())
     if not isinstance(raw_devices, (list, tuple)):
         raise SimError("'devices' must be a list")
@@ -109,6 +122,9 @@ def load_topology(data) -> DeviceTopology:
         dev_id = dd.get("id", i)
         if type(dev_id) is not int:
             raise SimError(f"device id {dev_id!r} is not an integer")
+        _known_keys(dd, _DEVICE_KEYS, f"device {dev_id}")
+        if "memory_bytes" not in dd:
+            raise SimError(f"device {dev_id}: missing key 'memory_bytes'")
         devs.append(
             Device(
                 id=dev_id,
@@ -155,10 +171,7 @@ class Placement:
         return Placement(assignment=tuple(out))
 
     def to_document(self, graph_name: str) -> str:
-        return json.dumps(
-            {"graph": graph_name, "assignment": {str(i): d for i, d in enumerate(self.assignment)}},
-            indent=2,
-        )
+        return json_document({"graph": graph_name, "assignment": {str(i): d for i, d in enumerate(self.assignment)}})
 
 
 def load_placement(data, num_nodes: int) -> Placement:
@@ -187,7 +200,7 @@ class SimulationResult:
 
     def to_document(self, graph: ComputationGraph, placement: Placement) -> str:
         """Timeline export for external visualization."""
-        return json.dumps(
+        return json_document(
             {
                 "graph": graph.name,
                 "makespan_seconds": self.makespan_seconds,
@@ -201,8 +214,7 @@ class SimulationResult:
                     {"node": t.node, "src": t.src, "dst": t.dst, "start": t.start, "end": t.end}
                     for t in self.transfers
                 ],
-            },
-            indent=2,
+            }
         )
 
 

@@ -216,6 +216,24 @@ class TestMalformedPlaceInputs:
         _place_fails_with_one_error_line(capsys, files, files["graph"], str(bad))
 
     @pytest.mark.parametrize(
+        "topology, message",
+        [
+            ({**TOPO_DOC, "typo": 1}, "topology: unknown key 'typo'"),
+            ({**TOPO_DOC, "devices": [{"id": 0, "memory_bytes": 12e9, "speed": 3}, TOPO_DOC["devices"][1]]},
+             "device 0: unknown key 'speed'"),
+            ({**TOPO_DOC, "devices": [TOPO_DOC["devices"][0], {"id": 1, "memory_bytes": 12e9, "compute_scael": 2}]},
+             "device 1: unknown key 'compute_scael'"),  # was read as compute_scale 1.0
+            ({**TOPO_DOC, "devices": [{"id": 0, "compute_scale": 1.0}, TOPO_DOC["devices"][1]]},
+             "device 0: missing key 'memory_bytes'"),  # was the bare "error: 'memory_bytes'"
+        ],
+        ids=["unknown_top_level_key", "unknown_device_key", "misspelt_compute_scale", "missing_memory_bytes"],
+    )
+    def test_topology_keys(self, files, capsys, topology, message):
+        bad = files["dir"] / "bad_topology.json"
+        bad.write_text(json.dumps(topology))
+        assert message in _place_fails_with_one_error_line(capsys, files, files["graph"], str(bad))
+
+    @pytest.mark.parametrize(
         "node_fields, message",
         [
             ('"cost": "15"', NOT_A_NUMBER),  # float() per character read it as the vector (1.0, 5.0)
@@ -226,9 +244,12 @@ class TestMalformedPlaceInputs:
             ('"cost": 1.0, "output_bytes": [1]', NOT_A_NUMBER),
             ('"cost": 1.0, "output_bytes": "2e6"', NOT_A_NUMBER),
             ('"cost": 1.0, "output_bytes": 1' + "0" * 400, NOT_A_NUMBER),  # an int no float can hold
+            ('"cost": 1.0, "output_bytes": 0.0, "members": 5', "members 5 is not a list"),  # was a TypeError
+            ('"cost": 1.0, "output_bytes": 0.0, "members": "ab"', "is not a list"),  # was read as ("a", "b")
         ],
         ids=["cost_digits_string", "cost_decimal_string", "cost_null_entry", "cost_empty_list", "cost_bool",
-             "output_bytes_list", "output_bytes_string", "output_bytes_int_beyond_float"],
+             "output_bytes_list", "output_bytes_string", "output_bytes_int_beyond_float", "members_int",
+             "members_string"],
     )
     def test_non_numeric_graph_field(self, files, capsys, node_fields, message):
         bad = files["dir"] / "bad_graph.json"
@@ -268,6 +289,33 @@ class TestMalformedPlaceInputs:
     @pytest.mark.parametrize("flag", ["--balance-tolerance=nan", "--refinement-passes=-1"])
     def test_invalid_partitioner_flag(self, files, capsys, flag):
         _place_fails_with_one_error_line(capsys, files, files["graph"], files["topo"], flag)
+
+
+class TestParserReuse:
+    def test_successive_calls_do_not_share_values(self, files, monkeypatch):
+        # main builds its parser once per process; every call parses into a
+        # fresh Namespace, so no flag or default carries over to the next.
+        parser = cli._parser()
+        seen = []
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv=None: seen.append(parse(argv)) or seen[-1])
+        out = files["dir"]
+        graph_topo = ["--graph", files["graph"], "--topology", files["topo"]]
+        assert run(["place", "--scheme", "random", *graph_topo, "--seed", "9", "--emit-dot",
+                    "--balance-tolerance", "0.5", "--out", str(out / "a")]) == 0
+        assert run(["simulate", *graph_topo, "--placement", files["placement"], "--out", str(out / "b")]) == 0
+        assert run(["place", "--scheme", "mincut", *graph_topo, "--out", str(out / "c")]) == 0
+        assert cli._parser() is parser
+        first, second, third = seen
+        assert (first.seed, first.emit_dot, first.balance_tolerance) == (9, True, 0.5)
+        assert vars(second) == {"command": "simulate", "graph": files["graph"], "topology": files["topo"],
+                                "placement": files["placement"], "out": str(out / "b"), "emit_dot": False,
+                                "func": cli.cmd_simulate}
+        assert (third.scheme, third.seed, third.emit_dot, third.balance_tolerance) == ("mincut", 0, False, 0.2)
+        assert sorted(os.listdir(out / "a")) == ["placement_random.dot", "placement_random.json",
+                                                 "simulation_random.json"]
+        assert os.listdir(out / "b") == ["simulation.json"]
+        assert sorted(os.listdir(out / "c")) == ["placement_mincut.json", "simulation_mincut.json"]
 
 
 class TestOracle:

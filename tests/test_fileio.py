@@ -1,6 +1,8 @@
 import csv
+import json
 import os
 
+import numpy as np
 import pytest
 
 from placement_opt import fileio
@@ -46,3 +48,105 @@ def test_csv_bytes_match_the_csv_module(tmp_path):
         writer.writeheader()
         writer.writerows(rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# The JSON writer must equal json.dumps(doc, indent=2) byte for byte.
+AWKWARD_FLOATS = [1e-320, 5e-324, 1e308, 1.7976931348623157e308, -0.0, 0.0, float("inf"), float("-inf"),
+                  float("nan"), 0.1 + 0.2, 1e16, -2.5e-7]
+AWKWARD_STRINGS = ["", "g", ", ", "a, b", ",", "%", "%s", "%(x)s", "100%, done", '"quoted"', "back\\slash",
+                   "naïve", "日本語, テスト", " ", "\x00\x1f", "tab\tnew\nline", "emoji 🙂", "[1, 2]",
+                   '{"a": 1}', "\\u0041"]
+
+
+def _scalar(rng):
+    kind = rng.integers(5)
+    if kind == 0:
+        return AWKWARD_FLOATS[rng.integers(len(AWKWARD_FLOATS))]
+    if kind == 1:
+        return float(rng.normal() * 10.0 ** rng.integers(-12, 12))
+    if kind == 2:
+        return int(rng.integers(-10**6, 10**6)) * 10 ** int(rng.integers(0, 15))
+    if kind == 3:
+        return [True, False, None][rng.integers(3)]
+    return AWKWARD_STRINGS[rng.integers(len(AWKWARD_STRINGS))]
+
+
+def _value(rng, depth=0):
+    kind = rng.integers(6 if depth < 3 else 1)
+    if kind == 0:
+        return _scalar(rng)
+    n = int(rng.integers(0, 5))
+    if kind == 1:  # a column of numbers
+        return [float(x) for x in rng.normal(size=n)] + [AWKWARD_FLOATS[rng.integers(len(AWKWARD_FLOATS))]]
+    if kind == 2:
+        return [_value(rng, depth + 1) for _ in range(n)]
+    if kind == 3:
+        return {AWKWARD_STRINGS[rng.integers(len(AWKWARD_STRINGS))]: _value(rng, depth + 1) for _ in range(n)}
+    if kind == 4:  # rows of objects, sometimes of different shapes
+        keys = [AWKWARD_STRINGS[k] for k in rng.permutation(len(AWKWARD_STRINGS))[: rng.integers(0, 4)]]
+        rows = [{k: _value(rng, depth + 1) for k in keys} for _ in range(n)]
+        if rows and rng.random() < 0.3:
+            rows[-1] = dict(reversed(list(rows[-1].items())))
+        return rows
+    width = int(rng.integers(0, 3))  # rows of lists, sometimes of different lengths
+    return [[_value(rng, depth + 1) for _ in range(width + (rng.random() < 0.2))] for _ in range(n)]
+
+
+def test_json_document_equals_indented_dumps_on_seeded_documents():
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        doc = _value(rng)
+        assert fileio.json_document(doc) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"graph": "g", "assignment": {}},
+        {"graph": "g", "makespan_seconds": float("inf"), "peak_memory_bytes": [0.0, 1e308], "event_count": 0,
+         "nodes": [], "transfers": []},
+        {"name": "a, b", "nodes": [{"id": 0, "cost": [1e-320, -0.0], "output_bytes": 5e-324,
+                                    "members": ["x, y", "%s", "q\"\\", "ü"]},
+                                   {"id": 1, "cost": 2.0, "output_bytes": 1.0}], "edges": [[0, 1]]},
+        {"name": "%(name)s 100%", "nodes": [{"id": i, "cost": [0.5, 1.5], "output_bytes": 1e308, "members": []}
+                                             for i in range(3)], "edges": []},
+        [", ", ", ", 1.0],
+        {", ": {", ": [", "]}},
+        [[], {}, [[]], [{}]],
+    ],
+    ids=["empty_assignment", "overflowing_makespan", "graph_awkward_strings", "percent_name", "comma_strings",
+         "comma_keys", "empty_containers"],
+)
+def test_json_document_awkward_cases(doc):
+    assert fileio.json_document(doc) == json.dumps(doc, indent=2)
+
+
+def test_output_documents_match_indented_dumps():
+    from placement_opt.graph_core import ComputationGraph, OpGroup, save_graph
+    from placement_opt.sim_engine import Placement, SimulationResult, TransferRecord
+
+    name = 'g, "1"\\%s ñ'
+    graph = ComputationGraph.build(
+        name, [OpGroup(0, (1e-320, 2.0), 0.0, ("a, b", "ü")), OpGroup(1, (-0.0 + 0.0,), 1e308)], {(0, 1)}
+    )
+    assert save_graph(graph) == json.dumps({
+        "name": name,
+        "nodes": [{"id": 0, "cost": [1e-320, 2.0], "output_bytes": 0.0, "members": ["a, b", "ü"]},
+                  {"id": 1, "cost": 0.0, "output_bytes": 1e308}],
+        "edges": [[0, 1]],
+    }, indent=2)
+    assert Placement(()).to_document(name) == json.dumps({"graph": name, "assignment": {}}, indent=2)
+    assert Placement((1, 0)).to_document(name) == json.dumps({"graph": name, "assignment": {"0": 1, "1": 0}},
+                                                             indent=2)
+    result = SimulationResult(float("inf"), (0.0, 1e308), ((0.0, 1.5), (2.0, float("inf"))),
+                              (TransferRecord(0, 0, 1, 1.5, 2.0),), 6)
+    assert result.to_document(graph, Placement((0, 1))) == json.dumps({
+        "graph": name, "makespan_seconds": float("inf"), "peak_memory_bytes": [0.0, 1e308], "event_count": 6,
+        "nodes": [{"id": 0, "device": 0, "start": 0.0, "end": 1.5},
+                  {"id": 1, "device": 1, "start": 2.0, "end": float("inf")}],
+        "transfers": [{"node": 0, "src": 0, "dst": 1, "start": 1.5, "end": 2.0}],
+    }, indent=2)
+    empty = SimulationResult(0.0, (0.0,), (), (), 0)
+    assert empty.to_document(ComputationGraph.build("", [], set()), Placement(())) == json.dumps({
+        "graph": "", "makespan_seconds": 0.0, "peak_memory_bytes": [0.0], "event_count": 0,
+        "nodes": [], "transfers": []}, indent=2)
