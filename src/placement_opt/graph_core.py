@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,20 @@ class ComputationGraph:
 
     def max_output_bytes(self) -> float:
         return max((g.output_bytes for g in self.nodes), default=0.0)
+
+    @cached_property
+    def scaled_costs_and_bytes(self) -> np.ndarray:
+        """Read-only (n, 2) feature columns, computed once per graph: each
+        node's device-0 compute cost and output bytes over their graph-wide
+        maxima; a column whose maximum is 0 stays 0."""
+        cols = np.zeros((self.num_nodes, 2))
+        for k, values in enumerate(([g.cost_on(0) for g in self.nodes], [g.output_bytes for g in self.nodes])):
+            values = np.array(values, dtype=np.float64)
+            top = values.max(initial=0.0)
+            if top > 0:
+                cols[:, k] = values / top
+        cols.flags.writeable = False
+        return cols
 
 
 def _indexed(name, nodes: tuple, edges: list) -> ComputationGraph:

@@ -75,16 +75,19 @@ def make_dense(rng: np.random.Generator, dims: list[int], activations: list[str]
 
 
 def dense_forward(net: DenseNet, x: np.ndarray):
-    """Returns (output, tape). x is (in,) or (batch, in)."""
+    """Returns (output, tape). x is (in,) or (batch, in).
+
+    tape is [x, h_1, ..., h_L]: each layer's input and the last output; no
+    pre-activation is kept."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != net.in_dim:
         raise ShapeError(f"input dim {x.shape[-1]} != {net.in_dim}")
     tape = [x]
     h = x
     for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = h @ w.T + b
-        tape.append(z)
-        h = np.maximum(z, 0.0) if act == RELU else z
+        h = h @ w.T + b
+        if act == RELU:
+            np.maximum(h, 0.0, out=h)
         tape.append(h)
     return h, tape
 
@@ -93,17 +96,17 @@ def dense_backward(net: DenseNet, tape: list, grad_out: np.ndarray):
     """Exact reverse pass. Returns ([(dW, db), ...], grad_input).
 
     grad_out must match the forward output's shape; batched inputs sum their
-    parameter gradients over the batch. relu' (0) is taken as 0.
+    parameter gradients over the batch. relu' (0) is taken as 0, so a relu
+    layer's mask is h > 0, which equals z > 0 for h = max(z, 0).
     """
     grad = np.asarray(grad_out, dtype=np.float64)
     if grad.shape != tape[-1].shape:
         raise ShapeError(f"grad shape {grad.shape} != output shape {tape[-1].shape}")
     param_grads = [None] * len(net.weights)
     for i in range(len(net.weights) - 1, -1, -1):
-        z = tape[1 + 2 * i]
-        h_in = tape[2 * i]
+        h_in = tape[i]
         if net.activations[i] == RELU:
-            grad = grad * (z > 0.0)
+            grad = grad * (tape[i + 1] > 0.0)
         if grad.ndim == 1:
             dw = np.outer(grad, h_in)
             db = grad.copy()

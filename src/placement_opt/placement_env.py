@@ -10,6 +10,7 @@ per-step improvement (intermediate mode).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -117,22 +118,27 @@ def reset(
 
 def featurize(state: EpisodeState, topology: DeviceTopology) -> np.ndarray:
     """Raw per-node feature matrix, shape (|V|, |D| + 4)."""
-    graph = state.graph
-    n = graph.num_nodes
-    m = topology.num_devices
-    feats = np.zeros((n, m + 4), dtype=np.float64)
-    costs = np.array([g.cost_on(0) for g in graph.nodes], dtype=np.float64)
-    sizes = np.array([g.output_bytes for g in graph.nodes], dtype=np.float64)
-    max_c = costs.max(initial=0.0)
-    max_b = sizes.max(initial=0.0)
-    if max_c > 0:
-        feats[:, 0] = costs / max_c
-    if max_b > 0:
-        feats[:, 1] = sizes / max_b
-    feats[np.arange(n), 2 + np.array(state.placement, dtype=np.intp)] = 1.0
-    feats[:, m + 2] = state.visited
-    if state.current_node is not None:
-        feats[state.current_node, m + 3] = 1.0
+    return featurize_batch([state], topology.num_devices)
+
+
+def featurize_batch(states, num_devices: int) -> np.ndarray:
+    """The feature matrices of a sequence of states on num_devices devices,
+    stacked in state order: shape (sum of |V|, num_devices + 4). It takes a
+    fixed number of numpy calls however many states there are, and reads
+    each graph's cached cost and bytes columns."""
+    m = num_devices
+    sizes = [s.graph.num_nodes for s in states]
+    rows = sum(sizes)
+    feats = np.zeros((rows, m + 4))
+    if not rows:
+        return feats
+    feats[:, :2] = np.concatenate([s.graph.scaled_costs_and_bytes for s in states])
+    placement = np.fromiter(chain.from_iterable(s.placement for s in states), np.intp, rows)
+    feats[np.arange(rows), 2 + placement] = 1.0
+    feats[:, m + 2] = np.fromiter(chain.from_iterable(s.visited for s in states), np.float64, rows)
+    starts = accumulate(sizes, initial=0)
+    current = [i + s.current_node for i, s in zip(starts, states) if s.current_node is not None]
+    feats[current, m + 3] = 1.0
     return feats
 
 

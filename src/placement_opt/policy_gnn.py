@@ -14,14 +14,17 @@ Two deliberately weaker variants are kept for ablations: ``simple_aggregator``
 
 Every pass works on a batch of states: their graphs form one disjoint union,
 and messages and pooled sets are grouped row sums over edge and id lists
-(``np.add.reduceat``), so no dense adjacency is built. ``policy_backward``
-keeps no per-step tapes: it re-runs one batched forward over the recorded
-states and one batched reverse pass per net, giving exact gradients of the
-episode loss sum(-log pi(a|s) * A - beta * entropy).
+(``np.add.reduceat``), so no dense adjacency is built. A step record holds
+the state it was taken in, not its features or activations:
+``policy_backward`` re-runs batched forwards over the recorded states, each
+featurized by one ``placement_env.featurize_batch`` call, and one batched
+reverse pass per net, giving exact gradients of the loss
+sum(-log pi(a|s) * A - beta * entropy) over any number of episodes' steps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -163,7 +166,7 @@ class _Index(NamedTuple):
 
     down: tuple  # each node's parents: the down stream's messages
     up: tuple  # each node's children: the up stream's messages
-    pool: list  # per node v, per POOL_SETS entry: v's set of that kind, grouped as target 0
+    pool: list  # per node v, per POOL_SETS entry: v's set of that kind as an id array
 
 
 def _grouping(parts, shifts) -> tuple:
@@ -207,23 +210,13 @@ def _group_sum(rows: np.ndarray, targets, starts, size: int) -> np.ndarray:
     return out
 
 
-_FIRST = np.zeros(1, dtype=np.intp)
-_FIRST.flags.writeable = False
-
-
-def _set_grouping(ids: np.ndarray) -> tuple:
-    """Grouping under which target 0 sums the rows ids (none when ids is empty)."""
-    first = _FIRST[: min(len(ids), 1)]
-    return first, first, ids
-
-
 def _build_index(graph: ComputationGraph) -> _Index:
     idx = reachability(graph)
     zero = np.zeros(graph.num_nodes, dtype=np.intp)
     return _Index(
         down=_grouping(graph.parents, zero),
         up=_grouping(graph.children, zero),
-        pool=[tuple(map(_set_grouping, relation_id_arrays(idx, v))) for v in range(graph.num_nodes)],
+        pool=[relation_id_arrays(idx, v) for v in range(graph.num_nodes)],
     )
 
 
@@ -232,7 +225,7 @@ _INDEX_CAPACITY = 128
 
 
 def _graph_indexes(graphs) -> list:
-    """Each graph's edge groupings and per-node pooled-set groupings, cached
+    """Each graph's edge groupings and per-node pooled-set id arrays, cached
     per graph object. Keyed by identity, because hashing a graph walks all its
     nodes; an entry holds its graph, so the id cannot be reused while it is
     cached. The least recently used entries are evicted beyond
@@ -250,6 +243,43 @@ def _graph_indexes(graphs) -> list:
     return out
 
 
+class _Links(NamedTuple):
+    """What a batch's disjoint union takes from its graphs alone."""
+
+    graphs: tuple
+    index: list  # each graph's _Index
+    down: tuple
+    up: tuple
+    starts: np.ndarray  # each graph's first row
+    rows: int
+
+
+_LINKS: _Links | None = None  # the last batch's graphs and their edge unions
+
+
+def _links(graphs) -> _Links:
+    """The edge unions of a sequence of graphs, memoized for the last
+    sequence seen: a rollout's batches keep their graphs until an episode
+    ends. Graphs are compared by identity, and the entry holds them, so no
+    id can be reused while it is cached."""
+    global _LINKS
+    last = _LINKS
+    if last is not None and len(last.graphs) == len(graphs) and all(map(operator.is_, last.graphs, graphs)):
+        return last
+    index = _graph_indexes(graphs)
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
+    starts = _offsets(sizes)
+    _LINKS = _Links(
+        graphs=tuple(graphs),
+        index=index,
+        down=_union([ix.down for ix in index], starts, starts),
+        up=_union([ix.up for ix in index], starts, starts),
+        starts=starts,
+        rows=int(sizes.sum()),
+    )
+    return _LINKS
+
+
 class _Batch(NamedTuple):
     """Disjoint union of B states' graphs, as in PyG's mini-batching: rows
     stacked in state order, each state's edges and sets shifted by its first
@@ -264,18 +294,15 @@ class _Batch(NamedTuple):
 
 
 def _batch(graphs, nodes) -> _Batch:
-    index = _graph_indexes(graphs)
-    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
-    starts = _offsets(sizes)
-    states = np.arange(len(graphs))
-    pool = [ix.pool[v] for ix, v in zip(index, nodes)]
+    links = _links(graphs)
+    pool = [ix.pool[v] for ix, v in zip(links.index, nodes)]
     return _Batch(
-        down=_union([ix.down for ix in index], starts, starts),
-        up=_union([ix.up for ix in index], starts, starts),
-        pool=tuple(_union([p[k] for p in pool], states, starts) for k in range(len(POOL_SETS))),
-        current=starts + np.array(nodes, dtype=np.intp),
-        starts=starts,
-        rows=int(sizes.sum()),
+        down=links.down,
+        up=links.up,
+        pool=tuple(_grouping([p[k] for p in pool], links.starts) for k in range(len(POOL_SETS))),
+        current=links.starts + np.array(nodes, dtype=np.intp),
+        starts=links.starts,
+        rows=links.rows,
     )
 
 
@@ -363,11 +390,11 @@ def pool_backward(tape, dlogits, params, grads, offsets):
     return demb
 
 
-def _forward(steps, params: PolicyParameters):
-    """One batched pass over step records. Returns (probs (B, D), tape)."""
+def _forward(states, params: PolicyParameters):
+    """One batched pass over B states. Returns (probs (B, D), tape)."""
     cfg = params.config
-    batch = _batch([s["graph"] for s in steps], [s["v"] for s in steps])
-    feats = np.concatenate([s["features"] for s in steps])
+    batch = _batch([s.graph for s in states], [s.current_node for s in states])
+    feats = placement_env.featurize_batch(states, cfg.num_devices)
     tape = {}
     if cfg.mode == FULL:
         emb, tape["embed"] = embed(feats, batch, params)
@@ -379,7 +406,7 @@ def _forward(steps, params: PolicyParameters):
         pieces = [feats[batch.current]]
         tape["agg"] = []
         for name, (targets, starts, sources) in zip(POOL_SETS, batch.pool):
-            pooled = _group_sum(feats[sources], targets, starts, len(steps))
+            pooled = _group_sum(feats[sources], targets, starts, len(states))
             ctx, atape = dense_forward(params.nets[f"agg_{name}"], pooled)
             tape["agg"].append(atape)
             pieces.append(ctx)
@@ -408,21 +435,21 @@ def _backward(tape, dlogits, params: PolicyParameters, grads, offsets):
         _acc(grads, offsets[f"agg_{name}"], a_grads)
 
 
-MAX_BATCH_ROWS = 1 << 15  # union rows per batched pass; bounds the memory of a forward or backward
+MAX_BATCH_ROWS = 1 << 10  # union rows per batched pass; bounds the memory of a forward or backward
 
 
-def _chunks(steps):
-    """(lo, hi) runs of steps whose graphs hold at most MAX_BATCH_ROWS rows
+def _chunks(states):
+    """(lo, hi) runs of states whose graphs hold at most MAX_BATCH_ROWS rows
     together (a larger graph runs alone)."""
     lo, rows = 0, 0
-    for i, s in enumerate(steps):
-        n = s["graph"].num_nodes
+    for i, s in enumerate(states):
+        n = s.graph.num_nodes
         if rows and rows + n > MAX_BATCH_ROWS:
             yield lo, i
             lo, rows = i, 0
         rows += n
-    if lo < len(steps):
-        yield lo, len(steps)
+    if lo < len(states):
+        yield lo, len(states)
 
 
 def policy_forward(states, topology, params: PolicyParameters):
@@ -431,16 +458,14 @@ def policy_forward(states, topology, params: PolicyParameters):
     union rows each (see _chunks).
 
     Returns (probs (B, D), tape). tape["steps"] holds one step record per
-    state (graph, features, current node v, probs): all that
-    policy_backward replays. No activations are kept.
+    state, {"state": state, "probs": its row}: all that policy_backward
+    replays. No features or activations are kept.
     """
-    steps = [
-        {"graph": s.graph, "features": placement_env.featurize(s, topology), "v": s.current_node} for s in states
-    ]
-    probs = np.concatenate([_forward(steps[lo:hi], params)[0] for lo, hi in _chunks(steps)])
-    for step, p in zip(steps, probs):
-        step["probs"] = p
-    return probs, {"steps": steps}
+    if topology.num_devices != params.config.num_devices:
+        raise PolicyError(f"policy is for {params.config.num_devices} devices, topology has {topology.num_devices}")
+    states = list(states)
+    probs = np.concatenate([_forward(states[lo:hi], params)[0] for lo, hi in _chunks(states)])
+    return probs, {"steps": [{"state": s, "probs": p} for s, p in zip(states, probs)]}
 
 
 def _loss_and_dlogits(probs, actions, advantages, beta):
@@ -459,10 +484,14 @@ def _loss_and_dlogits(probs, actions, advantages, beta):
 def policy_backward(steps, actions, advantages, beta, params: PolicyParameters):
     """Gradients of sum_i [-log pi(a_i|s_i) A_i - beta H_i] over step records.
 
-    Keeps no tapes from the rollout: one batched forward over the steps'
-    states (stacked as rows of a disjoint union) is re-run, then one batched
-    reverse pass per net. Returns (total loss, flat gradient list aligned
-    with params.flat_params()).
+    The steps may come from any number of episodes, such as a whole epoch's
+    in worker order. Keeps no tapes from the rollout: the recorded states are
+    split into runs of at most MAX_BATCH_ROWS union rows (see _chunks; a run
+    may end inside an episode), and each run is featurized by one
+    featurize_batch call, re-run as one batched forward over the disjoint
+    union of its graphs, and reversed by one batched pass per net. Batching
+    changes only the order in which the gradient's terms are summed. Returns
+    (total loss, flat gradient list aligned with params.flat_params()).
     """
     if not (len(steps) == len(actions) == len(advantages)):
         raise PolicyError("steps/actions/advantages length mismatch")
@@ -470,9 +499,10 @@ def policy_backward(steps, actions, advantages, beta, params: PolicyParameters):
     grads = [np.zeros_like(p) for p in params.flat_params()]
     actions = np.asarray(actions, dtype=np.intp)
     advantages = np.asarray(advantages, dtype=np.float64)
+    states = [s["state"] for s in steps]
     total = 0.0
-    for lo, hi in _chunks(steps):
-        probs, tape = _forward(steps[lo:hi], params)
+    for lo, hi in _chunks(states):
+        probs, tape = _forward(states[lo:hi], params)
         loss, dlogits = _loss_and_dlogits(probs, actions[lo:hi], advantages[lo:hi], beta)
         total += float(loss.sum())
         _backward(tape, dlogits, params, grads, offsets)

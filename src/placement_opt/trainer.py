@@ -3,10 +3,12 @@
 Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle
 and run one episode against the shared parameter snapshot. The episodes
 advance in lockstep, one batched policy forward per step over the unfinished
-ones, and each worker samples from its own [seed, epoch, w] stream. Each
-episode's gradient is one rematerialized batched backward; gradients are
-summed in worker order and a single Adam step is applied. Learning rate and
-entropy weight decay linearly across epochs.
+ones, and each worker samples from its own [seed, epoch, w] stream. Each step
+record holds the state the step was taken in. The epoch's gradient is one
+policy_backward call over every episode's steps in worker order, which
+rematerializes them in batched passes of at most policy_gnn.MAX_BATCH_ROWS
+union rows; a single Adam step applies it. Learning rate and entropy weight
+decay linearly across epochs.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class BaselineTable:
 @dataclass
 class EpisodeTrace:
     graph_name: str
-    steps: list  # per step: the policy's step record (graph, features, v, probs)
+    steps: list  # per step: the policy's step record {"state", "probs"}
     actions: list[int]
     rewards: list[float]
     entropies: list[float]
@@ -190,7 +192,8 @@ def train_epoch(
     table: BaselineTable,
     adam: AdamState,
 ) -> tuple[EpochStats, list[EpisodeTrace]]:
-    """One synchronous epoch: W rollouts, summed gradients, one Adam step."""
+    """One synchronous epoch: W rollouts, one backward over all their steps,
+    one Adam step."""
     if not graphs:
         raise TrainerError("empty training set")
     shuffle_rng = np.random.default_rng([cfg.seed, epoch, 0xD15])
@@ -215,16 +218,15 @@ def train_epoch(
         table.push(tr.graph_name, cumulative_rewards(tr))
 
     beta = cfg.entropy_at(epoch)
-    flat = params.flat_params()
-    grads = [np.zeros_like(p) for p in flat]
-
-    for tr, adv in zip(traces, advantages):  # fixed worker-index order
-        _, g = policy_backward(tr.steps, tr.actions, adv, beta, params)
-        for acc, gi in zip(grads, g):
-            acc += gi
-
+    _, grads = policy_backward(
+        [s for tr in traces for s in tr.steps],  # fixed worker-index order
+        [a for tr in traces for a in tr.actions],
+        np.concatenate(advantages),
+        beta,
+        params,
+    )
     lr = cfg.lr_at(epoch)
-    adam_step(flat, grads, adam, lr_scale=lr)
+    adam_step(params.flat_params(), grads, adam, lr_scale=lr)
 
     per_graph = {}
     for tr in traces:

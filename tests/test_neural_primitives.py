@@ -91,6 +91,92 @@ class TestDenseBackward:
         assert err <= 1e-4
 
 
+def full_tape_forward(net, x, forced=()):
+    """dense_forward as it was when its tape kept every pre-activation:
+    [x, z_1, h_1, ..., z_L, h_L]. forced holds (layer, index, value) triples
+    that overwrite pre-activations before their activation."""
+    tape = [np.asarray(x, dtype=np.float64)]
+    h = tape[0]
+    for i, (w, b, act) in enumerate(zip(net.weights, net.biases, net.activations)):
+        z = h @ w.T + b
+        for layer, index, value in forced:
+            if layer == i:
+                z[index] = value
+        tape.append(z)
+        h = np.maximum(z, 0.0) if act == "relu" else z
+        tape.append(h)
+    return h, tape
+
+
+def full_tape_backward(net, tape, grad_out):
+    """dense_backward as it was, masking relu layers with z > 0."""
+    grad = np.asarray(grad_out, dtype=np.float64)
+    param_grads = [None] * len(net.weights)
+    for i in range(len(net.weights) - 1, -1, -1):
+        z, h_in = tape[1 + 2 * i], tape[2 * i]
+        if net.activations[i] == "relu":
+            grad = grad * (z > 0.0)
+        if grad.ndim == 1:
+            dw, db = np.outer(grad, h_in), grad.copy()
+        else:
+            dw, db = grad.T @ h_in, grad.sum(axis=0)
+        param_grads[i] = (dw, db)
+        grad = grad @ net.weights[i]
+    return param_grads, grad
+
+
+class TestSlimTape:
+    """The tape keeps each layer's input and the output, and relu layers are
+    masked by h > 0: the reverse pass equals the full-tape one bit for bit."""
+
+    @staticmethod
+    def zeroed_net(rng, x):
+        # Biases cancel some units' products exactly, so their pre-activation
+        # is exactly 0.0 on the first input row.
+        net = make_dense(rng, [5, 6, 6, 3], ["relu", "relu", "identity"])
+        h = x
+        for w, b in zip(net.weights[:2], net.biases[:2]):
+            products = h @ w.T
+            b[:3] = -np.atleast_2d(products)[0, :3]
+            h = np.maximum(products + b, 0.0)
+        return net
+
+    @staticmethod
+    def assert_same(a, b):
+        (grads_a, gx_a), (grads_b, gx_b) = a, b
+        assert np.array_equal(gx_a, gx_b)
+        for (dw_a, db_a), (dw_b, db_b) in zip(grads_a, grads_b):
+            assert np.array_equal(dw_a, dw_b) and np.array_equal(db_a, db_b)
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_exact_zero_preactivations(self, rows):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=5 if rows is None else (rows, 5))
+        net = self.zeroed_net(rng, x)
+        y, tape = dense_forward(net, x)
+        y_full, full = full_tape_forward(net, x)
+        assert (np.atleast_2d(full[1])[0, :3] == 0.0).all() and (np.atleast_2d(full[3])[0, :3] == 0.0).all()
+        assert np.array_equal(y, y_full)
+        assert len(tape) == 4 and all(np.array_equal(a, b) for a, b in zip(tape, [full[0]] + full[2::2]))
+        grad_out = rng.normal(size=y.shape)
+        self.assert_same(dense_backward(net, tape, grad_out), full_tape_backward(net, full, grad_out))
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    def test_signed_zero_preactivations(self, rows):
+        # A matmul plus bias does not produce -0.0 here, so both tapes are
+        # built with pre-activations forced to 0.0, -0.0 and tiny values.
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=5 if rows is None else (rows, 5))
+        net = make_dense(rng, [5, 6, 6, 3], ["relu", "relu", "identity"])
+        at = (lambda j: j) if rows is None else (lambda j: (0, j))
+        forced = [(0, at(0), -0.0), (0, at(1), 0.0), (1, at(2), -0.0), (1, at(3), 5e-324), (1, at(4), -5e-324)]
+        _, full = full_tape_forward(net, x, forced)
+        assert np.signbit(full[1]).any() and (full[1] == 0.0).sum() >= 2
+        slim = [full[0]] + full[2::2]
+        grad_out = rng.normal(size=full[-1].shape)
+        self.assert_same(dense_backward(net, slim, grad_out), full_tape_backward(net, full, grad_out))
+
+
 class TestSoftmaxSample:
     def test_symmetric_logits(self):
         rng = np.random.default_rng(0)

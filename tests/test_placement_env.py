@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,29 @@ from placement_opt.placement_env import (
     RewardConfig,
     evaluate_placement,
     featurize,
+    featurize_batch,
     penalized_runtime,
     reset,
     step,
 )
+from placement_opt.graph_core import ComputationGraph
 from placement_opt.sim_engine import Placement, SimulationResult
 
-from conftest import make_graph, random_dag
+from conftest import make_graph, make_topology, random_dag
+
+
+def per_node_features(st, m):
+    """The feature definition written out node by node."""
+    g = st.graph
+    expected = np.zeros((g.num_nodes, m + 4))
+    max_c, max_b = g.max_compute_seconds(), g.max_output_bytes()
+    for v, node in enumerate(g.nodes):
+        expected[v, 0] = node.cost_on(0) / max_c if max_c > 0 else 0.0
+        expected[v, 1] = node.output_bytes / max_b if max_b > 0 else 0.0
+        expected[v, 2 + st.placement[v]] = 1.0
+        expected[v, m + 2] = 1.0 if st.visited[v] else 0.0
+        expected[v, m + 3] = 1.0 if v == st.current_node else 0.0
+    return expected
 
 
 def fake_result(makespan, peak_bytes):
@@ -128,8 +146,6 @@ class TestFeaturize:
     def test_matches_per_node_loop(self, two_device):
         # The vectorized featurize equals the per-node definition exactly,
         # mid-episode, from a random initial placement, on 2 and 3 devices.
-        from conftest import make_topology
-
         rng = np.random.default_rng(118)
         for topo in (two_device, make_topology(3)):
             m = topo.num_devices
@@ -139,15 +155,47 @@ class TestFeaturize:
                 st = reset(g, topo, cfg, init_mode="random", init_seed=int(rng.integers(100)))
                 for _ in range(int(rng.integers(g.num_nodes + 1))):
                     st, _, _ = step(st, int(rng.integers(m)), topo, cfg)
-                expected = np.zeros((g.num_nodes, m + 4))
-                max_c, max_b = g.max_compute_seconds(), g.max_output_bytes()
-                for v, node in enumerate(g.nodes):
-                    expected[v, 0] = node.cost_on(0) / max_c if max_c > 0 else 0.0
-                    expected[v, 1] = node.output_bytes / max_b if max_b > 0 else 0.0
-                    expected[v, 2 + st.placement[v]] = 1.0
-                    expected[v, m + 2] = 1.0 if st.visited[v] else 0.0
-                    expected[v, m + 3] = 1.0 if v == st.current_node else 0.0
-                assert np.array_equal(featurize(st, topo), expected)
+                assert np.array_equal(featurize(st, topo), per_node_features(st, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_batch_equals_stacked_single_states(self, m):
+        # States of mixed sizes, a 1-node graph among them, at every stage
+        # from reset to done, stacked in order.
+        rng = np.random.default_rng(120 + m)
+        topo = make_topology(m)
+        cfg = RewardConfig(mode="terminal", reward_scale=1.0)
+        graphs = [make_graph("one", [2.0], [0.0], set())]
+        graphs += [random_dag(rng, max_nodes=12, bytes_range=(0.0, 4e6)) for _ in range(6)]
+        states = []
+        for g in graphs + graphs[::-1]:
+            st = reset(g, topo, cfg, init_mode="random", init_seed=int(rng.integers(100)))
+            for _ in range(int(rng.integers(g.num_nodes + 1))):
+                st, _, _ = step(st, int(rng.integers(m)), topo, cfg)
+            states.append(st)
+        assert any(st.done for st in states) and any(not st.done for st in states)
+        batch = featurize_batch(states, m)
+        assert np.array_equal(batch, np.concatenate([featurize(st, topo) for st in states]))
+        assert np.array_equal(batch, np.concatenate([per_node_features(st, m) for st in states]))
+        assert np.array_equal(featurize_batch(states[:1], m), featurize(states[0], topo))
+
+    def test_graph_at_a_freed_graphs_id(self, two_device):
+        # A graph allocated where a featurized graph was freed gets its own
+        # cost and bytes columns, not the freed graph's.
+        cfg = RewardConfig(mode="terminal", reward_scale=1.0)
+        a = make_graph("a", [1.0, 4.0], [2e6, 1e6], {(0, 1)})
+        b = make_graph("b", [3.0, 1.0], [0.0, 5e5], set())
+        reused = 0
+        for _ in range(5):
+            old = dataclasses.replace(a)
+            featurize(reset(old, two_device, cfg), two_device)
+            freed = id(old)
+            del old
+            new = ComputationGraph(b.name, b.nodes, b.edges, b.parents, b.children)
+            reused += id(new) == freed
+            st = reset(new, two_device, cfg)
+            assert np.array_equal(featurize_batch([st], 2), per_node_features(st, 2))
+            assert featurize(st, two_device)[:, :2].tolist() == [[1.0, 0.0], [1.0 / 3.0, 1.0]]
+        assert reused  # the allocator did hand out a freed graph's id
 
     def test_feature_dim(self, two_device):
         assert placement_env.feature_dim(2) == 6

@@ -17,7 +17,15 @@ from placement_opt.policy_gnn import (
     pool_and_decide,
 )
 
-from conftest import episode_states, finite_difference_check, forward_one, make_graph, random_dag, step_loss
+from conftest import (
+    episode_states,
+    finite_difference_check,
+    forward_one,
+    make_graph,
+    make_topology,
+    random_dag,
+    step_loss,
+)
 
 
 def nudge(params, seed=99, lo=0.01, hi=0.05):
@@ -105,7 +113,7 @@ class TestPoolAndDecide:
         from placement_opt.neural_primitives import dense_forward
         from placement_opt.policy_gnn import _forward
 
-        emb = _forward(tape["steps"], params)[1]["embed"]["emb"]
+        emb = _forward([st], params)[1]["embed"]["emb"]
         logits = pool_one(emb, ([], [], []), 0, params)
         # independent assembly of the same head input
         pieces = [emb[0]]
@@ -224,6 +232,16 @@ class TestPolicyForward:
             policy_forward([st], two_device, params)
 
 
+    def test_topology_must_match_the_policy(self, diamond, two_device):
+        # States are featurized for the policy's device count, so a topology
+        # of another size is refused before any device id reaches a feature.
+        params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0)
+        three = make_topology(3)
+        st = reset(diamond, three, RewardConfig(mode="terminal", reward_scale=1.0), init_mode="random", init_seed=4)
+        with pytest.raises(PolicyError, match="2 devices, topology has 3"):
+            policy_forward([st], three, params)
+
+
 class TestPolicyBackward:
     def test_zero_advantages_zero_entropy_give_zero_gradient(self, diamond, two_device):
         cfg = PolicyConfig(num_devices=2, message_rounds=2)
@@ -312,7 +330,8 @@ def _reference_step_grads(record, action, advantage, beta, params):
             grads[offsets[name] + 2 * i] += dw
             grads[offsets[name] + 2 * i + 1] += db
 
-    graph, feats, v = record["graph"], record["features"], record["v"]
+    st = record["state"]
+    graph, feats, v = st.graph, featurize(st, make_topology(cfg.num_devices)), st.current_node
     n, f = feats.shape
     sets = relation_sets(reachability(graph), v)
     adj = {"down": np.zeros((n, n)), "up": np.zeros((n, n))}
@@ -477,5 +496,4 @@ class TestBatchedExactness:
         for st, row, record in zip(states, probs, tape["steps"]):
             single, _ = forward_one(st, two_device, params)
             assert np.max(np.abs(row - single)) <= 1e-12
-            assert record["graph"] is st.graph and record["v"] == st.current_node
-            assert np.array_equal(record["features"], featurize(st, two_device))
+            assert record["state"] is st

@@ -63,4 +63,4 @@ def test_rollout_and_policy_layers_record_train_and_predict(monkeypatch):
     assert edges[("trainer.rollout", "trainer.predict_placement")] == 1  # every graph's episodes in lockstep
     forwards = summary["ops"]["policy_gnn.policy_forward"]["calls"]
     assert edges[("policy_gnn.policy_forward", "trainer.rollout")] == forwards
-    assert edges[("policy_gnn.policy_backward", "trainer.train_epoch")] == 2  # one per episode
+    assert edges[("policy_gnn.policy_backward", "trainer.train_epoch")] == 1  # one per epoch

@@ -1,4 +1,6 @@
+import copy
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +190,52 @@ class TestTrainEpoch:
         adam = AdamState.for_params(params.flat_params(), lr=1.0)
         with pytest.raises(TrainerError):
             train_epoch(params, [], two_device, cfg, TERMINAL, 0, BaselineTable(5), adam)
+
+    def test_one_backward_per_epoch_matches_the_per_episode_sum(self, monkeypatch):
+        # train_epoch makes one policy_backward call over all its episodes'
+        # steps; a small row budget ends its passes inside episodes. Its
+        # gradient stays within 1e-12 per tensor of one backward per episode
+        # on the pre-epoch parameters and baselines, summed in worker order.
+        import placement_opt.trainer as trainer
+
+        rng = np.random.default_rng(77)
+        graphs = [make_graph("one", [2.0], [1e6], set())]
+        graphs += [random_dag(rng, max_nodes=24, bytes_range=(0.1, 4e6)) for _ in range(4)]
+        topo = make_topology(3, bandwidth=4e6)
+        reward_cfg = RewardConfig(mode="intermediate")
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=10)
+        cfg = TrainerConfig(episodes=3, workers=6, seed=11, init_mode="random", randomize_visit_order=True)
+        calls, passes = [], []
+        original_backward, original_forward = trainer.policy_backward, policy_gnn._forward
+
+        def recording_backward(*args):
+            passes.clear()
+            loss, grads = original_backward(*args)
+            calls.append((list(passes), [g.copy() for g in grads]))
+            return loss, grads
+
+        monkeypatch.setattr(policy_gnn, "MAX_BATCH_ROWS", 40)
+        monkeypatch.setattr(policy_gnn, "_forward", lambda s, p: passes.append(len(s)) or original_forward(s, p))
+        monkeypatch.setattr(trainer, "policy_backward", recording_backward)
+        adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        table = BaselineTable(cfg.baseline_window)
+        for epoch in range(cfg.episodes):
+            before, table_before = copy.deepcopy(params), copy.deepcopy(table)
+            _, traces = train_epoch(params, graphs, topo, cfg, reward_cfg, epoch, table, adam)
+            assert len(calls) == epoch + 1  # one backward per epoch
+            chunk_sizes, grads = calls[-1]
+            episode_ends = set(np.cumsum([len(tr.steps) for tr in traces]).tolist())
+            assert len(chunk_sizes) > 1 and set(np.cumsum(chunk_sizes).tolist()) - episode_ends
+            expected = [np.zeros_like(p) for p in before.flat_params()]
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(policy_gnn, "MAX_BATCH_ROWS", 1 << 20)
+                for tr in traces:
+                    adv = compute_advantages(tr, table_before, update=False)
+                    for acc, g in zip(expected, original_backward(tr.steps, tr.actions, adv, cfg.entropy_at(epoch),
+                                                                  before)[1]):
+                        acc += g
+            for g, r in zip(grads, expected):
+                assert np.max(np.abs(g - r)) <= 1e-12 * max(np.max(np.abs(r)), 1e-300)
 
 
 def _sequential_rollout(params, graph, topology, reward_cfg, rng):
@@ -474,9 +522,9 @@ class TestCrossGraphPredict:
         whole = predict_placement(params, graphs, topo, reward_cfg, n_samples=4, seed=5)
         passes, original = [], policy_gnn._forward
 
-        def recording_forward(steps, p):
-            passes.append([s["graph"].num_nodes for s in steps])
-            return original(steps, p)
+        def recording_forward(states, p):
+            passes.append([s.graph.num_nodes for s in states])
+            return original(states, p)
 
         monkeypatch.setattr(policy_gnn, "MAX_BATCH_ROWS", 12)
         monkeypatch.setattr(policy_gnn, "_forward", recording_forward)
@@ -510,6 +558,48 @@ class TestCrossGraphPredict:
         assert len(policy_gnn._INDEXES) == 2  # batches shrink as graphs finish, and the cache with them
         predict_placement(params, graphs[:1], topo, n_samples=3, seed=2)
         assert len(policy_gnn._INDEXES) == 2 and id(graphs[0]) in policy_gnn._INDEXES
+
+
+    def test_cached_edge_unions_give_the_uncached_probabilities(self, monkeypatch):
+        # A prediction's active set shrinks as its graphs' episodes end. The
+        # edge unions are built once per active set, and every step's
+        # probabilities equal a pass that rebuilds them.
+        import placement_opt.trainer as trainer
+
+        topo = make_topology(3, bandwidth=4e6)
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=9)
+        steps, built = [], []
+        original_forward, original_indexes = trainer.policy_forward, policy_gnn._graph_indexes
+
+        def recording_forward(states, topology, p):
+            probs, tape = original_forward(states, topology, p)
+            steps.append((list(states), probs))
+            return probs, tape
+
+        monkeypatch.setattr(trainer, "policy_forward", recording_forward)
+        monkeypatch.setattr(policy_gnn, "_graph_indexes", lambda gs: built.append(len(gs)) or original_indexes(gs))
+        predict_placement(params, _mixed_graphs(), topo, n_samples=2, seed=3)
+        sizes = [len(states) for states, _ in steps]
+        changes = sum(a != b for a, b in zip(sizes, sizes[1:]))
+        assert changes >= 3 and built == sorted(set(sizes), reverse=True)  # one build per active set
+        for states, probs in steps:
+            monkeypatch.setattr(policy_gnn, "_LINKS", None)
+            uncached, _ = policy_gnn.policy_forward(states, topo, params)
+            assert np.array_equal(uncached, probs)
+
+    def test_prediction_keeps_states_not_features(self):
+        # Step records hold states, not n x F feature matrices. Four graphs of
+        # 144-151 nodes with 4 samples each peaked at 30 MB when they did.
+        spec = datagen.FamilySpec(family="branch_blocks", count=12, blocks=16, seed=1)
+        graphs = [g for g in datagen.generate_family(spec) if 144 <= g.num_nodes <= 151][:4]
+        params = init_policy(PolicyConfig(num_devices=2, message_rounds=3), seed=0)
+        tracemalloc.start()
+        try:
+            predict_placement(params, graphs, make_topology(2), n_samples=4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestCheckpointHeader:
