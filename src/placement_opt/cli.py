@@ -303,10 +303,8 @@ def cmd_evaluate(args):
     rows = []
     for graph, pred in zip(test_graphs, predictions):
         candidates = {"zero_shot": pred.placement}
-        candidates["random"] = baselines.place_random(graph, topology, args.seed)
-        candidates["single_device"] = baselines.place_single_device(graph, topology)
-        candidates["mincut"] = baselines.place_balanced_mincut(graph, topology).placement
-        candidates["expert"] = baselines.place_expert_chain(graph, topology)
+        for scheme in SCHEMES:
+            candidates[scheme] = _run_scheme(scheme, graph, topology, args.seed)
         exhaustive_ok = topology.num_devices**graph.num_nodes <= args.budget
         if exhaustive_ok:
             candidates["exhaustive"], _ = baselines.exhaustive_search(graph, topology, reward_cfg, args.budget)

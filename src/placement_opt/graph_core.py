@@ -4,6 +4,9 @@ A graph is a DAG of op groups. Each group carries a per-device compute cost
 vector (a single entry is broadcast to all devices at simulation time) and the
 byte size of its output tensor. Node ids are densified to 0..n-1 on load;
 original ids are kept in ``members``.
+
+What the featurizer and the policy derive from a graph alone (feature columns,
+CSR arrays, relation id arrays) is a ``cached_property``, freed with the graph.
 """
 
 from __future__ import annotations
@@ -81,13 +84,6 @@ class ComputationGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def max_compute_seconds(self) -> float:
-        """Graph-wide maximum of the device-0 compute cost (feature scaling)."""
-        return max((g.cost_on(0) for g in self.nodes), default=0.0)
-
-    def max_output_bytes(self) -> float:
-        return max((g.output_bytes for g in self.nodes), default=0.0)
-
     @cached_property
     def scaled_costs_and_bytes(self) -> np.ndarray:
         """Read-only (n, 2) feature columns, computed once per graph: each
@@ -101,6 +97,29 @@ class ComputationGraph:
                 cols[:, k] = values / top
         cols.flags.writeable = False
         return cols
+
+    @cached_property
+    def parent_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, ids): each node's parent count, and all parent ids flat
+        in node order, each node's in ``parents`` order (np.intp)."""
+        return _csr(self.parents)
+
+    @cached_property
+    def child_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(counts, ids) of each node's children, as parent_csr."""
+        return _csr(self.children)
+
+    @cached_property
+    def relation_ids(self) -> list:
+        """Per node v, relation_id_arrays(reachability(self), v): computed
+        once per graph object, from one reachability sweep."""
+        index = reachability(self)
+        return [relation_id_arrays(index, v) for v in range(self.num_nodes)]
+
+
+def _csr(lists) -> tuple[np.ndarray, np.ndarray]:
+    counts = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    return counts, np.fromiter((u for ids in lists for u in ids), dtype=np.intp, count=int(counts.sum()))
 
 
 def _indexed(name, nodes: tuple, edges: list) -> ComputationGraph:

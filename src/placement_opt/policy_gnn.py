@@ -13,13 +13,14 @@ Two deliberately weaker variants are kept for ablations: ``simple_aggregator``
 (per-set sums of raw features through three nets, no message passing).
 
 Every pass works on a batch of states: their graphs form one disjoint union,
-and messages and pooled sets are grouped row sums over edge and id lists
-(``np.add.reduceat``), so no dense adjacency is built. A step record holds
-the state it was taken in, not its features or activations:
-``policy_backward`` re-runs batched forwards over the recorded states, each
-featurized by one ``placement_env.featurize_batch`` call, and one batched
-reverse pass per net, giving exact gradients of the loss
-sum(-log pi(a|s) * A - beta * entropy) over any number of episodes' steps.
+built from each graph's cached CSR and relation id arrays (see
+``ComputationGraph``), and messages and pooled sets are grouped row sums over
+edge and id lists (``np.add.reduceat``), so no dense adjacency is built. The
+forward keeps no features or activations: ``policy_backward`` takes the
+states themselves and re-runs batched forwards over them, each featurized by
+one ``placement_env.featurize_batch`` call, and one batched reverse pass per
+net, giving exact gradients of the loss sum(-log pi(a|s) * A - beta *
+entropy) over any number of episodes' steps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import placement_env
-from .graph_core import ComputationGraph, reachability, relation_id_arrays
 from .neural_primitives import (
     DenseNet,
     dense_backward,
@@ -157,23 +157,16 @@ def init_policy(cfg: PolicyConfig, seed: int = 0) -> PolicyParameters:
     return PolicyParameters(config=cfg, nets=nets)
 
 
-class _Index(NamedTuple):
-    """One graph's message routes and, per node, its pooled sets.
-
-    A grouping (targets, starts, sources) sums rows: row targets[i] of the
-    result is the sum of the input rows sources[starts[i]:starts[i + 1]], in
-    that order, and every other row is zero."""
-
-    down: tuple  # each node's parents: the down stream's messages
-    up: tuple  # each node's children: the up stream's messages
-    pool: list  # per node v, per POOL_SETS entry: v's set of that kind as an id array
-
-
-def _grouping(parts, shifts) -> tuple:
-    """Grouping under which target b sums the rows parts[b] + shifts[b]."""
-    counts = np.array([len(p) for p in parts], dtype=np.intp)
+def _grouping(parts, shifts, counts=None) -> tuple:
+    """Grouping (targets, starts, sources) that sums rows: row targets[i] of
+    the result is the sum of the input rows sources[starts[i]:starts[i + 1]],
+    in that order, and every other row is zero. Target b sums the ids
+    parts[b] + shifts[b]; given counts, target t sums the next counts[t] ids
+    of the parts concatenated, part b's ids shifted by shifts[b]."""
+    sizes = np.array([len(p) for p in parts], dtype=np.intp)
+    counts = sizes if counts is None else counts
     targets = np.flatnonzero(counts)
-    sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, counts)
+    sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, sizes)
     return targets, _offsets(counts[targets]), sources
 
 
@@ -182,22 +175,6 @@ def _offsets(counts) -> np.ndarray:
     out = np.zeros(len(counts), dtype=np.intp)
     np.cumsum(counts[:-1], out=out[1:])
     return out
-
-
-def _union(groupings, target_shifts, source_shifts) -> tuple:
-    """Disjoint union of groupings: grouping b's targets shifted by
-    target_shifts[b] and its sources by source_shifts[b]. Both shifts of the
-    first grouping are 0, so the union of one is that grouping."""
-    if len(groupings) == 1:
-        return groupings[0]
-    targets, starts, sources = zip(*groupings)
-    groups = np.array([len(t) for t in targets], dtype=np.intp)
-    edges = np.array([len(s) for s in sources], dtype=np.intp)
-    return (
-        np.concatenate(targets) + np.repeat(target_shifts, groups),
-        np.concatenate(starts) + np.repeat(_offsets(edges), groups),
-        np.concatenate(sources) + np.repeat(source_shifts, edges),
-    )
 
 
 def _group_sum(rows: np.ndarray, targets, starts, size: int) -> np.ndarray:
@@ -210,46 +187,12 @@ def _group_sum(rows: np.ndarray, targets, starts, size: int) -> np.ndarray:
     return out
 
 
-def _build_index(graph: ComputationGraph) -> _Index:
-    idx = reachability(graph)
-    zero = np.zeros(graph.num_nodes, dtype=np.intp)
-    return _Index(
-        down=_grouping(graph.parents, zero),
-        up=_grouping(graph.children, zero),
-        pool=[relation_id_arrays(idx, v) for v in range(graph.num_nodes)],
-    )
-
-
-_INDEXES: dict[int, tuple] = {}  # id(graph) -> (graph, _Index), least recently used first
-_INDEX_CAPACITY = 128
-
-
-def _graph_indexes(graphs) -> list:
-    """Each graph's edge groupings and per-node pooled-set id arrays, cached
-    per graph object. Keyed by identity, because hashing a graph walks all its
-    nodes; an entry holds its graph, so the id cannot be reused while it is
-    cached. The least recently used entries are evicted beyond
-    _INDEX_CAPACITY, but never those of this batch: a rollout's batches only
-    shrink, so each graph's index is built at most once per rollout however
-    many graphs it holds."""
-    out = []
-    for g in graphs:
-        hit = _INDEXES.pop(id(g), None) or (g, _build_index(g))
-        _INDEXES[id(g)] = hit
-        out.append(hit[1])
-    keep = max(_INDEX_CAPACITY, len({id(g) for g in graphs}))
-    for key in list(_INDEXES)[: max(0, len(_INDEXES) - keep)]:
-        del _INDEXES[key]
-    return out
-
-
 class _Links(NamedTuple):
     """What a batch's disjoint union takes from its graphs alone."""
 
     graphs: tuple
-    index: list  # each graph's _Index
-    down: tuple
-    up: tuple
+    down: tuple  # each row's parents: the down stream's messages
+    up: tuple  # each row's children: the up stream's messages
     starts: np.ndarray  # each graph's first row
     rows: int
 
@@ -257,23 +200,28 @@ class _Links(NamedTuple):
 _LINKS: _Links | None = None  # the last batch's graphs and their edge unions
 
 
+def _union_csr(csrs, starts) -> tuple:
+    """Grouping of the disjoint union of graphs' (counts, ids) CSR arrays."""
+    counts, ids = zip(*csrs)
+    return _grouping(ids, starts, np.concatenate(counts))
+
+
 def _links(graphs) -> _Links:
-    """The edge unions of a sequence of graphs, memoized for the last
-    sequence seen: a rollout's batches keep their graphs until an episode
-    ends. Graphs are compared by identity, and the entry holds them, so no
-    id can be reused while it is cached."""
+    """The edge unions of a sequence of graphs: their cached CSR arrays
+    concatenated, each graph's ids shifted by its first row. Memoized for the
+    last sequence seen, because a rollout's batches keep their graphs until
+    an episode ends. Graphs are compared by identity, and the entry holds
+    them, so no id can be reused while it is cached."""
     global _LINKS
     last = _LINKS
     if last is not None and len(last.graphs) == len(graphs) and all(map(operator.is_, last.graphs, graphs)):
         return last
-    index = _graph_indexes(graphs)
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
     starts = _offsets(sizes)
     _LINKS = _Links(
         graphs=tuple(graphs),
-        index=index,
-        down=_union([ix.down for ix in index], starts, starts),
-        up=_union([ix.up for ix in index], starts, starts),
+        down=_union_csr([g.parent_csr for g in graphs], starts),
+        up=_union_csr([g.child_csr for g in graphs], starts),
         starts=starts,
         rows=int(sizes.sum()),
     )
@@ -295,7 +243,7 @@ class _Batch(NamedTuple):
 
 def _batch(graphs, nodes) -> _Batch:
     links = _links(graphs)
-    pool = [ix.pool[v] for ix, v in zip(links.index, nodes)]
+    pool = [g.relation_ids[v] for g, v in zip(graphs, nodes)]
     return _Batch(
         down=links.down,
         up=links.up,
@@ -357,7 +305,7 @@ def _acc(grads, offset, net_grads):
 def pool_and_decide(emb, sets, current, params: PolicyParameters):
     """Three-set pooling around each state's current row, then the head.
 
-    sets[k] groups the rows of POOL_SETS[k] by state (see _Index) and current
+    sets[k] groups the rows of POOL_SETS[k] by state (see _Batch) and current
     holds each state's current row; returns (logits (B, D), tape).
     """
     pieces = [emb[current]]
@@ -457,15 +405,12 @@ def policy_forward(states, topology, params: PolicyParameters):
     sequence, in batched passes over their graphs of at most MAX_BATCH_ROWS
     union rows each (see _chunks).
 
-    Returns (probs (B, D), tape). tape["steps"] holds one step record per
-    state, {"state": state, "probs": its row}: all that policy_backward
-    replays. No features or activations are kept.
+    Returns the (B, D) probabilities; no features or activations are kept.
     """
     if topology.num_devices != params.config.num_devices:
         raise PolicyError(f"policy is for {params.config.num_devices} devices, topology has {topology.num_devices}")
     states = list(states)
-    probs = np.concatenate([_forward(states[lo:hi], params)[0] for lo, hi in _chunks(states)])
-    return probs, {"steps": [{"state": s, "probs": p} for s, p in zip(states, probs)]}
+    return np.concatenate([_forward(states[lo:hi], params)[0] for lo, hi in _chunks(states)])
 
 
 def _loss_and_dlogits(probs, actions, advantages, beta):
@@ -481,25 +426,24 @@ def _loss_and_dlogits(probs, actions, advantages, beta):
     return loss, dlogits
 
 
-def policy_backward(steps, actions, advantages, beta, params: PolicyParameters):
-    """Gradients of sum_i [-log pi(a_i|s_i) A_i - beta H_i] over step records.
+def policy_backward(states, actions, advantages, beta, params: PolicyParameters):
+    """Gradients of sum_i [-log pi(a_i|s_i) A_i - beta H_i] over states.
 
-    The steps may come from any number of episodes, such as a whole epoch's
-    in worker order. Keeps no tapes from the rollout: the recorded states are
-    split into runs of at most MAX_BATCH_ROWS union rows (see _chunks; a run
-    may end inside an episode), and each run is featurized by one
-    featurize_batch call, re-run as one batched forward over the disjoint
-    union of its graphs, and reversed by one batched pass per net. Batching
-    changes only the order in which the gradient's terms are summed. Returns
-    (total loss, flat gradient list aligned with params.flat_params()).
+    The states may come from any number of episodes, such as a whole epoch's
+    in worker order. Keeps no tapes from the rollout: the states are split
+    into runs of at most MAX_BATCH_ROWS union rows (see _chunks; a run may
+    end inside an episode), and each run is featurized by one featurize_batch
+    call, re-run as one batched forward over the disjoint union of its
+    graphs, and reversed by one batched pass per net. Batching changes only
+    the order in which the gradient's terms are summed. Returns (total loss,
+    flat gradient list aligned with params.flat_params()).
     """
-    if not (len(steps) == len(actions) == len(advantages)):
-        raise PolicyError("steps/actions/advantages length mismatch")
+    if not (len(states) == len(actions) == len(advantages)):
+        raise PolicyError("states/actions/advantages length mismatch")
     offsets = params.net_offsets()
     grads = [np.zeros_like(p) for p in params.flat_params()]
     actions = np.asarray(actions, dtype=np.intp)
     advantages = np.asarray(advantages, dtype=np.float64)
-    states = [s["state"] for s in steps]
     total = 0.0
     for lo, hi in _chunks(states):
         probs, tape = _forward(states[lo:hi], params)

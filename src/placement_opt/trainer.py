@@ -3,12 +3,12 @@
 Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle
 and run one episode against the shared parameter snapshot. The episodes
 advance in lockstep, one batched policy forward per step over the unfinished
-ones, and each worker samples from its own [seed, epoch, w] stream. Each step
-record holds the state the step was taken in. The epoch's gradient is one
-policy_backward call over every episode's steps in worker order, which
-rematerializes them in batched passes of at most policy_gnn.MAX_BATCH_ROWS
-union rows; a single Adam step applies it. Learning rate and entropy weight
-decay linearly across epochs.
+ones, and each worker samples from its own [seed, epoch, w] stream. An
+episode keeps the state each step was taken in and its action. The epoch's
+gradient is one policy_backward call over every episode's states in worker
+order, which rematerializes them in batched passes of at most
+policy_gnn.MAX_BATCH_ROWS union rows; a single Adam step applies it.
+Learning rate and entropy weight decay linearly across epochs.
 """
 
 from __future__ import annotations
@@ -93,13 +93,12 @@ class BaselineTable:
 @dataclass
 class EpisodeTrace:
     graph_name: str
-    steps: list  # per step: the policy's step record {"state", "probs"}
+    states: list  # per step: the EpisodeState the step was taken in
     actions: list[int]
     rewards: list[float]
     entropies: list[float]
     final_placement: tuple[int, ...]
     final_runtime: float  # penalized seconds
-    initial_runtime: float | None
 
 
 def rollout(
@@ -134,11 +133,11 @@ def rollout(
         sampled = rng is not None and action_overrides is None
         uniforms.append(rng.random(len(state.visit_order)) if sampled else None)
         states.append(state)
-        traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0, state.cached_runtime))
+        traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0))
     active = [i for i, state in enumerate(states) if not state.done]
     while active:
-        probs, tape = policy_forward([states[i] for i in active], topology, params)
-        for i, p, record in zip(active, probs, tape["steps"]):
+        probs = policy_forward([states[i] for i in active], topology, params)
+        for i, p in zip(active, probs):
             state, tr = states[i], traces[i]
             if action_overrides is not None:
                 a = int(action_overrides[i][state.step_index])
@@ -147,7 +146,7 @@ def rollout(
             else:
                 a = sample_action(p, uniforms[i][state.step_index])
             states[i], reward, _ = placement_env.step(state, a, topology, reward_cfg)
-            tr.steps.append(record)
+            tr.states.append(state)
             tr.actions.append(a)
             tr.rewards.append(reward)
             tr.entropies.append(entropy(p))
@@ -219,7 +218,7 @@ def train_epoch(
 
     beta = cfg.entropy_at(epoch)
     _, grads = policy_backward(
-        [s for tr in traces for s in tr.steps],  # fixed worker-index order
+        [s for tr in traces for s in tr.states],  # fixed worker-index order
         [a for tr in traces for a in tr.actions],
         np.concatenate(advantages),
         beta,
@@ -316,9 +315,7 @@ def load_policy_checkpoint(path):
 @dataclass
 class Prediction:
     placement: Placement
-    runtime_seconds: float  # penalized
-    makespan_seconds: float
-    peak_memory_bytes: tuple[float, ...]
+    runtime_seconds: float  # penalized: the chosen episode's final_runtime
 
 
 def predict_placement(
@@ -344,17 +341,8 @@ def predict_placement(
         rngs += [None] + [np.random.default_rng(seed)] * n_samples
     traces = rollout(params, [g for g in graphs for _ in range(per_graph)], topology, reward_cfg, rngs)
     predictions = []
-    for k, graph in enumerate(graphs):
+    for k in range(len(graphs)):
         episodes = traces[k * per_graph : (k + 1) * per_graph]
         best = min(episodes, key=lambda tr: (tr.final_runtime, tr.final_placement))
-        placement = Placement(best.final_placement)
-        runtime, result = placement_env.evaluate_placement(graph, topology, placement, reward_cfg)
-        predictions.append(
-            Prediction(
-                placement=placement,
-                runtime_seconds=runtime,
-                makespan_seconds=result.makespan_seconds,
-                peak_memory_bytes=result.peak_memory_bytes,
-            )
-        )
+        predictions.append(Prediction(Placement(best.final_placement), best.final_runtime))
     return predictions

@@ -37,10 +37,9 @@ def random_dag(rng, max_nodes=8, edge_prob=0.4, cost_range=(0.1, 5.0), bytes_ran
 
 
 def forward_one(state, topology, params):
-    """One state's device distribution (D,) and its step record, from the
-    batched policy forward over a batch of one."""
-    probs, tape = policy_forward([state], topology, params)
-    return probs[0], tape["steps"][0]
+    """One state's device distribution (D,), from the batched policy forward
+    over a batch of one, and the state itself."""
+    return policy_forward([state], topology, params)[0], state
 
 
 def episode_states(graph, topology, actions, reward_cfg):

@@ -125,11 +125,10 @@ def test_gradient_exactness():
             p += prng.uniform(0.01, 0.05, size=p.shape)  # keep relu units off their kinks
 
         states = episode_states(g, topo, actions, env_cfg)
-        _, tape = policy_forward(states, topo, params)
-        _, grads = policy_backward(tape["steps"], actions, advantages, beta, params)
+        _, grads = policy_backward(states, actions, advantages, beta, params)
 
         def loss_fn(_):
-            probs, _ = policy_forward(states, topo, params)
+            probs = policy_forward(states, topo, params)
             return sum(step_loss(p, a, adv, beta) for p, a, adv in zip(probs, actions, advantages))
 
         err = finite_difference_check(loss_fn, params.flat_params(), grads, h=1e-5)

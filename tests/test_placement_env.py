@@ -25,7 +25,8 @@ def per_node_features(st, m):
     """The feature definition written out node by node."""
     g = st.graph
     expected = np.zeros((g.num_nodes, m + 4))
-    max_c, max_b = g.max_compute_seconds(), g.max_output_bytes()
+    max_c = max((node.cost_on(0) for node in g.nodes), default=0.0)
+    max_b = max((node.output_bytes for node in g.nodes), default=0.0)
     for v, node in enumerate(g.nodes):
         expected[v, 0] = node.cost_on(0) / max_c if max_c > 0 else 0.0
         expected[v, 1] = node.output_bytes / max_b if max_b > 0 else 0.0
@@ -180,7 +181,8 @@ class TestFeaturize:
 
     def test_graph_at_a_freed_graphs_id(self, two_device):
         # A graph allocated where a featurized graph was freed gets its own
-        # cost and bytes columns, not the freed graph's.
+        # cost and bytes columns, CSR arrays and relation ids, not the freed
+        # graph's.
         cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         a = make_graph("a", [1.0, 4.0], [2e6, 1e6], {(0, 1)})
         b = make_graph("b", [3.0, 1.0], [0.0, 5e5], set())
@@ -188,6 +190,7 @@ class TestFeaturize:
         for _ in range(5):
             old = dataclasses.replace(a)
             featurize(reset(old, two_device, cfg), two_device)
+            assert old.parent_csr[1].tolist() == [0] and old.relation_ids[0][1].tolist() == [1]
             freed = id(old)
             del old
             new = ComputationGraph(b.name, b.nodes, b.edges, b.parents, b.children)
@@ -195,6 +198,9 @@ class TestFeaturize:
             st = reset(new, two_device, cfg)
             assert np.array_equal(featurize_batch([st], 2), per_node_features(st, 2))
             assert featurize(st, two_device)[:, :2].tolist() == [[1.0, 0.0], [1.0 / 3.0, 1.0]]
+            for counts, ids in (new.parent_csr, new.child_csr):
+                assert counts.tolist() == [0, 0] and ids.tolist() == []
+            assert [[ids.tolist() for ids in rel] for rel in new.relation_ids] == [[[], [], [1]], [[], [], [0]]]
         assert reused  # the allocator did hand out a freed graph's id
 
     def test_feature_dim(self, two_device):

@@ -103,13 +103,68 @@ class TestEmbed:
             assert np.max(np.abs(pemb[perm] - emb)) <= 1e-9
 
 
+def _per_graph_union(graphs):
+    """The (down, up) edge unions built the earlier way: one grouping per
+    graph from its parents and children tuples, then each grouping's
+    targets, starts and sources shifted into the disjoint union."""
+
+    def offsets(counts):
+        out = np.zeros(len(counts), dtype=np.intp)
+        np.cumsum(counts[:-1], out=out[1:])
+        return out
+
+    def grouping(parts, shifts):
+        counts = np.array([len(p) for p in parts], dtype=np.intp)
+        targets = np.flatnonzero(counts)
+        sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, counts)
+        return targets, offsets(counts[targets]), sources
+
+    def union(groupings, target_shifts, source_shifts):
+        if len(groupings) == 1:
+            return groupings[0]
+        targets, starts, sources = zip(*groupings)
+        groups = np.array([len(t) for t in targets], dtype=np.intp)
+        edges = np.array([len(s) for s in sources], dtype=np.intp)
+        return (
+            np.concatenate(targets) + np.repeat(target_shifts, groups),
+            np.concatenate(starts) + np.repeat(offsets(edges), groups),
+            np.concatenate(sources) + np.repeat(source_shifts, edges),
+        )
+
+    starts = offsets(np.array([g.num_nodes for g in graphs], dtype=np.intp))
+    return tuple(
+        union([grouping(lists(g), np.zeros(g.num_nodes, dtype=np.intp)) for g in graphs], starts, starts)
+        for lists in (lambda g: g.parents, lambda g: g.children)
+    )
+
+
+class TestLinks:
+    def test_unions_equal_the_per_graph_groupings_shifted(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        one = make_graph("one", [1.0], [1e6], set())
+        edgeless = make_graph("edgeless", [1.0, 2.0, 3.0], [1e6, 0.0, 2e6], set())
+        diamond = make_graph("diamond", [1, 2, 2, 1], [2e6, 0, 2e6, 0], {(0, 1), (0, 2), (1, 3), (2, 3)})
+        blocks = datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=2, blocks=2, seed=4))[0]
+        dags = [random_dag(rng, max_nodes=12, edge_prob=0.3) for _ in range(4)]
+        batches = [[one], [edgeless], [diamond], [one, edgeless], [edgeless, one, edgeless],
+                   [diamond, one, blocks, edgeless, *dags], [blocks, blocks, one, *dags[::-1]]]
+        for batch in batches:
+            monkeypatch.setattr(policy_gnn, "_LINKS", None)
+            links = policy_gnn._links(batch)
+            for got, want in zip((links.down, links.up), _per_graph_union(batch)):
+                assert len(got) == len(want) == 3
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+            assert links.rows == sum(g.num_nodes for g in batch)
+
+
 class TestPoolAndDecide:
     def test_single_node_contexts_are_h_of_zero(self, two_device):
         g = make_graph("one", [1.0], [1e6], set())
         cfg = PolicyConfig(num_devices=2, message_rounds=1)
         params = init_policy(cfg, seed=4)
         st = reset(g, two_device, RewardConfig(mode="terminal", reward_scale=1.0))
-        _, tape = policy_forward([st], two_device, params)
+        policy_forward([st], two_device, params)
         from placement_opt.neural_primitives import dense_forward
         from placement_opt.policy_gnn import _forward
 
@@ -248,8 +303,8 @@ class TestPolicyBackward:
         params = init_policy(cfg, seed=12)
         env_cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         actions = [0, 1, 0, 1]
-        _, tape = policy_forward(episode_states(diamond, two_device, actions, env_cfg), two_device, params)
-        loss, grads = policy_backward(tape["steps"], actions, [0.0] * 4, 0.0, params)
+        states = episode_states(diamond, two_device, actions, env_cfg)
+        loss, grads = policy_backward(states, actions, [0.0] * 4, 0.0, params)
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in grads)
 
@@ -262,8 +317,8 @@ class TestPolicyBackward:
         params = init_policy(cfg, seed=13)
         env_cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         st = reset(g, two_device, env_cfg)
-        _, record = forward_one(st, two_device, params)
-        _, grads = policy_backward([record], [0], [1.0], 0.0, params)
+        _, state = forward_one(st, two_device, params)
+        _, grads = policy_backward([state], [0], [1.0], 0.0, params)
         out_bias_grad = grads[-1]
         assert out_bias_grad[0] < 0 < out_bias_grad[1]
 
@@ -276,11 +331,10 @@ class TestPolicyBackward:
         advantages = [0.5, -1.0, 2.0, 0.3]
         beta = 0.01
         states = episode_states(diamond, two_device, actions, env_cfg)
-        _, tape = policy_forward(states, two_device, params)
-        _, grads = policy_backward(tape["steps"], actions, advantages, beta, params)
+        _, grads = policy_backward(states, actions, advantages, beta, params)
 
         def loss_fn(_):
-            probs, _ = policy_forward(states, two_device, params)
+            probs = policy_forward(states, two_device, params)
             return sum(step_loss(p, a, adv, beta) for p, a, adv in zip(probs, actions, advantages))
 
         err = finite_difference_check(
@@ -313,7 +367,7 @@ class TestConfig:
         assert PolicyConfig.from_header(cfg.to_header()) == cfg
 
 
-def _reference_step_grads(record, action, advantage, beta, params):
+def _reference_step_grads(st, action, advantage, beta, params):
     """The unbatched reference: one step's forward with its own tapes over a
     dense adjacency, then the per-step reverse pass. Returns the step's
     probabilities and its gradient list aligned with params.flat_params()."""
@@ -330,7 +384,6 @@ def _reference_step_grads(record, action, advantage, beta, params):
             grads[offsets[name] + 2 * i] += dw
             grads[offsets[name] + 2 * i + 1] += db
 
-    st = record["state"]
     graph, feats, v = st.graph, featurize(st, make_topology(cfg.num_devices)), st.current_node
     n, f = feats.shape
     sets = relation_sets(reachability(graph), v)
@@ -400,13 +453,17 @@ def _reference_step_grads(record, action, advantage, beta, params):
 
 
 def _episode_records(graph, topology, params, seed):
-    """Step records of one sampled episode from a random initial placement."""
-    from placement_opt.trainer import rollout
+    """States, actions and the probabilities the rollout used, of one sampled
+    episode from a random initial placement."""
+    import placement_opt.trainer as trainer
 
     env_cfg = RewardConfig(mode="intermediate")
-    (trace,) = rollout(params, [graph], topology, env_cfg, [np.random.default_rng(seed)], init_mode="random",
-                       randomize_order=True)
-    return trace.steps, trace.actions
+    used, original = [], trainer.policy_forward
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trainer, "policy_forward", lambda *args: used.append(original(*args)) or used[-1])
+        (trace,) = trainer.rollout(params, [graph], topology, env_cfg, [np.random.default_rng(seed)],
+                                   init_mode="random", randomize_order=True)
+    return trace.states, trace.actions, np.concatenate(used)
 
 
 def _assert_close_per_tensor(grads, expected, tol=1e-12):
@@ -432,15 +489,15 @@ class TestBatchedExactness:
     def test_backward_matches_per_step_reference(self, two_device, mode, graph):
         g = self.GRAPHS[graph]()
         params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=3, mode=mode), seed=21), lo=-0.05)
-        steps, actions = _episode_records(g, two_device, params, seed=5)
+        steps, actions, used = _episode_records(g, two_device, params, seed=5)
         rng = np.random.default_rng(6)
         advantages = rng.normal(size=len(steps))
         beta = 0.01
         _, grads = policy_backward(steps, actions, advantages, beta, params)
         expected = [np.zeros_like(p) for p in params.flat_params()]
-        for record, a, adv in zip(steps, actions, advantages):
-            probs, step_grads = _reference_step_grads(record, a, adv, beta, params)
-            assert np.max(np.abs(probs - record["probs"])) <= 1e-12
+        for st, a, adv, p in zip(steps, actions, advantages, used):
+            probs, step_grads = _reference_step_grads(st, a, adv, beta, params)
+            assert np.max(np.abs(probs - p)) <= 1e-12
             for acc, gi in zip(expected, step_grads):
                 acc += gi
         _assert_close_per_tensor(grads, expected)
@@ -450,7 +507,7 @@ class TestBatchedExactness:
         # One backward over the steps of four episodes on different graphs
         # equals the sum of the four per-episode backwards.
         params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=2, mode=mode), seed=22), lo=-0.05)
-        episodes = [_episode_records(self.GRAPHS[name](), two_device, params, seed=k)
+        episodes = [_episode_records(self.GRAPHS[name](), two_device, params, seed=k)[:2]
                     for k, name in enumerate(sorted(self.GRAPHS))]
         rng = np.random.default_rng(7)
         advantages = [rng.normal(size=len(steps)) for steps, _ in episodes]
@@ -468,7 +525,7 @@ class TestBatchedExactness:
 
         g = self.GRAPHS["branch_blocks"]()
         params = nudge(init_policy(PolicyConfig(num_devices=2, message_rounds=3), seed=23), lo=-0.05)
-        steps, actions = _episode_records(g, two_device, params, seed=8)
+        steps, actions, _ = _episode_records(g, two_device, params, seed=8)
         advantages = np.random.default_rng(9).normal(size=len(steps))
         loss, whole = policy_backward(steps, actions, advantages, 0.01, params)
         chunks = []
@@ -491,9 +548,8 @@ class TestBatchedExactness:
             for _ in range(int(rng.integers(st.graph.num_nodes))):
                 st, _, _ = step(st, int(rng.integers(2)), two_device, env_cfg)
             states.append(st)
-        probs, tape = policy_forward(states, two_device, params)
+        probs = policy_forward(states, two_device, params)
         assert probs.shape == (len(states), 2)
-        for st, row, record in zip(states, probs, tape["steps"]):
+        for st, row in zip(states, probs):
             single, _ = forward_one(st, two_device, params)
             assert np.max(np.abs(row - single)) <= 1e-12
-            assert record["state"] is st

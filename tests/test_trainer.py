@@ -38,6 +38,28 @@ def one_rollout(params, graph, topology, reward_cfg, rng, **kw):
     return rollout(params, [graph], topology, reward_cfg, [rng], **kw)[0]
 
 
+def _record_forwards(monkeypatch):
+    """Patch trainer.policy_forward to also append each call's (states, probs)
+    to the list it returns."""
+    import placement_opt.trainer as trainer
+
+    calls, original = [], trainer.policy_forward
+
+    def recording_forward(states, topology, params):
+        calls.append((list(states), original(states, topology, params)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(trainer, "policy_forward", recording_forward)
+    return calls
+
+
+def _used_probs(trace, forwards):
+    """The probabilities each step of trace was taken with, from the calls
+    _record_forwards recorded."""
+    rows = {id(s): p for states, probs in forwards for s, p in zip(states, probs)}
+    return [rows[id(s)] for s in trace.states]
+
+
 def expensive_chain():
     # two nodes, huge tensor: colocation is clearly optimal
     return make_graph("chain", [1.0, 1.0], [50e6, 0.0], {(0, 1)})
@@ -71,13 +93,14 @@ class TestRollout:
         res = simulate(diamond, two_device, Placement((0, 0, 1, 0)))
         assert tr.final_runtime == res.makespan_seconds == 8.0
 
-    def test_greedy_is_deterministic(self, diamond, two_device):
+    def test_greedy_is_deterministic(self, diamond, two_device, monkeypatch):
         # An episode without a stream is greedy: it takes each step's argmax.
         params = init_policy(PCFG, seed=3)
+        forwards = _record_forwards(monkeypatch)
         a = one_rollout(params, diamond, two_device, TERMINAL, None)
         b = one_rollout(params, diamond, two_device, TERMINAL, None)
         assert a.final_placement == b.final_placement
-        assert a.actions == [int(np.argmax(record["probs"])) for record in a.steps]
+        assert a.actions == [int(np.argmax(p)) for p in _used_probs(a, forwards)]
 
     @pytest.mark.parametrize("kw", [{"randomize_order": True}, {"init_mode": "random"}])
     def test_greedy_episode_draws_no_order_or_init(self, diamond, two_device, kw):
@@ -162,7 +185,7 @@ class TestTrainEpoch:
             rng = np.random.default_rng([cfg.seed, epoch, 0])
             tr = one_rollout(ref, g, two_device, reward_cfg, rng)
             adv = compute_advantages(tr, ref_table)
-            _, grads = policy_backward(tr.steps, tr.actions, adv, cfg.entropy_at(epoch), ref)
+            _, grads = policy_backward(tr.states, tr.actions, adv, cfg.entropy_at(epoch), ref)
             adam_step(ref.flat_params(), grads, ref_adam, lr_scale=cfg.lr_at(epoch))
 
         for p, q in zip(params.flat_params(), ref.flat_params()):
@@ -224,14 +247,14 @@ class TestTrainEpoch:
             _, traces = train_epoch(params, graphs, topo, cfg, reward_cfg, epoch, table, adam)
             assert len(calls) == epoch + 1  # one backward per epoch
             chunk_sizes, grads = calls[-1]
-            episode_ends = set(np.cumsum([len(tr.steps) for tr in traces]).tolist())
+            episode_ends = set(np.cumsum([len(tr.states) for tr in traces]).tolist())
             assert len(chunk_sizes) > 1 and set(np.cumsum(chunk_sizes).tolist()) - episode_ends
             expected = [np.zeros_like(p) for p in before.flat_params()]
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(policy_gnn, "MAX_BATCH_ROWS", 1 << 20)
                 for tr in traces:
                     adv = compute_advantages(tr, table_before, update=False)
-                    for acc, g in zip(expected, original_backward(tr.steps, tr.actions, adv, cfg.entropy_at(epoch),
+                    for acc, g in zip(expected, original_backward(tr.states, tr.actions, adv, cfg.entropy_at(epoch),
                                                                   before)[1]):
                         acc += g
             for g, r in zip(grads, expected):
@@ -258,7 +281,7 @@ def _sequential_rollout(params, graph, topology, reward_cfg, rng):
 
 class TestLockstep:
     @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_epoch_matches_independent_rollouts(self, workers):
+    def test_epoch_matches_independent_rollouts(self, workers, monkeypatch):
         # Workers on graphs of 1 to ~20 nodes finish at different steps; each
         # must act exactly as it would alone on its own [seed, epoch, w] stream.
         topo = make_topology(3, bandwidth=4e6)
@@ -281,6 +304,7 @@ class TestLockstep:
             for w, g in enumerate(picks)
         ]
         adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        forwards = _record_forwards(monkeypatch)
         _, traces = train_epoch(params, graphs, topo, cfg, reward_cfg, epoch, BaselineTable(5), adam)
         assert [tr.graph_name for tr in traces] == [g.name for g in picks]
         for tr, (actions, rewards, probs, placement, runtime) in zip(traces, expected):
@@ -288,9 +312,9 @@ class TestLockstep:
             assert tr.rewards == rewards
             assert tr.final_placement == placement
             assert tr.final_runtime == runtime
-            assert len(tr.steps) == len(probs)
-            for record, p in zip(tr.steps, probs):
-                assert np.max(np.abs(record["probs"] - p)) <= 1e-12
+            assert len(tr.states) == len(probs)
+            for used, p in zip(_used_probs(tr, forwards), probs):
+                assert np.max(np.abs(used - p)) <= 1e-12
 
 
 class TestTrain:
@@ -518,7 +542,7 @@ class TestCrossGraphPredict:
         graphs = _mixed_graphs()
         params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=8)
         reward_cfg = RewardConfig(mode="terminal")
-        calls = _record_rollouts(monkeypatch)
+        calls, forwards = _record_rollouts(monkeypatch), _record_forwards(monkeypatch)
         whole = predict_placement(params, graphs, topo, reward_cfg, n_samples=4, seed=5)
         passes, original = [], policy_gnn._forward
 
@@ -537,54 +561,45 @@ class TestCrossGraphPredict:
             assert a.actions == b.actions
             assert a.final_placement == b.final_placement
             assert a.final_runtime == b.final_runtime
-            for ra, rb in zip(a.steps, b.steps):
-                assert np.max(np.abs(ra["probs"] - rb["probs"])) <= 1e-12
+            for pa, pb in zip(_used_probs(a, forwards), _used_probs(b, forwards)):
+                assert np.max(np.abs(pa - pb)) <= 1e-12
 
-    def test_each_index_built_once_beyond_cache_capacity(self, monkeypatch):
-        # Five graphs against a cache of two: each graph's index is still
-        # built once, and the predictions equal an uncapped run's.
+    def test_reachability_runs_once_per_graph(self, monkeypatch):
+        # A graph's relation ids are cached on the graph object: a prediction
+        # on five graphs, then a training epoch on them, sweeps each graph's
+        # reachability once.
+        from placement_opt import graph_core
+
         topo = make_topology(2, bandwidth=4e6)
         graphs = [g for g in _mixed_graphs() if g.num_nodes > 0]
         assert len(graphs) == 5
         params = init_policy(PolicyConfig(num_devices=2, message_rounds=2), seed=4)
-        monkeypatch.setattr(policy_gnn, "_INDEXES", {})
-        uncapped = predict_placement(params, graphs, topo, n_samples=3, seed=2)
-        built, original = [], policy_gnn._build_index
-        monkeypatch.setattr(policy_gnn, "_INDEXES", {})
-        monkeypatch.setattr(policy_gnn, "_INDEX_CAPACITY", 2)
-        monkeypatch.setattr(policy_gnn, "_build_index", lambda g: built.append(g) or original(g))
-        assert predict_placement(params, graphs, topo, n_samples=3, seed=2) == uncapped
-        assert sorted(map(id, built)) == sorted(map(id, graphs))
-        assert len(policy_gnn._INDEXES) == 2  # batches shrink as graphs finish, and the cache with them
-        predict_placement(params, graphs[:1], topo, n_samples=3, seed=2)
-        assert len(policy_gnn._INDEXES) == 2 and id(graphs[0]) in policy_gnn._INDEXES
-
+        swept, original = [], graph_core.reachability
+        monkeypatch.setattr(graph_core, "reachability", lambda g: swept.append(g) or original(g))
+        predict_placement(params, graphs, topo, n_samples=3, seed=2)
+        assert sorted(map(id, swept)) == sorted(map(id, graphs))
+        cfg = TrainerConfig(episodes=1, workers=2 * len(graphs), seed=2)
+        adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        train_epoch(params, graphs, topo, cfg, RewardConfig(mode="intermediate"), 0, BaselineTable(5), adam)
+        assert sorted(map(id, swept)) == sorted(map(id, graphs))
 
     def test_cached_edge_unions_give_the_uncached_probabilities(self, monkeypatch):
         # A prediction's active set shrinks as its graphs' episodes end. The
         # edge unions are built once per active set, and every step's
         # probabilities equal a pass that rebuilds them.
-        import placement_opt.trainer as trainer
-
         topo = make_topology(3, bandwidth=4e6)
         params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=9)
-        steps, built = [], []
-        original_forward, original_indexes = trainer.policy_forward, policy_gnn._graph_indexes
-
-        def recording_forward(states, topology, p):
-            probs, tape = original_forward(states, topology, p)
-            steps.append((list(states), probs))
-            return probs, tape
-
-        monkeypatch.setattr(trainer, "policy_forward", recording_forward)
-        monkeypatch.setattr(policy_gnn, "_graph_indexes", lambda gs: built.append(len(gs)) or original_indexes(gs))
+        built, original = [], policy_gnn._union_csr
+        steps = _record_forwards(monkeypatch)
+        monkeypatch.setattr(policy_gnn, "_union_csr", lambda csrs, s: built.append(len(csrs)) or original(csrs, s))
         predict_placement(params, _mixed_graphs(), topo, n_samples=2, seed=3)
         sizes = [len(states) for states, _ in steps]
         changes = sum(a != b for a, b in zip(sizes, sizes[1:]))
-        assert changes >= 3 and built == sorted(set(sizes), reverse=True)  # one build per active set
+        one_per_set = [n for n in sorted(set(sizes), reverse=True) for _ in ("down", "up")]
+        assert changes >= 3 and built == one_per_set  # one build per active set
         for states, probs in steps:
             monkeypatch.setattr(policy_gnn, "_LINKS", None)
-            uncached, _ = policy_gnn.policy_forward(states, topo, params)
+            uncached = policy_gnn.policy_forward(states, topo, params)
             assert np.array_equal(uncached, probs)
 
     def test_prediction_keeps_states_not_features(self):
