@@ -430,7 +430,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError, RecursionError) as e:  # RecursionError: JSON nested too deep
         msg = str(e).replace("\n", " ")
         print(f"error: {msg}", file=sys.stderr)
         return 1

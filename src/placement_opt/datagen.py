@@ -76,6 +76,8 @@ class FamilySpec:
         ):
             if not lo >= least:
                 raise DatagenError(f"{what}_lo must be >= {least}, not {lo}")
+            if not hi < math.inf:  # refuses nan too; unlike math.isfinite, a huge int cannot overflow
+                raise DatagenError(f"{what}_hi must be finite, not {hi}")
             if lo > hi:
                 raise DatagenError(f"{what} range is empty ({lo} > {hi})")
 

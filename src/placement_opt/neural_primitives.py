@@ -1,8 +1,8 @@
 """Small differentiable building blocks: dense nets, softmax sampling, Adam.
 
 Everything is float64 numpy with hand-written backward passes; gradients are
-checked against central finite differences in the test suite. Forward passes
-accept a single vector or a batch of row vectors.
+checked against central finite differences in the test suite. Dense nets
+run on batches of row vectors, one (batch, width) array per layer.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def make_dense(rng: np.random.Generator, dims: list[int], activations: list[str]
 
 
 def dense_forward(net: DenseNet, x: np.ndarray):
-    """Returns (output, tape). x is (in,) or (batch, in).
+    """Returns (output, tape). x is (batch, in).
 
     tape is [x, h_1, ..., h_L]: each layer's input and the last output; no
     pre-activation is kept."""
@@ -95,25 +95,19 @@ def dense_forward(net: DenseNet, x: np.ndarray):
 def dense_backward(net: DenseNet, tape: list, grad_out: np.ndarray):
     """Exact reverse pass. Returns ([(dW, db), ...], grad_input).
 
-    grad_out must match the forward output's shape; batched inputs sum their
-    parameter gradients over the batch. relu' (0) is taken as 0, so a relu
+    grad_out must be (batch, out), the forward output's shape; parameter
+    gradients are summed over the batch. relu' (0) is taken as 0, so a relu
     layer's mask is h > 0, which equals z > 0 for h = max(z, 0).
     """
     grad = np.asarray(grad_out, dtype=np.float64)
-    if grad.shape != tape[-1].shape:
-        raise ShapeError(f"grad shape {grad.shape} != output shape {tape[-1].shape}")
+    if grad.ndim != 2 or grad.shape != tape[-1].shape:
+        raise ShapeError(f"grad shape {grad.shape} must be (batch, out) and equal the output shape {tape[-1].shape}")
     param_grads = [None] * len(net.weights)
     for i in range(len(net.weights) - 1, -1, -1):
         h_in = tape[i]
         if net.activations[i] == RELU:
             grad = grad * (tape[i + 1] > 0.0)
-        if grad.ndim == 1:
-            dw = np.outer(grad, h_in)
-            db = grad.copy()
-        else:
-            dw = grad.T @ h_in
-            db = grad.sum(axis=0)
-        param_grads[i] = (dw, db)
+        param_grads[i] = (grad.T @ h_in, grad.sum(axis=0))
         grad = grad @ net.weights[i]
     return param_grads, grad
 

@@ -1,5 +1,7 @@
 """MDP over placements: one episode visits every node once and re-places it.
 
+A state is its placement and a cursor, step_index, into the fixed visit
+order: the nodes before the cursor are visited and the node at it is current.
 State features per node: [normalized compute time, normalized output bytes,
 one-hot current device, visited flag, current flag], so the feature dimension
 is |D| + 4. Rewards come from the memory-penalized runtime of the simulated
@@ -65,8 +67,6 @@ def evaluate_placement(graph, topology, placement, cfg: RewardConfig):
 class EpisodeState:
     graph: ComputationGraph
     placement: tuple[int, ...]
-    visited: tuple[bool, ...]
-    current_node: int | None
     step_index: int
     visit_order: tuple[int, ...]
     reward_scale: float
@@ -75,6 +75,10 @@ class EpisodeState:
     @property
     def done(self) -> bool:
         return self.step_index >= len(self.visit_order)
+
+    @property
+    def current_node(self) -> int | None:
+        return None if self.done else self.visit_order[self.step_index]
 
 
 def reset(
@@ -107,8 +111,6 @@ def reset(
     return EpisodeState(
         graph=graph,
         placement=placement,
-        visited=(False,) * n,
-        current_node=order[0] if n else None,
         step_index=0,
         visit_order=order,
         reward_scale=scale,
@@ -135,9 +137,10 @@ def featurize_batch(states, num_devices: int) -> np.ndarray:
     feats[:, :2] = np.concatenate([s.graph.scaled_costs_and_bytes for s in states])
     placement = np.fromiter(chain.from_iterable(s.placement for s in states), np.intp, rows)
     feats[np.arange(rows), 2 + placement] = 1.0
-    feats[:, m + 2] = np.fromiter(chain.from_iterable(s.visited for s in states), np.float64, rows)
-    starts = accumulate(sizes, initial=0)
-    current = [i + s.current_node for i, s in zip(starts, states) if s.current_node is not None]
+    starts = list(accumulate(sizes, initial=0))
+    visited = np.fromiter(chain.from_iterable(s.visit_order[: s.step_index] for s in states), np.intp)
+    feats[visited + np.repeat(starts[:-1], [s.step_index for s in states]), m + 2] = 1.0
+    current = [i + s.current_node for i, s in zip(starts, states) if not s.done]
     feats[current, m + 3] = 1.0
     return feats
 
@@ -162,11 +165,8 @@ def step(state: EpisodeState, action: int, topology: DeviceTopology, cfg: Reward
     placement = list(state.placement)
     placement[v] = action
     placement = tuple(placement)
-    visited = list(state.visited)
-    visited[v] = True
     t_next = state.step_index + 1
     done = t_next >= len(state.visit_order)
-    nxt = None if done else state.visit_order[t_next]
 
     reward = 0.0
     cached = state.cached_runtime
@@ -182,14 +182,7 @@ def step(state: EpisodeState, action: int, topology: DeviceTopology, cfg: Reward
         reward = -r_final / state.reward_scale
         cached = r_final
 
-    next_state = replace(
-        state,
-        placement=placement,
-        visited=tuple(visited),
-        current_node=nxt,
-        step_index=t_next,
-        cached_runtime=cached,
-    )
+    next_state = replace(state, placement=placement, step_index=t_next, cached_runtime=cached)
     return next_state, reward, done
 
 

@@ -4,9 +4,10 @@ Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle
 and run one episode against the shared parameter snapshot. The episodes
 advance in lockstep, one batched policy forward per step over the unfinished
 ones, and each worker samples from its own [seed, epoch, w] stream. An
-episode keeps the state each step was taken in and its action. The epoch's
-gradient is one policy_backward call over every episode's states in worker
-order, which rematerializes them in batched passes of at most
+episode keeps its action and the state each step was taken in: one placement
+tuple and a cursor into the shared visit order. The epoch's gradient is one
+policy_backward call over every episode's states in worker order, which
+rematerializes them in batched passes of at most
 policy_gnn.MAX_BATCH_ROWS union rows; a single Adam step applies it.
 Learning rate and entropy weight decay linearly across epochs.
 """
@@ -109,18 +110,16 @@ def rollout(
     rngs: list,
     init_mode: str = "all_device_0",
     randomize_order: bool = False,
-    action_overrides=None,
 ) -> list[EpisodeTrace]:
     """Episodes on graphs[i] drawing from rngs[i], advanced in lockstep: each
     step runs one batched policy forward over the unfinished episodes' states.
 
     An episode draws all its randomness at reset, in this order: its
     visit-order and initial-placement seeds when asked for, then one uniform
-    per step unless it is overridden. An episode whose rng is None is greedy:
-    it draws nothing and takes argmax (smallest device id on exact ties).
-    Episodes sharing one rng therefore draw exactly what they would one after
-    another, and no episode's actions depend on the others.
-    action_overrides[i] fixes episode i's action sequence (tests)."""
+    per step. An episode whose rng is None is greedy: it draws nothing and
+    takes argmax (smallest device id on exact ties). Episodes sharing one rng
+    therefore draw exactly what they would one after another, and no
+    episode's actions depend on the others."""
     states, traces, uniforms = [], [], []
     for graph, rng in zip(graphs, rngs):
         if rng is None and (randomize_order or init_mode == "random"):
@@ -130,8 +129,7 @@ def rollout(
         state = placement_env.reset(
             graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
         )
-        sampled = rng is not None and action_overrides is None
-        uniforms.append(rng.random(len(state.visit_order)) if sampled else None)
+        uniforms.append(None if rng is None else rng.random(len(state.visit_order)))
         states.append(state)
         traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0))
     active = [i for i, state in enumerate(states) if not state.done]
@@ -139,9 +137,7 @@ def rollout(
         probs = policy_forward([states[i] for i in active], topology, params)
         for i, p in zip(active, probs):
             state, tr = states[i], traces[i]
-            if action_overrides is not None:
-                a = int(action_overrides[i][state.step_index])
-            elif uniforms[i] is None:
+            if uniforms[i] is None:
                 a = int(np.argmax(p))
             else:
                 a = sample_action(p, uniforms[i][state.step_index])
@@ -161,14 +157,11 @@ def cumulative_rewards(trace: EpisodeTrace) -> np.ndarray:
     return np.cumsum(np.asarray(trace.rewards, dtype=np.float64)[::-1])[::-1]
 
 
-def compute_advantages(trace: EpisodeTrace, table: BaselineTable, update: bool = True) -> np.ndarray:
-    """A_t = (cumulative reward from t) - baseline, baselines read before the
-    episode's own cumulative rewards enter the table."""
+def compute_advantages(trace: EpisodeTrace, table: BaselineTable) -> np.ndarray:
+    """A_t = (cumulative reward from t) - baseline; reads the table and
+    leaves it unchanged."""
     cum = cumulative_rewards(trace)
-    adv = np.array([cum[t] - table.value(trace.graph_name, t) for t in range(len(cum))])
-    if update:
-        table.push(trace.graph_name, cum)
-    return adv
+    return np.array([cum[t] - table.value(trace.graph_name, t) for t in range(len(cum))])
 
 
 @dataclass
@@ -212,7 +205,7 @@ def train_epoch(
 
     # Workers are synchronous: all advantages use the pre-epoch baselines,
     # then episodes enter the table in worker order.
-    advantages = [compute_advantages(tr, table, update=False) for tr in traces]
+    advantages = [compute_advantages(tr, table) for tr in traces]
     for tr in traces:
         table.push(tr.graph_name, cumulative_rewards(tr))
 

@@ -151,11 +151,13 @@ def test_permutation_invariance():
 
     n = g.num_nodes
     placement = tuple(int(d) for d in rng.integers(2, size=n))
-    visited = tuple(bool(b) for b in rng.integers(2, size=n))
-    current = int(rng.integers(n))
+    visited = rng.integers(2, size=n).astype(bool)
+    unvisited = np.flatnonzero(~visited).tolist()
+    current = unvisited.pop(int(rng.integers(len(unvisited))))  # a current node is never visited
+    order = (*np.flatnonzero(visited).tolist(), current, *unvisited)  # visited, current, the rest
     state = placement_env.EpisodeState(
-        graph=g, placement=placement, visited=visited, current_node=current,
-        step_index=sum(visited), visit_order=tuple(range(n)), reward_scale=1.0, cached_runtime=None,
+        graph=g, placement=placement, step_index=int(visited.sum()), visit_order=order,
+        reward_scale=1.0, cached_runtime=None,
     )
     base, _ = forward_one(state, topo, params)
 
@@ -174,15 +176,13 @@ def test_permutation_invariance():
             {(int(perm[u]), int(perm[v])) for u, v in g.edges},
         )
         p_placement = [0] * n
-        p_visited = [False] * n
         for v in range(n):
             p_placement[perm[v]] = placement[v]
-            p_visited[perm[v]] = visited[v]
         p_state = placement_env.EpisodeState(
-            graph=pg, placement=tuple(p_placement), visited=tuple(p_visited),
-            current_node=int(perm[current]), step_index=sum(visited),
-            visit_order=tuple(range(n)), reward_scale=1.0, cached_runtime=None,
+            graph=pg, placement=tuple(p_placement), step_index=state.step_index,
+            visit_order=tuple(int(perm[v]) for v in order), reward_scale=1.0, cached_runtime=None,
         )
+        assert p_state.current_node == perm[current]
         probs, _ = forward_one(p_state, topo, params)
         assert np.max(np.abs(probs - base)) <= 1e-9
 

@@ -399,6 +399,8 @@ class TestDatagen:
             ("encoder_decoder", ["--unroll", "0", "0"], "unroll_lo"),
             ("encoder_decoder", ["--compute", "-1", "1"], "compute_lo"),
             ("layered_random", ["--tensor-bytes", "-1", "1"], "bytes_lo"),
+            ("encoder_decoder", ["--compute", "1", "inf"], "compute_hi"),  # was an OverflowError traceback
+            ("layered_random", ["--tensor-bytes", "1", "inf"], "bytes_hi"),
         ],
     )
     def test_degenerate_sizes_are_single_line_errors(self, tmp_path, capsys, family, flags, field):
@@ -868,3 +870,26 @@ class TestDatasetManifest:
         err = _fails_with_one_error_line(capsys, argv)
         assert "manifest" in err
         assert not (out / "checkpoint.json").exists() and not (out / "evaluation.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["graph", "topology", "placement", "run_config", "checkpoint", "manifest"])
+def test_deeply_nested_document_is_single_line_error(files, tmp_path, capsys, kind):
+    # The JSON parser runs out of recursion depth on each kind of input.
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    ckpt, ds, out = tmp_path / "ckpt.json", tmp_path / "ds", str(tmp_path / "out")
+    save_policy_checkpoint(ckpt, init_policy(PolicyConfig(num_devices=2, message_rounds=1)))
+    ds.mkdir()
+    if kind == "manifest":
+        (ds / "manifest.json").write_text(deep.read_text())
+    simulate = {"graph": files["graph"], "topology": files["topo"], "placement": files["placement"]}
+    if kind in simulate:
+        simulate[kind] = str(deep)
+        argv = ["simulate", *(f"--{k}={v}" for k, v in simulate.items()), "--out", out]
+    elif kind == "run_config":
+        argv = ["train", "--config", str(deep), "--out", out]
+    else:
+        argv = ["evaluate", "--checkpoint", str(deep if kind == "checkpoint" else ckpt), "--dataset", str(ds),
+                "--topology", files["topo"], "--out", out]
+    err = _fails_with_one_error_line(capsys, argv)
+    assert "recursion" in err

@@ -58,27 +58,33 @@ class TestDenseForward:
 class TestDenseBackward:
     def test_linear_weight_gradient_is_outer_product(self):
         net = DenseNet(weights=[np.random.default_rng(0).normal(size=(2, 3))], biases=[np.zeros(2)], activations=["identity"])
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         _, tape = dense_forward(net, x)
-        gy = np.array([0.5, -1.5])
+        gy = np.array([[0.5, -1.5]])
         (dw, db), gx = dense_backward(net, tape, gy)[0][0], dense_backward(net, tape, gy)[1]
         assert np.allclose(dw, np.outer(gy, x))
-        assert np.allclose(db, gy)
+        assert np.allclose(db, gy[0])
         assert np.allclose(gx, gy @ net.weights[0])
 
     def test_relu_blocks_negative_preactivation(self):
         net = DenseNet(weights=[np.eye(2)], biases=[np.zeros(2)], activations=["relu"])
+        _, tape = dense_forward(net, np.array([[-1.0, 1.0]]))
+        grads, gx = dense_backward(net, tape, np.ones((1, 2)))
+        assert gx[0, 0] == 0.0 and gx[0, 1] == 1.0
+
+    def test_vector_grad_refused(self):
+        net = DenseNet(weights=[np.eye(2)], biases=[np.zeros(2)], activations=["identity"])
         _, tape = dense_forward(net, np.array([-1.0, 1.0]))
-        grads, gx = dense_backward(net, tape, np.ones(2))
-        assert gx[0] == 0.0 and gx[1] == 1.0
+        with pytest.raises(ShapeError, match="batch"):
+            dense_backward(net, tape, np.ones(2))
 
     def test_three_layer_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         net = make_dense(rng, [4, 5, 5, 3], ["relu", "relu", "identity"])
         for p in net.params():
             p += rng.uniform(0.01, 0.05, size=p.shape)  # keep off relu kinks
-        x = rng.normal(size=4)
-        target = rng.normal(size=3)
+        x = rng.normal(size=(1, 4))
+        target = rng.normal(size=(1, 3))
 
         def loss_fn(params):
             y, _ = dense_forward(net, x)
@@ -116,11 +122,7 @@ def full_tape_backward(net, tape, grad_out):
         z, h_in = tape[1 + 2 * i], tape[2 * i]
         if net.activations[i] == "relu":
             grad = grad * (z > 0.0)
-        if grad.ndim == 1:
-            dw, db = np.outer(grad, h_in), grad.copy()
-        else:
-            dw, db = grad.T @ h_in, grad.sum(axis=0)
-        param_grads[i] = (dw, db)
+        param_grads[i] = (grad.T @ h_in, grad.sum(axis=0))
         grad = grad @ net.weights[i]
     return param_grads, grad
 
@@ -137,7 +139,7 @@ class TestSlimTape:
         h = x
         for w, b in zip(net.weights[:2], net.biases[:2]):
             products = h @ w.T
-            b[:3] = -np.atleast_2d(products)[0, :3]
+            b[:3] = -products[0, :3]
             h = np.maximum(products + b, 0.0)
         return net
 
@@ -148,28 +150,27 @@ class TestSlimTape:
         for (dw_a, db_a), (dw_b, db_b) in zip(grads_a, grads_b):
             assert np.array_equal(dw_a, dw_b) and np.array_equal(db_a, db_b)
 
-    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("rows", [1, 7])
     def test_exact_zero_preactivations(self, rows):
         rng = np.random.default_rng(31)
-        x = rng.normal(size=5 if rows is None else (rows, 5))
+        x = rng.normal(size=(rows, 5))
         net = self.zeroed_net(rng, x)
         y, tape = dense_forward(net, x)
         y_full, full = full_tape_forward(net, x)
-        assert (np.atleast_2d(full[1])[0, :3] == 0.0).all() and (np.atleast_2d(full[3])[0, :3] == 0.0).all()
+        assert (full[1][0, :3] == 0.0).all() and (full[3][0, :3] == 0.0).all()
         assert np.array_equal(y, y_full)
         assert len(tape) == 4 and all(np.array_equal(a, b) for a, b in zip(tape, [full[0]] + full[2::2]))
         grad_out = rng.normal(size=y.shape)
         self.assert_same(dense_backward(net, tape, grad_out), full_tape_backward(net, full, grad_out))
 
-    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("rows", [1, 7])
     def test_signed_zero_preactivations(self, rows):
         # A matmul plus bias does not produce -0.0 here, so both tapes are
         # built with pre-activations forced to 0.0, -0.0 and tiny values.
         rng = np.random.default_rng(32)
-        x = rng.normal(size=5 if rows is None else (rows, 5))
+        x = rng.normal(size=(rows, 5))
         net = make_dense(rng, [5, 6, 6, 3], ["relu", "relu", "identity"])
-        at = (lambda j: j) if rows is None else (lambda j: (0, j))
-        forced = [(0, at(0), -0.0), (0, at(1), 0.0), (1, at(2), -0.0), (1, at(3), 5e-324), (1, at(4), -5e-324)]
+        forced = [(0, (0, 0), -0.0), (0, (0, 1), 0.0), (1, (0, 2), -0.0), (1, (0, 3), 5e-324), (1, (0, 4), -5e-324)]
         _, full = full_tape_forward(net, x, forced)
         assert np.signbit(full[1]).any() and (full[1] == 0.0).sum() >= 2
         slim = [full[0]] + full[2::2]
@@ -287,14 +288,14 @@ class TestFiniteDifferenceCheck:
         w = np.array([[1.0]])
         b = np.array([0.0])
         net = DenseNet(weights=[w], biases=[b], activations=["relu"])
-        x = np.array([0.0])  # pre-activation exactly 0
+        x = np.array([[0.0]])  # pre-activation exactly 0
 
         def loss_fn(ps):
             y, _ = dense_forward(net, x)
             return float(y.sum())
 
         _, tape = dense_forward(net, x)
-        grads, _ = dense_backward(net, tape, np.ones(1))
+        grads, _ = dense_backward(net, tape, np.ones((1, 1)))
         flat = [grads[0][0], grads[0][1]]
         # bias coordinate straddles the kink: exclude it, weight coord is fine
         exclude = [np.zeros((1, 1), dtype=bool), np.ones(1, dtype=bool)]

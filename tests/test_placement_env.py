@@ -21,8 +21,9 @@ from placement_opt.sim_engine import Placement, SimulationResult
 from conftest import make_graph, make_topology, random_dag
 
 
-def per_node_features(st, m):
-    """The feature definition written out node by node."""
+def per_node_features(st, m, stepped):
+    """The feature definition written out node by node; stepped lists the
+    nodes the caller stepped through since reset."""
     g = st.graph
     expected = np.zeros((g.num_nodes, m + 4))
     max_c = max((node.cost_on(0) for node in g.nodes), default=0.0)
@@ -31,9 +32,18 @@ def per_node_features(st, m):
         expected[v, 0] = node.cost_on(0) / max_c if max_c > 0 else 0.0
         expected[v, 1] = node.output_bytes / max_b if max_b > 0 else 0.0
         expected[v, 2 + st.placement[v]] = 1.0
-        expected[v, m + 2] = 1.0 if st.visited[v] else 0.0
+        expected[v, m + 2] = 1.0 if v in stepped else 0.0
         expected[v, m + 3] = 1.0 if v == st.current_node else 0.0
     return expected
+
+
+def walk(st, actions, topo, cfg):
+    """Step st through actions; returns the last state and the nodes stepped."""
+    stepped = []
+    for a in actions:
+        stepped.append(st.current_node)
+        st, _, _ = step(st, a, topo, cfg)
+    return st, stepped
 
 
 def fake_result(makespan, peak_bytes):
@@ -90,7 +100,7 @@ class TestReset:
         assert st.placement == (0, 0, 0)
         assert st.step_index == 0
         assert st.current_node == 0
-        assert not any(st.visited)
+        assert st.visit_order == (0, 1, 2)
 
     def test_random_init_reproducible(self, diamond, two_device):
         cfg = RewardConfig(mode="terminal", reward_scale=1.0)
@@ -154,9 +164,9 @@ class TestFeaturize:
                 g = random_dag(rng, max_nodes=9, bytes_range=(0.0, 4e6))
                 cfg = RewardConfig(mode="terminal", reward_scale=1.0)
                 st = reset(g, topo, cfg, init_mode="random", init_seed=int(rng.integers(100)))
-                for _ in range(int(rng.integers(g.num_nodes + 1))):
-                    st, _, _ = step(st, int(rng.integers(m)), topo, cfg)
-                assert np.array_equal(featurize(st, topo), per_node_features(st, m))
+                actions = [int(rng.integers(m)) for _ in range(int(rng.integers(g.num_nodes + 1)))]
+                st, stepped = walk(st, actions, topo, cfg)
+                assert np.array_equal(featurize(st, topo), per_node_features(st, m, stepped))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_batch_equals_stacked_single_states(self, m):
@@ -167,16 +177,17 @@ class TestFeaturize:
         cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         graphs = [make_graph("one", [2.0], [0.0], set())]
         graphs += [random_dag(rng, max_nodes=12, bytes_range=(0.0, 4e6)) for _ in range(6)]
-        states = []
+        states, steppeds = [], []
         for g in graphs + graphs[::-1]:
             st = reset(g, topo, cfg, init_mode="random", init_seed=int(rng.integers(100)))
-            for _ in range(int(rng.integers(g.num_nodes + 1))):
-                st, _, _ = step(st, int(rng.integers(m)), topo, cfg)
+            actions = [int(rng.integers(m)) for _ in range(int(rng.integers(g.num_nodes + 1)))]
+            st, stepped = walk(st, actions, topo, cfg)
             states.append(st)
+            steppeds.append(stepped)
         assert any(st.done for st in states) and any(not st.done for st in states)
         batch = featurize_batch(states, m)
         assert np.array_equal(batch, np.concatenate([featurize(st, topo) for st in states]))
-        assert np.array_equal(batch, np.concatenate([per_node_features(st, m) for st in states]))
+        assert np.array_equal(batch, np.concatenate([per_node_features(st, m, sv) for st, sv in zip(states, steppeds)]))
         assert np.array_equal(featurize_batch(states[:1], m), featurize(states[0], topo))
 
     def test_graph_at_a_freed_graphs_id(self, two_device):
@@ -196,7 +207,7 @@ class TestFeaturize:
             new = ComputationGraph(b.name, b.nodes, b.edges, b.parents, b.children)
             reused += id(new) == freed
             st = reset(new, two_device, cfg)
-            assert np.array_equal(featurize_batch([st], 2), per_node_features(st, 2))
+            assert np.array_equal(featurize_batch([st], 2), per_node_features(st, 2, []))
             assert featurize(st, two_device)[:, :2].tolist() == [[1.0, 0.0], [1.0 / 3.0, 1.0]]
             for counts, ids in (new.parent_csr, new.child_csr):
                 assert counts.tolist() == [0, 0] and ids.tolist() == []
@@ -236,7 +247,8 @@ class TestStep:
             st, _, done = step(st, 1, two_device, cfg)
             assert done == (i == diamond.num_nodes - 1)
         assert sorted(seen) == [0, 1, 2, 3]
-        assert all(st.visited)
+        assert st.current_node is None
+        assert (featurize(st, two_device)[:, -2] == 1.0).all()
         assert st.placement == (1, 1, 1, 1)
         with pytest.raises(EnvError, match="after episode end"):
             step(st, 0, two_device, cfg)

@@ -244,7 +244,7 @@ class TestPolicyForward:
         # identical nodes keeps the sum, hence the distribution
         import dataclasses
 
-        st0b = dataclasses.replace(st0, current_node=2)
+        st0b = dataclasses.replace(st0, visit_order=(2, 0, 1))  # current node 2
         probs0b, _ = forward_one(st0b, two_device, params)
         assert np.allclose(probs0, probs0b, atol=1e-12)
         # but visiting changes the sum, so st1 may differ
@@ -401,38 +401,40 @@ def _reference_step_grads(st, action, advantage, beta, params):
                 record_round[d] = (ftape, gtape)
             rounds.append(record_round)
         emb = np.concatenate([streams["down"], streams["up"]], axis=1)
-        pieces, pool = [emb[v]], []
+        pieces, pool = [emb[v : v + 1]], []
         for name, ids in zip(("parents", "children", "parallel"), sets):
             lout, ltape = dense_forward(nets[f"l_{name}"], emb)
-            ctx, htape = dense_forward(nets[f"h_{name}"], lout[ids].sum(axis=0) if ids else np.zeros(2 * f))
+            pooled = lout[ids].sum(axis=0, keepdims=True) if ids else np.zeros((1, 2 * f))
+            ctx, htape = dense_forward(nets[f"h_{name}"], pooled)
             pool.append((name, ids, ltape, htape))
             pieces.append(ctx)
     elif cfg.mode == "simple_aggregator":
-        z, atape = dense_forward(nets["agg"], feats.sum(axis=0))
+        z, atape = dense_forward(nets["agg"], feats.sum(axis=0, keepdims=True))
         pieces = None
     else:
-        pieces, agg = [feats[v]], []
+        pieces, agg = [feats[v : v + 1]], []
         for name, ids in zip(("parents", "children", "parallel"), sets):
-            ctx, atape = dense_forward(nets[f"agg_{name}"], feats[ids].sum(axis=0) if ids else np.zeros(f))
+            pooled = feats[ids].sum(axis=0, keepdims=True) if ids else np.zeros((1, f))
+            ctx, atape = dense_forward(nets[f"agg_{name}"], pooled)
             agg.append((name, atape))
             pieces.append(ctx)
-    logits, head_tape = dense_forward(nets["head"], np.concatenate(pieces) if pieces is not None else z)
-    probs = softmax(logits)
+    logits, head_tape = dense_forward(nets["head"], np.concatenate(pieces, axis=1) if pieces is not None else z)
+    probs = softmax(logits[0])
     logp = np.log(np.where(probs > 0.0, probs, 1.0))
     dlogits = advantage * (probs - np.eye(len(probs))[action]) + beta * probs * (logp - (probs * logp).sum())
-    head_grads, dhead = dense_backward(nets["head"], head_tape, dlogits)
+    head_grads, dhead = dense_backward(nets["head"], head_tape, dlogits[None])
     acc("head", head_grads)
     if cfg.mode == "simple_aggregator":
         acc("agg", dense_backward(nets["agg"], atape, dhead)[0])
     elif cfg.mode == "simple_partitioner":
         for k, (name, atape) in enumerate(agg):
-            acc(f"agg_{name}", dense_backward(nets[f"agg_{name}"], atape, dhead[(k + 1) * f : (k + 2) * f])[0])
+            acc(f"agg_{name}", dense_backward(nets[f"agg_{name}"], atape, dhead[:, (k + 1) * f : (k + 2) * f])[0])
     else:
         e = 2 * f
         demb = np.zeros((n, e))
-        demb[v] += dhead[:e]
+        demb[v] += dhead[0, :e]
         for k, (name, ids, ltape, htape) in enumerate(pool):
-            h_grads, ds = dense_backward(nets[f"h_{name}"], htape, dhead[(k + 1) * e : (k + 2) * e])
+            h_grads, ds = dense_backward(nets[f"h_{name}"], htape, dhead[:, (k + 1) * e : (k + 2) * e])
             acc(f"h_{name}", h_grads)
             dlout = np.zeros((n, e))
             if ids:
