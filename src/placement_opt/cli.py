@@ -17,7 +17,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import baselines, datagen, placement_env, trainer
-from .fileio import json_document, write_atomic, write_csv
+from .fileio import json_document, parse_json, write_atomic, write_csv
 from .graph_core import load_graph
 from .placement_env import BYTES_PER_GB, RewardConfig
 from .policy_gnn import PolicyConfig
@@ -204,10 +204,7 @@ def _check_section(doc, schema, where):
 
 
 def load_run_config(text):
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CliError(f"config is not valid JSON: {e}") from e
+    doc = parse_json(text, "config", CliError)
     _check_section(doc, _RUN_CONFIG, "config")
     if "topology" not in doc:
         raise CliError("config needs a 'topology' path")
@@ -430,7 +427,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, RecursionError) as e:  # RecursionError: JSON nested too deep
+    except (ValueError, OSError, KeyError) as e:
         msg = str(e).replace("\n", " ")
         print(f"error: {msg}", file=sys.stderr)
         return 1

@@ -16,20 +16,22 @@ spec and seed always regenerate byte-identical documents.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fileio import json_document, write_atomic
+from .fileio import json_document, parse_json, write_atomic
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
 ENCODER_DECODER = "encoder_decoder"
 LAYERED_RANDOM = "layered_random"
 FAMILIES = (BRANCH_BLOCKS, ENCODER_DECODER, LAYERED_RANDOM)
+
+
+_COUNT_MAX = int(np.iinfo(np.int64).max) - 1  # the largest hi whose hi + 1 is an int64
 
 
 class DatagenError(ValueError):
@@ -65,19 +67,22 @@ class FamilySpec:
             raise DatagenError("train_fraction must be in (0, 1)")
         if self.blocks < 1:
             raise DatagenError(f"blocks must be >= 1, not {self.blocks}")
-        # A count range starting at 0 yields empty or degenerate graphs.
-        for lo, hi, what, least in (
-            (self.branches_lo, self.branches_hi, "branches", 1),
-            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops", 1),
-            (self.layers_lo, self.layers_hi, "layers", 1),
-            (self.unroll_lo, self.unroll_hi, "unroll", 1),
-            (self.compute_lo, self.compute_hi, "compute", 0),
-            (self.bytes_lo, self.bytes_hi, "bytes", 0),
+        # A count range starting at 0 yields empty or degenerate graphs. A
+        # count is drawn by rng.integers(lo, hi + 1), whose bound is an int64.
+        for lo, hi, what, least, top in (
+            (self.branches_lo, self.branches_hi, "branches", 1, _COUNT_MAX),
+            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops", 1, _COUNT_MAX),
+            (self.layers_lo, self.layers_hi, "layers", 1, _COUNT_MAX),
+            (self.unroll_lo, self.unroll_hi, "unroll", 1, _COUNT_MAX),
+            (self.compute_lo, self.compute_hi, "compute", 0, math.inf),
+            (self.bytes_lo, self.bytes_hi, "bytes", 0, math.inf),
         ):
             if not lo >= least:
                 raise DatagenError(f"{what}_lo must be >= {least}, not {lo}")
             if not hi < math.inf:  # refuses nan too; unlike math.isfinite, a huge int cannot overflow
                 raise DatagenError(f"{what}_hi must be finite, not {hi}")
+            if hi > top:
+                raise DatagenError(f"{what}_hi must be at most {top}, not {hi}")
             if lo > hi:
                 raise DatagenError(f"{what} range is empty ({lo} > {hi})")
 
@@ -226,7 +231,7 @@ def read_dataset(directory: str):
     object whose 'members' list holds objects with a string 'file' and a
     'split' of "train" or "test"; otherwise raises DatagenError."""
     with open(os.path.join(directory, "manifest.json")) as f:
-        manifest = json.load(f)
+        manifest = parse_json(f.read(), f"dataset manifest in {directory}", DatagenError)
     members = manifest.get("members") if type(manifest) is dict else None
     if type(members) is not list:
         raise DatagenError(f"dataset manifest in {directory} must be a JSON object with a 'members' list")

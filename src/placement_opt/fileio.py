@@ -1,5 +1,6 @@
 """The one way outputs reach disk: whole-file replacement, and the JSON text
-of every indented output document."""
+of every indented output document. Also the one way an input document is
+parsed, so every parse failure names its document."""
 
 from __future__ import annotations
 
@@ -7,6 +8,17 @@ import csv
 import io
 import json
 import os
+
+
+def parse_json(text, what: str, error: type[Exception]):
+    """json.loads(text), raising error with a message that starts with what
+    if the text is not JSON or is nested too deep for the parser."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise error(f"{what} is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise error(f"{what} is nested too deep to parse: {e}") from None
 
 
 def write_atomic(path, text: str) -> None:

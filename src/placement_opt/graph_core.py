@@ -11,14 +11,13 @@ CSR arrays, relation id arrays) is a ``cached_property``, freed with the graph.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .fileio import json_document
+from .fileio import json_document, parse_json
 
 
 _INF = float("inf")
@@ -217,13 +216,7 @@ def load_graph(data) -> ComputationGraph:
     Sparse node ids are remapped to 0..n-1 in increasing original-id order;
     a remapped node with no declared members records its original id there.
     """
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise GraphError(f"not valid JSON: {e}") from e
-    else:
-        doc = data
+    doc = parse_json(data, "graph", GraphError) if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise GraphError("graph document must be an object with a 'nodes' list")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import parse_json, write_atomic
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -207,7 +207,7 @@ def save_checkpoint(path, params, extra=None):
 def load_checkpoint(path):
     """Returns (params, extra dict); keys other than params and extra are ignored."""
     with open(path) as f:
-        doc = json.load(f)
+        doc = parse_json(f.read(), "checkpoint", ValueError)
     if type(doc) is not dict:
         raise ValueError("checkpoint must be a JSON object")
     if doc.get("format") != CHECKPOINT_FORMAT:

@@ -210,7 +210,8 @@ def _links(graphs) -> _Links:
     """The edge unions of a sequence of graphs: their cached CSR arrays
     concatenated, each graph's ids shifted by its first row. Memoized for the
     last sequence seen, because a rollout's batches keep their graphs until
-    an episode ends. Graphs are compared by identity, and the entry holds
+    an episode ends or splits off from the episodes sharing its state (a
+    rollout sends each distinct state once). Graphs are compared by identity, and the entry holds
     them, so no id can be reused while it is cached."""
     global _LINKS
     last = _LINKS
@@ -403,7 +404,8 @@ def _chunks(states):
 def policy_forward(states, topology, params: PolicyParameters):
     """Distribution over devices for the current node of each state in a
     sequence, in batched passes over their graphs of at most MAX_BATCH_ROWS
-    union rows each (see _chunks).
+    union rows each (see _chunks). A state passed twice costs two rows, so
+    trainer.rollout passes each distinct state once.
 
     Returns the (B, D) probabilities; no features or activations are kept.
     """

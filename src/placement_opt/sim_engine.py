@@ -21,12 +21,11 @@ is dispatched once and completes once.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .fileio import json_document
+from .fileio import json_document, parse_json
 from .graph_core import ComputationGraph
 
 
@@ -102,13 +101,7 @@ def _known_keys(doc: dict, allowed: frozenset, where: str):
 
 def load_topology(data) -> DeviceTopology:
     """Parse the topology JSON document."""
-    if isinstance(data, (bytes, str)):
-        try:
-            doc = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise SimError(f"not valid JSON: {e}") from e
-    else:
-        doc = data
+    doc = parse_json(data, "topology", SimError) if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict):
         raise SimError("topology document must be an object")
     _known_keys(doc, _TOPOLOGY_KEYS, "topology")
@@ -175,7 +168,7 @@ class Placement:
 
 
 def load_placement(data, num_nodes: int) -> Placement:
-    doc = json.loads(data) if isinstance(data, (bytes, str)) else data
+    doc = parse_json(data, "placement", SimError) if isinstance(data, (bytes, str)) else data
     if not isinstance(doc, dict) or "assignment" not in doc:
         raise SimError("placement document needs an 'assignment' object")
     return Placement.from_mapping(doc["assignment"], num_nodes)

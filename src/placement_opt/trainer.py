@@ -3,7 +3,11 @@
 Each epoch, W logical workers draw a graph from a seeded per-epoch shuffle
 and run one episode against the shared parameter snapshot. The episodes
 advance in lockstep, one batched policy forward per step over the unfinished
-ones, and each worker samples from its own [seed, epoch, w] stream. An
+ones, and each worker samples from its own [seed, epoch, w] stream. Episodes
+in the same state share one reset, one forward row and one env step; reset
+and step are pure, so this is exact, and an episode that acts differently
+splits off (see rollout). Prediction's greedy and sampled episodes share
+while they agree; training's share only when workers outnumber graphs. An
 episode keeps its action and the state each step was taken in: one placement
 tuple and a cursor into the shared visit order. The epoch's gradient is one
 policy_backward call over every episode's states in worker order, which
@@ -119,33 +123,51 @@ def rollout(
     per step. An episode whose rng is None is greedy: it draws nothing and
     takes argmax (smallest device id on exact ties). Episodes sharing one rng
     therefore draw exactly what they would one after another, and no
-    episode's actions depend on the others."""
-    states, traces, uniforms = [], [], []
+    episode's actions depend on the others.
+
+    Episodes in the same state share its work. reset and step are pure, so
+    resets of one graph object with the same seeds (every reset, when none
+    are drawn) return one state object; each step's forward takes each
+    distinct state object once, in order of first appearance, and each
+    distinct (state, action) pair is stepped once. Episodes that act alike
+    hold the same objects, and one that acts differently splits off."""
+    resets, states, traces, uniforms = {}, [], [], []
     for graph, rng in zip(graphs, rngs):
         if rng is None and (randomize_order or init_mode == "random"):
             raise TrainerError("a greedy episode has no rng to draw a visit order or initial placement from")
         order_seed = int(rng.integers(2**31)) if randomize_order else None
         init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
-        state = placement_env.reset(
-            graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
-        )
+        key = (id(graph), order_seed, init_seed)  # graphs outlive the call, so ids stay unique
+        if key not in resets:
+            resets[key] = placement_env.reset(
+                graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
+            )
+        state = resets[key]
         uniforms.append(None if rng is None else rng.random(len(state.visit_order)))
         states.append(state)
         traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0))
     active = [i for i, state in enumerate(states) if not state.done]
     while active:
-        probs = policy_forward([states[i] for i in active], topology, params)
-        for i, p in zip(active, probs):
+        rows = {}  # id -> (row, state): holding each state keeps its id unique
+        for i in active:
+            rows.setdefault(id(states[i]), (len(rows), states[i]))
+        probs = policy_forward([s for _, s in rows.values()], topology, params)
+        entropies = [entropy(p) for p in probs]
+        stepped = {}  # (row, action) -> step's result
+        for i in active:
             state, tr = states[i], traces[i]
+            r, _ = rows[id(state)]
             if uniforms[i] is None:
-                a = int(np.argmax(p))
+                a = int(np.argmax(probs[r]))
             else:
-                a = sample_action(p, uniforms[i][state.step_index])
-            states[i], reward, _ = placement_env.step(state, a, topology, reward_cfg)
+                a = sample_action(probs[r], uniforms[i][state.step_index])
+            if (r, a) not in stepped:
+                stepped[r, a] = placement_env.step(state, a, topology, reward_cfg)
+            states[i], reward, _ = stepped[r, a]
             tr.states.append(state)
             tr.actions.append(a)
             tr.rewards.append(reward)
-            tr.entropies.append(entropy(p))
+            tr.entropies.append(entropies[r])
         active = [i for i in active if not states[i].done]
     for tr, state in zip(traces, states):
         tr.final_placement = state.placement
@@ -322,7 +344,8 @@ def predict_placement(
     """One Prediction per graph: the best of one greedy episode and n_samples
     sampled ones on the graph's own np.random.default_rng(seed) stream, by
     penalized runtime, then the smallest placement. Every graph's episodes
-    run in one lockstep rollout."""
+    run in one lockstep rollout; a graph's episodes start from one shared
+    state and share each forward row and step until their actions differ."""
     if params.config.num_devices != topology.num_devices:
         raise TrainerError(
             f"checkpoint is for {params.config.num_devices} devices, topology has {topology.num_devices}"

@@ -401,6 +401,8 @@ class TestDatagen:
             ("layered_random", ["--tensor-bytes", "-1", "1"], "bytes_lo"),
             ("encoder_decoder", ["--compute", "1", "inf"], "compute_hi"),  # was an OverflowError traceback
             ("layered_random", ["--tensor-bytes", "1", "inf"], "bytes_hi"),
+            ("branch_blocks", ["--branches", "1", "99999999999999999999"], "branches_hi"),  # was numpy's message
+            ("encoder_decoder", ["--unroll", "1", str(2**64)], "unroll_hi"),
         ],
     )
     def test_degenerate_sizes_are_single_line_errors(self, tmp_path, capsys, family, flags, field):
@@ -893,3 +895,5 @@ def test_deeply_nested_document_is_single_line_error(files, tmp_path, capsys, ki
                 "--topology", files["topo"], "--out", out]
     err = _fails_with_one_error_line(capsys, argv)
     assert "recursion" in err
+    name = {"run_config": "config", "manifest": "dataset manifest"}.get(kind, kind)
+    assert err.startswith(f"error: {name} "), err  # the line names the document

@@ -7,12 +7,13 @@ import pytest
 
 from placement_opt import datagen, placement_env, policy_gnn
 from placement_opt.baselines import exhaustive_search
-from placement_opt.neural_primitives import AdamState, adam_step, sample_action
+from placement_opt.neural_primitives import AdamState, adam_step, entropy, sample_action
 from placement_opt.placement_env import RewardConfig
 from placement_opt.policy_gnn import PolicyConfig, init_policy, policy_backward
 from placement_opt.sim_engine import Placement, simulate
 from placement_opt.trainer import (
     BaselineTable,
+    EpisodeTrace,
     TrainerConfig,
     TrainerError,
     compute_advantages,
@@ -590,8 +591,10 @@ class TestCrossGraphPredict:
         assert sorted(map(id, swept)) == sorted(map(id, graphs))
 
     def test_cached_edge_unions_give_the_uncached_probabilities(self, monkeypatch):
-        # A prediction's active set shrinks as its graphs' episodes end. The
-        # edge unions are built once per active set, and every step's
+        # A prediction's forward takes one row per distinct state, so its
+        # graph sequence grows when an episode splits off from the others in
+        # its state and shrinks when a graph's episodes end. The edge unions
+        # are built once per change of that sequence, and every step's
         # probabilities equal a pass that rebuilds them.
         topo = make_topology(3, bandwidth=4e6)
         params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=9)
@@ -599,10 +602,11 @@ class TestCrossGraphPredict:
         steps = _record_forwards(monkeypatch)
         monkeypatch.setattr(policy_gnn, "_union_csr", lambda csrs, s: built.append(len(csrs)) or original(csrs, s))
         predict_placement(params, _mixed_graphs(), topo, n_samples=2, seed=3)
-        sizes = [len(states) for states, _ in steps]
-        changes = sum(a != b for a, b in zip(sizes, sizes[1:]))
-        one_per_set = [n for n in sorted(set(sizes), reverse=True) for _ in ("down", "up")]
-        assert changes >= 3 and built == one_per_set  # one build per active set
+        seqs = [tuple(id(s.graph) for s in states) for states, _ in steps]
+        changed = [seq for k, seq in enumerate(seqs) if k == 0 or seq != seqs[k - 1]]
+        sizes = [len(seq) for seq in changed]
+        assert any(a < b for a, b in zip(sizes, sizes[1:])) and any(a > b for a, b in zip(sizes, sizes[1:]))
+        assert built == [n for n in sizes for _ in ("down", "up")]  # one build per change
         for states, probs in steps:
             monkeypatch.setattr(policy_gnn, "_LINKS", None)
             uncached = policy_gnn.policy_forward(states, topo, params)
@@ -623,6 +627,155 @@ class TestCrossGraphPredict:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _unshared_rollout(params, graphs, topology, reward_cfg, rngs, init_mode="all_device_0", randomize_order=False):
+    """trainer.rollout without shared work: every episode resets on its own,
+    and each step runs one forward row and one env step per unfinished
+    episode. Returns the traces and each episode's probability rows."""
+    states, traces, uniforms = [], [], []
+    for graph, rng in zip(graphs, rngs):
+        order_seed = int(rng.integers(2**31)) if randomize_order else None
+        init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
+        state = placement_env.reset(
+            graph, topology, reward_cfg, init_mode=init_mode, init_seed=init_seed, order_seed=order_seed
+        )
+        uniforms.append(None if rng is None else rng.random(len(state.visit_order)))
+        states.append(state)
+        traces.append(EpisodeTrace(graph.name, [], [], [], [], state.placement, 0.0))
+    used = [[] for _ in graphs]
+    active = [i for i, state in enumerate(states) if not state.done]
+    while active:
+        probs = policy_gnn.policy_forward([states[i] for i in active], topology, params)
+        for i, p in zip(active, probs):
+            state, tr = states[i], traces[i]
+            a = int(np.argmax(p)) if uniforms[i] is None else sample_action(p, uniforms[i][state.step_index])
+            states[i], reward, _ = placement_env.step(state, a, topology, reward_cfg)
+            tr.states.append(state)
+            tr.actions.append(a)
+            tr.rewards.append(reward)
+            tr.entropies.append(entropy(p))
+            used[i].append(p)
+        active = [i for i in active if not states[i].done]
+    for tr, state in zip(traces, states):
+        tr.final_placement = state.placement
+        tr.final_runtime = placement_env.final_runtime(state, topology, reward_cfg)
+    return traces, used
+
+
+def _check_sharing(monkeypatch):
+    """Patch trainer.rollout so that every call is also replayed by
+    _unshared_rollout on copies of its rngs and must agree with it. Returns a
+    list that gets each call's (traces, work), where work counts the call's
+    resets, env steps and forward union rows."""
+    import placement_opt.trainer as trainer
+
+    work = {"reset": 0, "step": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            work[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in work:
+        monkeypatch.setattr(placement_env, name, counted(name, getattr(placement_env, name)))
+    forwards = _record_forwards(monkeypatch)
+    calls, original = [], trainer.rollout
+
+    def checked_rollout(params, graphs, topology, reward_cfg, rngs, **kw):
+        replay_rngs = copy.deepcopy(rngs)  # keeps episodes that share a stream sharing it
+        before, first = dict(work), len(forwards)
+        traces = original(params, graphs, topology, reward_cfg, rngs, **kw)
+        used = {k: work[k] - before[k] for k in work}
+        used["rows"] = sum(s.graph.num_nodes for states, _ in forwards[first:] for s in states)
+        expected, expected_probs = _unshared_rollout(params, graphs, topology, reward_cfg, replay_rngs, **kw)
+        assert len(traces) == len(expected)
+        for tr, ref, ref_probs in zip(traces, expected, expected_probs):
+            assert tr.graph_name == ref.graph_name
+            assert tr.actions == ref.actions
+            assert tr.rewards == ref.rewards
+            assert tr.final_placement == ref.final_placement
+            assert tr.final_runtime == ref.final_runtime
+            assert list(map(_state_key, tr.states)) == list(map(_state_key, ref.states))
+            # A row's last bits depend on the batch it runs in, and sharing
+            # changes the batches.
+            for p, q in zip(_used_probs(tr, forwards[first:]), ref_probs, strict=True):
+                assert np.max(np.abs(p - q)) <= 1e-12
+            assert np.max(np.abs(np.subtract(tr.entropies, ref.entropies)), initial=0.0) <= 1e-12
+        calls.append((traces, used))
+        return traces
+
+    monkeypatch.setattr(trainer, "rollout", checked_rollout)
+    return calls
+
+
+def _state_key(state):
+    """An EpisodeState's value, with its graph compared by identity."""
+    s = state
+    return id(s.graph), s.placement, s.step_index, s.visit_order, s.reward_scale, s.cached_runtime
+
+
+def _distinct_work(traces):
+    """The union rows and env steps of the lockstep steps when each distinct
+    state, compared by value, runs one forward row and each distinct (state,
+    action) pair one step."""
+    rows = steps = 0
+    for t in range(max((len(tr.states) for tr in traces), default=0)):
+        taken = [(tr.states[t], tr.actions[t]) for tr in traces if len(tr.states) > t]
+        rows += sum({_state_key(s): s.graph.num_nodes for s, _ in taken}.values())
+        steps += len({(_state_key(s), a) for s, a in taken})
+    return rows, steps
+
+
+def _unshared_work(traces):
+    """The union rows and env steps when every episode runs its own."""
+    rows = sum(s.graph.num_nodes for tr in traces for s in tr.states)
+    return rows, sum(len(tr.actions) for tr in traces)
+
+
+class TestSharedWork:
+    """Episodes in the same state share one reset, one forward row and one env
+    step, and each still acts exactly as it would on its own."""
+
+    def test_prediction_shares_greedy_and_sampled_episodes(self, monkeypatch):
+        topo = make_topology(3, bandwidth=4e6)
+        graphs = _mixed_graphs()
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=9)
+        calls = _check_sharing(monkeypatch)
+        predict_placement(params, graphs, topo, n_samples=4, seed=3)
+        ((traces, used),) = calls
+        assert used["reset"] == len(graphs)  # a reset that draws nothing runs once per graph
+        assert (used["rows"], used["step"]) == _distinct_work(traces)
+        unshared_rows, unshared_steps = _unshared_work(traces)
+        assert used["rows"] < unshared_rows and used["step"] < unshared_steps
+        assert len({(tr.graph_name, tr.final_placement) for tr in traces}) > len(graphs)  # episodes split off
+
+    def test_epoch_with_more_workers_than_graphs(self, monkeypatch):
+        topo = make_topology(3, bandwidth=4e6)
+        graphs = [g for g in _mixed_graphs() if g.num_nodes > 1][:3]
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=5)
+        cfg = TrainerConfig(episodes=4, workers=8, seed=17)
+        adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        calls = _check_sharing(monkeypatch)
+        train_epoch(params, graphs, topo, cfg, RewardConfig(mode="intermediate"), 1, BaselineTable(5), adam)
+        ((traces, used),) = calls
+        assert used["reset"] == len(graphs)
+        assert (used["rows"], used["step"]) == _distinct_work(traces)
+        assert used["rows"] < _unshared_work(traces)[0]
+
+    def test_drawn_visit_orders_share_no_reset(self, monkeypatch):
+        topo = make_topology(3, bandwidth=4e6)
+        graphs = [g for g in _mixed_graphs() if g.num_nodes > 1][:3]
+        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=5)
+        cfg = TrainerConfig(episodes=4, workers=8, seed=17, randomize_visit_order=True)
+        adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        calls = _check_sharing(monkeypatch)
+        train_epoch(params, graphs, topo, cfg, RewardConfig(mode="intermediate"), 1, BaselineTable(5), adam)
+        ((traces, used),) = calls
+        assert used["reset"] == cfg.workers
+        assert (used["rows"], used["step"]) == _unshared_work(traces)
 
 
 class TestCheckpointHeader:
