@@ -20,6 +20,9 @@ from .placement_env import RewardConfig
 from .sim_engine import DeviceTopology, Placement, simulate
 
 
+EXHAUSTIVE_BUDGET = 2**20  # exhaustive_search's default cap on |D| ** |V|
+
+
 class BaselineError(ValueError):
     pass
 
@@ -206,7 +209,7 @@ def exhaustive_search(
     graph: ComputationGraph,
     topology: DeviceTopology,
     reward_cfg: RewardConfig | None = None,
-    budget: int = 2**20,
+    budget: int = EXHAUSTIVE_BUDGET,
 ):
     """Exact optimum by branch-and-bound; min penalized runtime, lexicographic ties.
 

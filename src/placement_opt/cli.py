@@ -8,16 +8,15 @@ failure exits nonzero with a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import json
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
 from . import baselines, datagen, placement_env, trainer
-from .fileio import json_document, parse_json, write_atomic, write_csv
+from .fileio import check_object, field_kinds, json_document, parse_json, write_atomic, write_csv
 from .graph_core import load_graph
 from .placement_env import BYTES_PER_GB, RewardConfig
 from .policy_gnn import PolicyConfig
@@ -71,26 +70,21 @@ def _emit_dot(args, out, graph, placement, stem):
         write_atomic(os.path.join(out, f"{stem}.dot"), placement_dot(graph, placement))
 
 
+def _given(args, cls) -> dict:
+    """The cls fields set by the flags given: flag x sets field x, or fields
+    x_lo and x_hi as a LO HI pair. Flags not given are absent from args."""
+    given = {}
+    for f in dataclasses.fields(cls):
+        stem, _, end = f.name.rpartition("_")
+        if hasattr(args, f.name):
+            given[f.name] = getattr(args, f.name)
+        elif end in ("lo", "hi") and hasattr(args, stem):
+            given[f.name] = getattr(args, stem)[end == "hi"]
+    return given
+
+
 def cmd_datagen(args):
-    spec = datagen.FamilySpec(
-        family=args.family,
-        count=args.count,
-        train_fraction=args.train_fraction,
-        blocks=args.blocks,
-        branches_lo=args.branches[0],
-        branches_hi=args.branches[1],
-        branch_ops_lo=args.branch_ops[0],
-        branch_ops_hi=args.branch_ops[1],
-        layers_lo=args.layers[0],
-        layers_hi=args.layers[1],
-        unroll_lo=args.unroll[0],
-        unroll_hi=args.unroll[1],
-        compute_lo=args.compute[0],
-        compute_hi=args.compute[1],
-        bytes_lo=args.tensor_bytes[0],
-        bytes_hi=args.tensor_bytes[1],
-        seed=args.seed,
-    )
+    spec = datagen.FamilySpec(**_given(args, datagen.FamilySpec))
     out = _outdir(args)
     manifest = datagen.write_dataset(out, spec)
     print(f"wrote {len(manifest['members'])} graphs to {out}")
@@ -132,9 +126,7 @@ def cmd_place(args):
     out = _outdir(args)
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))
-    cfg = baselines.PartitionerConfig(
-        balance_tolerance=args.balance_tolerance, refinement_passes=args.refinement_passes
-    )
+    cfg = baselines.PartitionerConfig(**_given(args, baselines.PartitionerConfig))
     placement = _run_scheme(args.scheme, graph, topology, args.seed, cfg)
     result = simulate(graph, topology, placement)
     write_atomic(os.path.join(out, f"placement_{args.scheme}.json"), placement.to_document(graph.name))
@@ -144,9 +136,9 @@ def cmd_place(args):
     return 0
 
 
-# Run-config schema: key -> kind, per section. "int" is a JSON integer (not a
-# bool), "number" a finite JSON number, "bool" true or false; a trailing "?"
-# also admits null.
+# Run-config schema: key -> kind (see fileio.check_object), per section. The
+# env section is written out, as memory_threshold_gb is not a RewardConfig
+# field; the others are their configs' fields.
 _RUN_CONFIG = {
     "topology": "str",
     "dataset": "str",
@@ -165,65 +157,32 @@ _SECTIONS = {
         "reward_scale": "number?",
         "init_mode": "str",
     },
-    "policy": {"message_rounds": "int", "mode": "str", "head_hidden": "int?"},
-    "trainer": {
-        "episodes": "int",
-        "workers": "int",
-        "lr_start": "number",
-        "lr_end": "number",
-        "entropy_start": "number",
-        "entropy_end": "number",
-        "baseline_window": "int",
-        "randomize_visit_order": "bool",
-        "threads": "int",
-    },
-    "family": {f.name: {"int": "int", "float": "number", "str": "str"}[f.type] for f in fields(datagen.FamilySpec)},
+    "policy": field_kinds(PolicyConfig, skip=("num_devices",)),
+    "trainer": field_kinds(trainer.TrainerConfig, skip=("seed", "init_mode")),
+    "family": field_kinds(datagen.FamilySpec),
 }
-_KIND_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,), "str": (str,), "object": (dict,)}
-_KIND_NAMES = {"int": "an integer", "number": "a finite number", "bool": "true or false", "str": "a string",
-               "object": "a JSON object"}
-
-
-def _check_section(doc, schema, where):
-    """Keys of doc must be in schema and each value of its kind."""
-    if type(doc) is not dict:
-        raise CliError(f"{where} must be a JSON object")
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise CliError(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
-    for key, value in doc.items():
-        kind = schema[key].rstrip("?")
-        if value is None and schema[key].endswith("?"):
-            continue
-        ok = type(value) in _KIND_TYPES[kind]
-        if ok and kind == "number":
-            ok = -sys.float_info.max <= value <= sys.float_info.max
-        if not ok:
-            null = " or null" if schema[key].endswith("?") else ""
-            raise CliError(f"{where} key {key!r} must be {_KIND_NAMES[kind]}{null}, not {json.dumps(value)}")
 
 
 def load_run_config(text):
     doc = parse_json(text, "config", CliError)
-    _check_section(doc, _RUN_CONFIG, "config")
+    check_object(doc, _RUN_CONFIG, "config", CliError)
     if "topology" not in doc:
         raise CliError("config needs a 'topology' path")
     if ("dataset" in doc) == ("family" in doc):
         raise CliError("config needs exactly one of 'dataset' or 'family'")
     for section, schema in _SECTIONS.items():
-        _check_section(doc.get(section, {}), schema, section)
+        check_object(doc.get(section, {}), schema, section, CliError)
     if "family" in doc and "family" not in doc["family"]:
         raise CliError("config family needs a 'family' name")
     return doc
 
 
 def _reward_config(env_doc):
-    return RewardConfig(
-        mode=env_doc.get("mode", placement_env.INTERMEDIATE),
-        memory_threshold_bytes=env_doc.get("memory_threshold_gb", 10.7) * BYTES_PER_GB,
-        penalty_per_gb=env_doc.get("penalty_per_gb", 2.0),
-        reward_scale=env_doc.get("reward_scale"),
-    )
+    """RewardConfig from the env keys given; the threshold is read in GB."""
+    given = {key: env_doc[key] for key in ("mode", "penalty_per_gb", "reward_scale") if key in env_doc}
+    if "memory_threshold_gb" in env_doc:
+        given["memory_threshold_bytes"] = env_doc["memory_threshold_gb"] * BYTES_PER_GB
+    return RewardConfig(**given)
 
 
 def cmd_train(args):
@@ -233,18 +192,12 @@ def cmd_train(args):
     write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
 
     topology = load_topology(_read(args.topology or doc["topology"]))
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
     env_doc = doc.get("env", {})
     reward_cfg = _reward_config(env_doc)
-    policy_doc = doc.get("policy", {})
-    policy_cfg = PolicyConfig(
-        num_devices=topology.num_devices,
-        message_rounds=policy_doc.get("message_rounds", 8),
-        mode=policy_doc.get("mode", "full"),
-        head_hidden=policy_doc.get("head_hidden"),
-    )
-    trainer_doc = doc.get("trainer", {})
-    cfg = trainer.TrainerConfig(seed=seed, init_mode=env_doc.get("init_mode", "all_device_0"), **trainer_doc)
+    policy_cfg = PolicyConfig(num_devices=topology.num_devices, **doc.get("policy", {}))
+    # Neither key may be null, so None means not given.
+    given = {"seed": doc.get("seed") if args.seed is None else args.seed, "init_mode": env_doc.get("init_mode")}
+    cfg = trainer.TrainerConfig(**doc.get("trainer", {}), **{k: v for k, v in given.items() if v is not None})
     if "dataset" in doc:
         _, train_graphs, _ = datagen.read_dataset(doc["dataset"])
     else:
@@ -354,19 +307,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("datagen", help="generate a synthetic graph dataset")
+    p = sub.add_parser("datagen", help="generate a synthetic graph dataset", argument_default=argparse.SUPPRESS,
+                       description="Flags not given take their datagen.FamilySpec defaults.")
     p.add_argument("--family", choices=datagen.FAMILIES, required=True)
-    p.add_argument("--count", type=int, default=32, help="graphs in the dataset (default 32)")
-    p.add_argument("--train-fraction", type=float, default=0.5, help="train split fraction (default 0.5)")
-    p.add_argument("--blocks", type=int, default=2, help="blocks per branch_blocks graph")
-    p.add_argument("--branches", type=int, nargs=2, default=[2, 3], metavar=("LO", "HI"))
-    p.add_argument("--branch-ops", type=int, nargs=2, default=[2, 4], metavar=("LO", "HI"))
-    p.add_argument("--layers", type=int, nargs=2, default=[2, 3], metavar=("LO", "HI"))
-    p.add_argument("--unroll", type=int, nargs=2, default=[3, 6], metavar=("LO", "HI"))
-    p.add_argument("--compute", type=float, nargs=2, default=[0.5, 4.0], metavar=("LO", "HI"))
-    p.add_argument("--tensor-bytes", type=float, nargs=2, default=[1.0e6, 8.0e6], metavar=("LO", "HI"))
+    p.add_argument("--count", type=int, help="graphs in the dataset")
+    p.add_argument("--train-fraction", type=float, help="train split fraction")
+    p.add_argument("--blocks", type=int, help="blocks per branch_blocks graph")
+    p.add_argument("--branches", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--branch-ops", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--layers", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--unroll", type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--compute", type=float, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--tensor-bytes", dest="bytes", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=int, help="random seed")
     p.set_defaults(func=cmd_datagen)
 
     p = sub.add_parser("simulate", help="simulate a placement and report the timeline")
@@ -381,8 +335,8 @@ def build_parser():
     p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--topology", required=True)
-    p.add_argument("--balance-tolerance", type=float, default=0.2)
-    p.add_argument("--refinement-passes", type=int, default=2)
+    p.add_argument("--balance-tolerance", type=float, default=baselines.PartitionerConfig.balance_tolerance)
+    p.add_argument("--refinement-passes", type=int, default=baselines.PartitionerConfig.refinement_passes)
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="seed of the random scheme")
     p.add_argument("--emit-dot", action="store_true", help=EMIT_DOT_HELP)
@@ -400,7 +354,8 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--topology", required=True)
     p.add_argument("--samples", type=int, default=0, help="extra sampled rollouts per graph")
-    p.add_argument("--budget", type=int, default=2**20, help="max placements for the exhaustive column")
+    p.add_argument("--budget", type=int, default=baselines.EXHAUSTIVE_BUDGET,
+                   help="max placements for the exhaustive column (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled rollouts and the random scheme")
     p.set_defaults(func=cmd_evaluate)
@@ -408,7 +363,8 @@ def build_parser():
     p = sub.add_parser("oracle", help="exhaustive search for the optimal placement")
     p.add_argument("--graph", required=True)
     p.add_argument("--topology", required=True)
-    p.add_argument("--budget", type=int, default=2**20)
+    p.add_argument("--budget", type=int, default=baselines.EXHAUSTIVE_BUDGET,
+                   help="max placements to search (default %(default)s)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--emit-dot", action="store_true", help=EMIT_DOT_HELP)
     p.set_defaults(func=cmd_oracle)

@@ -31,7 +31,10 @@ LAYERED_RANDOM = "layered_random"
 FAMILIES = (BRANCH_BLOCKS, ENCODER_DECODER, LAYERED_RANDOM)
 
 
-_COUNT_MAX = int(np.iinfo(np.int64).max) - 1  # the largest hi whose hi + 1 is an int64
+# Upper bounds on nodes plus edges: of one graph, and of a whole dataset
+# taken as count times its largest graph.
+MAX_GRAPH_SIZE = 10**6
+MAX_DATASET_SIZE = 10**7
 
 
 class DatagenError(ValueError):
@@ -67,47 +70,56 @@ class FamilySpec:
             raise DatagenError("train_fraction must be in (0, 1)")
         if self.blocks < 1:
             raise DatagenError(f"blocks must be >= 1, not {self.blocks}")
-        # A count range starting at 0 yields empty or degenerate graphs. A
-        # count is drawn by rng.integers(lo, hi + 1), whose bound is an int64.
-        for lo, hi, what, least, top in (
-            (self.branches_lo, self.branches_hi, "branches", 1, _COUNT_MAX),
-            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops", 1, _COUNT_MAX),
-            (self.layers_lo, self.layers_hi, "layers", 1, _COUNT_MAX),
-            (self.unroll_lo, self.unroll_hi, "unroll", 1, _COUNT_MAX),
-            (self.compute_lo, self.compute_hi, "compute", 0, math.inf),
-            (self.bytes_lo, self.bytes_hi, "bytes", 0, math.inf),
+        # A count range starting at 0 yields empty or degenerate graphs.
+        for lo, hi, what, least in (
+            (self.branches_lo, self.branches_hi, "branches", 1),
+            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops", 1),
+            (self.layers_lo, self.layers_hi, "layers", 1),
+            (self.unroll_lo, self.unroll_hi, "unroll", 1),
+            (self.compute_lo, self.compute_hi, "compute", 0),
+            (self.bytes_lo, self.bytes_hi, "bytes", 0),
         ):
             if not lo >= least:
                 raise DatagenError(f"{what}_lo must be >= {least}, not {lo}")
             if not hi < math.inf:  # refuses nan too; unlike math.isfinite, a huge int cannot overflow
                 raise DatagenError(f"{what}_hi must be finite, not {hi}")
-            if hi > top:
-                raise DatagenError(f"{what}_hi must be at most {top}, not {hi}")
             if lo > hi:
                 raise DatagenError(f"{what} range is empty ({lo} > {hi})")
+        # Sizes are checked before anything is built. This also keeps each
+        # bound the family draws by rng.integers(lo, hi + 1) within an int64.
+        size, knobs = self._largest_graph()
+        if size > MAX_GRAPH_SIZE:
+            raise DatagenError(f"one {self.family} graph can have up to {size} nodes and edges, above the limit "
+                               f"of {MAX_GRAPH_SIZE}; lower {knobs}")
+        if self.count * size > MAX_DATASET_SIZE:
+            raise DatagenError(f"count {self.count} graphs of up to {size} nodes and edges exceed the dataset limit "
+                               f"of {MAX_DATASET_SIZE} in all; lower count")
+
+    def _largest_graph(self) -> tuple[int, str]:
+        """A bound on one graph's nodes plus edges, and the fields that set it."""
+        width, layers, steps = self.branches_hi, self.layers_hi, self.unroll_hi
+        if self.family == BRANCH_BLOCKS:  # per block: entry, branch ops, join, and an edge in from the last join
+            block = (2 + width * self.branch_ops_hi) + (1 + width * self.branch_ops_hi + width)
+            return self.blocks * block, "blocks, branches_hi or branch_ops_hi"
+        if self.family == ENCODER_DECODER:  # each attention node takes every encoder step
+            cells, chains = 2 * layers * steps + steps, 2 * (layers * (steps - 1) + (layers - 1) * steps)
+            return cells + chains + steps * steps + steps, "layers_hi or unroll_hi"
+        return layers * width + (layers - 1) * width * width, "layers_hi or branches_hi"
 
 
-def _rand_cost(rng, spec):
-    return float(rng.uniform(spec.compute_lo, spec.compute_hi))
-
-
-def _rand_bytes(rng, spec):
-    return float(rng.uniform(spec.bytes_lo, spec.bytes_hi))
+def _add_node(nodes, rng, spec) -> int:
+    """Append a node with drawn cost, then output bytes; returns its id."""
+    v = len(nodes)
+    cost, size = rng.uniform(spec.compute_lo, spec.compute_hi), rng.uniform(spec.bytes_lo, spec.bytes_hi)
+    nodes.append(OpGroup(id=v, compute_seconds=(float(cost),), output_bytes=float(size)))
+    return v
 
 
 def _branch_blocks(rng, spec, name):
     nodes, edges = [], []
-
-    def add_node():
-        v = len(nodes)
-        nodes.append(
-            OpGroup(id=v, compute_seconds=(_rand_cost(rng, spec),), output_bytes=_rand_bytes(rng, spec))
-        )
-        return v
-
     prev_join = None
     for _ in range(spec.blocks):
-        entry = add_node()
+        entry = _add_node(nodes, rng, spec)
         if prev_join is not None:
             edges.append((prev_join, entry))
         k = int(rng.integers(spec.branches_lo, spec.branches_hi + 1))
@@ -117,11 +129,11 @@ def _branch_blocks(rng, spec, name):
             length = int(rng.integers(spec.branch_ops_lo, spec.branch_ops_hi + 1))
             prev = entry
             for _ in range(length):
-                v = add_node()
+                v = _add_node(nodes, rng, spec)
                 edges.append((prev, v))
                 prev = v
             branch_tails.append(prev)
-        join = add_node()
+        join = _add_node(nodes, rng, spec)
         for tail in branch_tails:
             edges.append((tail, join))
         prev_join = join
@@ -132,17 +144,9 @@ def _encoder_decoder(rng, spec, name):
     layers = int(rng.integers(spec.layers_lo, spec.layers_hi + 1))
     unroll = int(rng.integers(spec.unroll_lo, spec.unroll_hi + 1))
     nodes, edges = [], []
-
-    def add_node():
-        v = len(nodes)
-        nodes.append(
-            OpGroup(id=v, compute_seconds=(_rand_cost(rng, spec),), output_bytes=_rand_bytes(rng, spec))
-        )
-        return v
-
-    enc = [[add_node() for _ in range(unroll)] for _ in range(layers)]
-    dec = [[add_node() for _ in range(unroll)] for _ in range(layers)]
-    att = [add_node() for _ in range(unroll)]
+    enc = [[_add_node(nodes, rng, spec) for _ in range(unroll)] for _ in range(layers)]
+    dec = [[_add_node(nodes, rng, spec) for _ in range(unroll)] for _ in range(layers)]
+    att = [_add_node(nodes, rng, spec) for _ in range(unroll)]
     for stack in (enc, dec):
         for l in range(layers):
             for t in range(unroll):
@@ -161,16 +165,7 @@ def _layered_random(rng, spec, name):
     n_layers = int(rng.integers(spec.layers_lo, spec.layers_hi + 1))
     widths = [int(rng.integers(spec.branches_lo, spec.branches_hi + 1)) for _ in range(n_layers)]
     nodes, edges = [], []
-    layer_ids = []
-    for width in widths:
-        ids = []
-        for _ in range(width):
-            v = len(nodes)
-            nodes.append(
-                OpGroup(id=v, compute_seconds=(_rand_cost(rng, spec),), output_bytes=_rand_bytes(rng, spec))
-            )
-            ids.append(v)
-        layer_ids.append(ids)
+    layer_ids = [[_add_node(nodes, rng, spec) for _ in range(width)] for width in widths]
     for i in range(1, n_layers):
         for v in layer_ids[i]:
             parents = [u for u in layer_ids[i - 1] if rng.random() < 0.5]

@@ -1,13 +1,15 @@
 """The one way outputs reach disk: whole-file replacement, and the JSON text
 of every indented output document. Also the one way an input document is
-parsed, so every parse failure names its document."""
+parsed and checked against a key -> kind schema, so every failure names it."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
+import sys
 
 
 def parse_json(text, what: str, error: type[Exception]):
@@ -19,6 +21,40 @@ def parse_json(text, what: str, error: type[Exception]):
         raise error(f"{what} is not valid JSON: {e}") from e
     except RecursionError as e:
         raise error(f"{what} is nested too deep to parse: {e}") from None
+
+
+# Schema kinds: "int" is a JSON integer (not a bool), "number" a finite JSON
+# number, "bool" true or false; a trailing "?" also admits null.
+_KIND_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,), "str": (str,), "object": (dict,)}
+_KIND_NAMES = {"int": "an integer", "number": "a finite number", "bool": "true or false", "str": "a string",
+               "object": "a JSON object"}
+_ANNOTATION_KINDS = {"int": "int", "float": "number", "bool": "bool", "str": "str", "int | None": "int?"}
+
+
+def field_kinds(cls, skip=()) -> dict[str, str]:
+    """The schema of a dataclass's fields but skip, from their annotations,
+    which are strings: every config module postpones their evaluation."""
+    return {f.name: _ANNOTATION_KINDS[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def check_object(doc, schema: dict[str, str], where: str, error: type[Exception]) -> None:
+    """Raise error unless doc is a JSON object whose keys are in schema and
+    whose every value is of its key's kind."""
+    if type(doc) is not dict:
+        raise error(f"{where} must be a JSON object")
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise error(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
+    for key, value in doc.items():
+        kind = schema[key].rstrip("?")
+        if value is None and schema[key].endswith("?"):
+            continue
+        ok = type(value) in _KIND_TYPES[kind]
+        if ok and kind == "number":
+            ok = -sys.float_info.max <= value <= sys.float_info.max
+        if not ok:
+            null = " or null" if schema[key].endswith("?") else ""
+            raise error(f"{where} key {key!r} must be {_KIND_NAMES[kind]}{null}, not {json.dumps(value)}")
 
 
 def write_atomic(path, text: str) -> None:

@@ -26,12 +26,13 @@ entropy) over any number of episodes' steps.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import placement_env
+from .fileio import check_object, field_kinds
 from .neural_primitives import (
     DenseNet,
     dense_backward,
@@ -73,35 +74,19 @@ class PolicyConfig:
     def feature_dim(self) -> int:
         return placement_env.feature_dim(self.num_devices)
 
-    def head_input_dim(self) -> int:
-        f = self.feature_dim
-        if self.mode == FULL:
-            return 4 * (2 * f)  # own embedding + three pooled contexts
-        if self.mode == SIMPLE_AGGREGATOR:
-            return f
-        return 4 * f  # raw own features + three pooled raw contexts
-
     def to_header(self) -> dict:
-        return {
-            "num_devices": self.num_devices,
-            "message_rounds": self.message_rounds,
-            "mode": self.mode,
-            "head_hidden": self.head_hidden,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_header(doc) -> "PolicyConfig":
-        if type(doc) is not dict:
-            raise PolicyError("policy header must be a JSON object")
-        for key in ("num_devices", "message_rounds", "head_hidden"):
-            if type(doc.get(key)) is not int and (key != "head_hidden" or doc.get(key) is not None):
-                raise PolicyError(f"policy header {key!r} must be an integer, not {doc.get(key)!r}")
-        return PolicyConfig(
-            num_devices=doc["num_devices"],
-            message_rounds=doc["message_rounds"],
-            mode=doc.get("mode"),
-            head_hidden=doc.get("head_hidden"),
-        )
+        """The config of a checkpoint's policy header, which holds every
+        field, each of its kind, and nothing else."""
+        schema = field_kinds(PolicyConfig)
+        check_object(doc, schema, "policy header", PolicyError)
+        missing = set(schema) - set(doc)
+        if missing:
+            raise PolicyError(f"policy header lacks key(s): {', '.join(sorted(missing))}")
+        return PolicyConfig(**doc)
 
 
 def _net_names(mode: str) -> list[str]:
@@ -134,26 +119,57 @@ class PolicyParameters:
         return off
 
 
-def init_policy(cfg: PolicyConfig, seed: int = 0) -> PolicyParameters:
-    rng = np.random.default_rng(seed)
+def _layout(cfg: PolicyConfig) -> dict[str, list[int]]:
+    """Each net's widths [in, ..., out], in the order init_policy draws them."""
     f = cfg.feature_dim
     e = 2 * f  # concatenated two-direction embedding
-    head_in = cfg.head_input_dim()
-    hidden = cfg.head_hidden or head_in
-    nets = {}
+    dims = {}
     if cfg.mode == FULL:
         for d in ("down", "up"):
-            nets[f"f_{d}"] = make_dense(rng, [f, f], ["relu"])
-            nets[f"g_{d}"] = make_dense(rng, [2 * f, f], ["relu"])
+            dims[f"f_{d}"] = [f, f]
+            dims[f"g_{d}"] = [2 * f, f]
         for s in POOL_SETS:
-            nets[f"l_{s}"] = make_dense(rng, [e, e], ["relu"])
-            nets[f"h_{s}"] = make_dense(rng, [e, e], ["relu"])
+            dims[f"l_{s}"] = [e, e]
+            dims[f"h_{s}"] = [e, e]
+        head_in = 4 * e  # own embedding + three pooled contexts
     elif cfg.mode == SIMPLE_AGGREGATOR:
-        nets["agg"] = make_dense(rng, [f, f], ["relu"])
+        dims["agg"] = [f, f]
+        head_in = f
     else:
         for s in POOL_SETS:
-            nets[f"agg_{s}"] = make_dense(rng, [f, f], ["relu"])
-    nets["head"] = make_dense(rng, [head_in, hidden, cfg.num_devices], ["relu", "identity"])
+            dims[f"agg_{s}"] = [f, f]
+        head_in = 4 * f  # raw own features + three pooled raw contexts
+    dims["head"] = [head_in, cfg.head_hidden or head_in, cfg.num_devices]
+    return dims
+
+
+def _activations(name: str) -> list[str]:
+    return ["relu", "identity"] if name == "head" else ["relu"]
+
+
+def init_policy(cfg: PolicyConfig, seed: int = 0) -> PolicyParameters:
+    rng = np.random.default_rng(seed)
+    nets = {name: make_dense(rng, dims, _activations(name)) for name, dims in _layout(cfg).items()}
+    return PolicyParameters(config=cfg, nets=nets)
+
+
+def policy_from_params(cfg: PolicyConfig, flat: list[np.ndarray]) -> PolicyParameters:
+    """The policy whose flat_params() are flat. Each array's shape is checked
+    against cfg's before any net is built, so cfg allocates nothing."""
+    layout = _layout(cfg)
+    dims = [layout[name] for name in _net_names(cfg.mode)]
+    shapes = [s for d in dims for n_in, n_out in zip(d, d[1:]) for s in ((n_out, n_in), (n_out,))]
+    if len(flat) != len(shapes):
+        raise PolicyError(f"checkpoint holds {len(flat)} parameter arrays, its policy header implies {len(shapes)}")
+    for i, (p, shape) in enumerate(zip(flat, shapes)):
+        if p.shape != shape:
+            raise PolicyError(f"checkpoint parameter {i} has shape {p.shape}, its policy header implies {shape}")
+    nets, pos = {}, 0
+    for name in _net_names(cfg.mode):
+        acts = _activations(name)
+        layers = flat[pos : pos + 2 * len(acts)]
+        nets[name] = DenseNet(weights=layers[0::2], biases=layers[1::2], activations=acts)
+        pos += 2 * len(acts)
     return PolicyParameters(config=cfg, nets=nets)
 
 

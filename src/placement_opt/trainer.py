@@ -27,7 +27,7 @@ from . import placement_env
 from .fileio import write_csv
 from .neural_primitives import AdamState, adam_step, entropy, load_checkpoint, sample_action, save_checkpoint
 from .placement_env import RewardConfig
-from .policy_gnn import PolicyConfig, PolicyParameters, init_policy, policy_backward, policy_forward
+from .policy_gnn import PolicyConfig, PolicyParameters, init_policy, policy_backward, policy_forward, policy_from_params
 from .sim_engine import DeviceTopology, Placement
 
 
@@ -311,20 +311,12 @@ def save_policy_checkpoint(path, params: PolicyParameters):
 
 
 def load_policy_checkpoint(path):
-    """Returns (PolicyParameters, extra)."""
+    """Returns (PolicyParameters, extra). The nets are the file's arrays, so
+    the policy header cannot make this allocate more than the file holds."""
     flat, extra = load_checkpoint(path)
     if "policy" not in extra:
         raise TrainerError("checkpoint has no policy header ('extra' lacks 'policy')")
-    cfg = PolicyConfig.from_header(extra["policy"])
-    params = init_policy(cfg, seed=0)
-    template = params.flat_params()
-    if len(template) != len(flat):
-        raise TrainerError("checkpoint parameter count mismatch")
-    for dst, src in zip(template, flat):
-        if dst.shape != src.shape:
-            raise TrainerError("checkpoint parameter shape mismatch")
-        dst[...] = src
-    return params, extra
+    return policy_from_params(PolicyConfig.from_header(extra["policy"]), flat), extra
 
 
 @dataclass

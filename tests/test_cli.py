@@ -2,13 +2,16 @@ import argparse
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from placement_opt import cli
+from placement_opt import cli, trainer
+from placement_opt.datagen import FAMILIES, FamilySpec, write_dataset
 from placement_opt.graph_core import load_graph
 from placement_opt.neural_primitives import CHECKPOINT_FORMAT, params_to_doc
+from placement_opt.placement_env import BYTES_PER_GB, INTERMEDIATE, RewardConfig
 from placement_opt.policy_gnn import PolicyConfig, init_policy
 from placement_opt.sim_engine import load_topology
 from placement_opt.trainer import save_policy_checkpoint
@@ -403,6 +406,10 @@ class TestDatagen:
             ("layered_random", ["--tensor-bytes", "1", "inf"], "bytes_hi"),
             ("branch_blocks", ["--branches", "1", "99999999999999999999"], "branches_hi"),  # was numpy's message
             ("encoder_decoder", ["--unroll", "1", str(2**64)], "unroll_hi"),
+            # Each of these three used to build until it was killed.
+            ("layered_random", ["--layers", "1", "4611686018427387904"], "layers_hi"),
+            ("branch_blocks", ["--count", "1000000000000"], "count"),
+            ("encoder_decoder", ["--unroll", "1", "100000"], "unroll_hi"),  # edges grow as unroll**2
         ],
     )
     def test_degenerate_sizes_are_single_line_errors(self, tmp_path, capsys, family, flags, field):
@@ -410,6 +417,15 @@ class TestDatagen:
         err = _fails_with_one_error_line(capsys, ["datagen", "--family", family, *flags, "--out", str(out)])
         assert field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_flags_default_to_the_family_spec(self, tmp_path, family):
+        assert run(["datagen", "--family", family, "--out", str(tmp_path / "cli")]) == 0
+        write_dataset(tmp_path / "spec", FamilySpec(family))
+        names = sorted(os.listdir(tmp_path / "spec"))
+        assert sorted(os.listdir(tmp_path / "cli")) == names
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "spec" / name).read_bytes()
 
     def test_reproducible(self, tmp_path):
         args = ["datagen", "--family", "layered_random", "--count", "3", "--seed", "9"]
@@ -621,6 +637,62 @@ class TestMalformedRunConfig:
         assert run(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
 
+class _TrainCalled(Exception):
+    pass
+
+
+class TestRunConfigDefaults:
+    """The run config's policy and trainer sections are the config dataclasses'
+    fields, and each key not given takes its dataclass default."""
+
+    def test_sections_keep_their_keys_and_kinds(self):
+        # The tables the run config was checked against before they were derived.
+        assert cli._SECTIONS["policy"] == {"message_rounds": "int", "mode": "str", "head_hidden": "int?"}
+        assert cli._SECTIONS["trainer"] == {
+            "episodes": "int", "workers": "int", "lr_start": "number", "lr_end": "number",
+            "entropy_start": "number", "entropy_end": "number", "baseline_window": "int",
+            "randomize_visit_order": "bool", "threads": "int",
+        }
+
+    def _configs(self, files, tmp_path, monkeypatch, doc, flags=()):
+        """The (policy, trainer, reward) configs train is called with."""
+        seen = []
+
+        def train(policy_cfg, cfg, graphs, topology, reward_cfg):
+            seen.append((policy_cfg, cfg, reward_cfg))
+            raise _TrainCalled
+
+        monkeypatch.setattr(trainer, "train", train)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"topology": files["topo"], "family": {"family": "branch_blocks", "count": 2},
+                                    **doc}))
+        with pytest.raises(_TrainCalled):
+            run(["train", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+        return seen[0]
+
+    @pytest.mark.parametrize("doc", [{}, {"env": {}, "policy": {}, "trainer": {}}], ids=["absent", "empty"])
+    def test_sections_not_given_build_the_dataclass_defaults(self, files, tmp_path, monkeypatch, doc):
+        policy_cfg, cfg, reward_cfg = self._configs(files, tmp_path, monkeypatch, doc)
+        assert policy_cfg == PolicyConfig(num_devices=2)
+        assert cfg == trainer.TrainerConfig()
+        assert reward_cfg == RewardConfig()
+        # The values cmd_train spelled out before it took them from the dataclasses.
+        assert policy_cfg == PolicyConfig(num_devices=2, message_rounds=8, mode="full", head_hidden=None)
+        assert (cfg.seed, cfg.init_mode) == (0, "all_device_0")
+        assert reward_cfg == RewardConfig(mode=INTERMEDIATE, memory_threshold_bytes=10.7 * BYTES_PER_GB,
+                                          penalty_per_gb=2.0, reward_scale=None)
+
+    def test_given_keys_reach_the_configs(self, files, tmp_path, monkeypatch):
+        doc = {"seed": 5, "env": {"init_mode": "random", "memory_threshold_gb": 3, "reward_scale": 2.5},
+               "policy": {"mode": "simple_aggregator"}, "trainer": {"episodes": 4}}
+        policy_cfg, cfg, reward_cfg = self._configs(files, tmp_path, monkeypatch, doc)
+        assert policy_cfg == PolicyConfig(num_devices=2, mode="simple_aggregator")
+        assert cfg == trainer.TrainerConfig(episodes=4, seed=5, init_mode="random")
+        assert reward_cfg == RewardConfig(memory_threshold_bytes=3 * BYTES_PER_GB, reward_scale=2.5)
+        _, cfg, _ = self._configs(files, tmp_path, monkeypatch, doc, ["--seed", "7"])
+        assert cfg.seed == 7
+
+
 def _valid_checkpoint_doc():
     params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0)
     return {"format": CHECKPOINT_FORMAT, "params": params_to_doc(params.flat_params()),
@@ -730,6 +802,42 @@ class TestMalformedCheckpoint:
             doc["extra"] = extra
         ckpt.write_text(json.dumps(doc))
         assert "no policy header" in _fails_with_one_error_line(capsys, argv)
+
+    def test_unknown_header_key(self, evaluate_argv, capsys):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        doc["extra"]["policy"]["dropout"] = 0.1
+        ckpt.write_text(json.dumps(doc))
+        assert "unknown policy header key(s): dropout" in _fails_with_one_error_line(capsys, argv)
+
+    @pytest.mark.parametrize("key", ["num_devices", "message_rounds", "mode", "head_hidden"])
+    def test_missing_header_key(self, evaluate_argv, capsys, key):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        del doc["extra"]["policy"][key]
+        ckpt.write_text(json.dumps(doc))
+        assert f"policy header lacks key(s): {key}" in _fails_with_one_error_line(capsys, argv)
+
+    def test_header_shapes_are_checked_before_allocating(self, evaluate_argv, capsys):
+        # A header for 600 devices implies a head of ~4.8k x 4.8k weights,
+        # but the file holds a 2-device policy's arrays.
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        doc["extra"]["policy"]["num_devices"] = 600
+        ckpt.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            err = _fails_with_one_error_line(capsys, argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert "policy header implies" in err
+
+    def test_header_is_the_config_fields_in_order(self):
+        header = PolicyConfig(num_devices=3, message_rounds=2, head_hidden=5).to_header()
+        assert list(header.items()) == [("num_devices", 3), ("message_rounds", 2), ("mode", "full"),
+                                        ("head_hidden", 5)]
 
     def test_non_finite_datum(self, evaluate_argv, capsys):
         ckpt, argv = evaluate_argv

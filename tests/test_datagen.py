@@ -4,6 +4,8 @@ from placement_opt.datagen import (
     BRANCH_BLOCKS,
     ENCODER_DECODER,
     LAYERED_RANDOM,
+    MAX_DATASET_SIZE,
+    MAX_GRAPH_SIZE,
     DatagenError,
     FamilySpec,
     generate_family,
@@ -130,6 +132,47 @@ class TestDeterminismAndSplit:
         s = spec(family=family, blocks=1, branches_lo=1, branches_hi=1, branch_ops_lo=1, branch_ops_hi=1,
                  layers_lo=1, layers_hi=1, unroll_lo=1, unroll_hi=1, compute_lo=0.0, bytes_lo=0.0)
         assert all(g.num_nodes >= 1 for g in generate_family(s))
+
+
+class TestSizeLimits:
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(family=BRANCH_BLOCKS, blocks=3, branches_lo=1, branches_hi=4, branch_ops_lo=1, branch_ops_hi=3),
+            dict(family=BRANCH_BLOCKS, blocks=2, branches_lo=3, branches_hi=3, branch_ops_lo=2, branch_ops_hi=2),
+            dict(family=ENCODER_DECODER, layers_lo=1, layers_hi=3, unroll_lo=1, unroll_hi=5),
+            dict(family=ENCODER_DECODER, layers_lo=2, layers_hi=2, unroll_lo=4, unroll_hi=4),
+            dict(family=LAYERED_RANDOM, layers_lo=1, layers_hi=5, branches_lo=1, branches_hi=4),
+            dict(family=LAYERED_RANDOM, layers_lo=3, layers_hi=3, branches_lo=2, branches_hi=2),
+        ],
+    )
+    def test_largest_graph_bounds_every_graph(self, kw):
+        s = spec(count=12, **kw)
+        bound, _ = s._largest_graph()
+        sizes = [g.num_nodes + len(g.edges) for g in generate_family(s)]
+        assert max(sizes) <= bound
+        if s.family == ENCODER_DECODER and s.layers_lo == s.layers_hi and s.unroll_lo == s.unroll_hi:
+            assert sizes == [bound] * 12  # the bound is exact for a fixed shape
+
+    def test_dataset_limit_is_inclusive(self):
+        size, _ = spec()._largest_graph()
+        assert spec(count=MAX_DATASET_SIZE // size).count == MAX_DATASET_SIZE // size
+        with pytest.raises(DatagenError, match="count"):
+            spec(count=MAX_DATASET_SIZE // size + 1)
+
+    @pytest.mark.parametrize(
+        "kw, field",
+        [
+            (dict(family=BRANCH_BLOCKS, blocks=MAX_GRAPH_SIZE), "blocks"),
+            (dict(family=BRANCH_BLOCKS, branch_ops_hi=MAX_GRAPH_SIZE), "branch_ops_hi"),
+            (dict(family=ENCODER_DECODER, unroll_hi=1000), "unroll_hi"),
+            (dict(family=LAYERED_RANDOM, branches_hi=1000), "branches_hi"),
+            (dict(family=LAYERED_RANDOM, layers_hi=2**63), "layers_hi"),
+        ],
+    )
+    def test_graph_limit_names_its_fields(self, kw, field):
+        with pytest.raises(DatagenError, match=field):
+            spec(**kw)
 
 
 class TestDatasetIO:

@@ -1,6 +1,9 @@
+from __future__ import annotations
+
 import csv
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -150,3 +153,47 @@ def test_output_documents_match_indented_dumps():
     assert empty.to_document(ComputationGraph.build("", [], set()), Placement(())) == json.dumps({
         "graph": "", "makespan_seconds": 0.0, "peak_memory_bytes": [0.0], "event_count": 0,
         "nodes": [], "transfers": []}, indent=2)
+
+
+@dataclass
+class _Kinds:
+    count: int
+    rate: float = 1.0
+    flag: bool = False
+    name: str = ""
+    width: int | None = None
+
+
+def test_field_kinds_follow_the_annotations():
+    assert fileio.field_kinds(_Kinds) == {"count": "int", "rate": "number", "flag": "bool", "name": "str",
+                                          "width": "int?"}
+    assert list(fileio.field_kinds(_Kinds, skip=("count", "flag"))) == ["rate", "name", "width"]
+
+
+class _Refused(ValueError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "thing must be a JSON object"),
+        ({"count": 1, "extra": 2, "more": 3}, "unknown thing key(s): extra, more"),
+        ({"count": True}, "thing key 'count' must be an integer, not true"),
+        ({"count": 1.0}, "thing key 'count' must be an integer, not 1.0"),
+        ({"rate": 1e400}, "thing key 'rate' must be a finite number, not Infinity"),
+        ({"flag": 0}, "thing key 'flag' must be true or false, not 0"),
+        ({"width": "3"}, "thing key 'width' must be an integer or null, not \"3\""),
+        ({"name": None}, "thing key 'name' must be a string, not null"),
+    ],
+)
+def test_check_object_refuses(doc, message):
+    with pytest.raises(_Refused) as e:
+        fileio.check_object(doc, fileio.field_kinds(_Kinds), "thing", _Refused)
+    assert str(e.value) == message
+
+
+def test_check_object_accepts_any_subset_of_keys():
+    schema = fileio.field_kinds(_Kinds)
+    for doc in ({}, {"count": 3, "rate": 2, "flag": True, "name": "n", "width": None}):
+        fileio.check_object(doc, schema, "thing", _Refused)

@@ -14,6 +14,7 @@ from placement_opt.policy_gnn import (
     init_policy,
     policy_backward,
     policy_forward,
+    policy_from_params,
     pool_and_decide,
 )
 
@@ -365,6 +366,28 @@ class TestConfig:
     def test_header_round_trip(self):
         cfg = PolicyConfig(num_devices=3, message_rounds=5, mode=SIMPLE_PARTITIONER, head_hidden=32)
         assert PolicyConfig.from_header(cfg.to_header()) == cfg
+
+    @pytest.mark.parametrize("mode", [FULL, SIMPLE_AGGREGATOR, SIMPLE_PARTITIONER])
+    @pytest.mark.parametrize("head_hidden", [None, 7])
+    def test_policy_from_params_rebuilds_the_nets(self, mode, head_hidden):
+        cfg = PolicyConfig(num_devices=3, message_rounds=2, mode=mode, head_hidden=head_hidden)
+        params = init_policy(cfg, seed=4)
+        rebuilt = policy_from_params(cfg, [p.copy() for p in params.flat_params()])
+        assert rebuilt.nets.keys() == params.nets.keys()
+        for name, net in params.nets.items():
+            assert rebuilt.nets[name].activations == net.activations
+        for a, b in zip(rebuilt.flat_params(), params.flat_params(), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_policy_from_params_checks_every_shape(self):
+        cfg = PolicyConfig(num_devices=2, message_rounds=1)
+        flat = init_policy(cfg).flat_params()
+        with pytest.raises(PolicyError, match="holds 3 parameter arrays"):
+            policy_from_params(cfg, flat[:3])
+        with pytest.raises(PolicyError, match=r"parameter 4 has shape \(6,\), its policy header implies \(6, 6\)"):
+            policy_from_params(cfg, flat[:4] + [flat[5]] + flat[5:])
+        with pytest.raises(PolicyError, match="parameter 0"):
+            policy_from_params(PolicyConfig(num_devices=3, message_rounds=1), flat)
 
 
 def _reference_step_grads(st, action, advantage, beta, params):
