@@ -226,7 +226,7 @@ def exhaustive_search(
     devices bus queues break ties on the destination id, so relabelling is
     not exact.
     """
-    reward_cfg = reward_cfg or RewardConfig(mode=placement_env.TERMINAL)
+    reward_cfg = reward_cfg or placement_env.EVALUATION_REWARD
     n = graph.num_nodes
     m = topology.num_devices
     count = m**n

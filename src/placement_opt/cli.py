@@ -165,9 +165,7 @@ _SECTIONS = {
 
 def load_run_config(text):
     doc = parse_json(text, "config", CliError)
-    check_object(doc, _RUN_CONFIG, "config", CliError)
-    if "topology" not in doc:
-        raise CliError("config needs a 'topology' path")
+    check_object(doc, _RUN_CONFIG, "config", CliError, required=("topology",))
     if ("dataset" in doc) == ("family" in doc):
         raise CliError("config needs exactly one of 'dataset' or 'family'")
     for section, schema in _SECTIONS.items():
@@ -245,7 +243,7 @@ def cmd_evaluate(args):
     _, _, test_graphs = datagen.read_dataset(args.dataset)
     if not test_graphs:
         raise CliError(f"dataset {args.dataset} has no test graphs")
-    reward_cfg = RewardConfig(mode=placement_env.TERMINAL)
+    reward_cfg = placement_env.EVALUATION_REWARD
 
     predictions = trainer.predict_placement(
         params, test_graphs, topology, reward_cfg, n_samples=args.samples, seed=args.seed

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .fileio import json_document, parse_json, write_atomic
+from .fileio import check_object, json_document, parse_json, refusal, write_atomic
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
@@ -221,19 +221,24 @@ def write_dataset(directory: str, spec: FamilySpec) -> dict:
     return manifest
 
 
+_MANIFEST = {"spec": "object", "seed": "int", "members": "list"}
+_MEMBER = {"name": "str", "file": "str", "split": "str"}
+
+
 def read_dataset(directory: str):
-    """Returns (manifest, train graphs, test graphs). The manifest must be an
-    object whose 'members' list holds objects with a string 'file' and a
-    'split' of "train" or "test"; otherwise raises DatagenError."""
+    """Returns (manifest, train graphs, test graphs). The manifest and its
+    members must hold only the keys of _MANIFEST and _MEMBER, each member a
+    string 'file' and a 'split' of "train" or "test"; otherwise raises
+    DatagenError."""
     with open(os.path.join(directory, "manifest.json")) as f:
         manifest = parse_json(f.read(), f"dataset manifest in {directory}", DatagenError)
-    members = manifest.get("members") if type(manifest) is dict else None
-    if type(members) is not list:
-        raise DatagenError(f"dataset manifest in {directory} must be a JSON object with a 'members' list")
+    check_object(manifest, _MANIFEST, "dataset manifest", DatagenError, required=("members",))
     train, test = [], []
-    for i, entry in enumerate(members):
-        if type(entry) is not dict or type(entry.get("file")) is not str or entry.get("split") not in ("train", "test"):
-            raise DatagenError(f"dataset manifest member {i} needs a string 'file' and a 'split' of train or test")
+    for i, entry in enumerate(manifest["members"]):
+        where = f"dataset manifest members[{i}]"
+        check_object(entry, _MEMBER, where, DatagenError, required=("file", "split"))
+        if entry["split"] not in ("train", "test"):
+            raise DatagenError(refusal(where, "split", entry["split"], '"train" or "test"'))
         with open(os.path.join(directory, entry["file"])) as f:
             g = load_graph(f.read())
         (train if entry["split"] == "train" else test).append(g)

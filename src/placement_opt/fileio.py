@@ -1,6 +1,7 @@
 """The one way outputs reach disk: whole-file replacement, and the JSON text
-of every indented output document. Also the one way an input document is
-parsed and checked against a key -> kind schema, so every failure names it."""
+of every indented output document. Also the one way every input document is
+parsed and checked against a key -> kind schema, so every failure names the
+document, the key and the value in one wording."""
 
 from __future__ import annotations
 
@@ -14,21 +15,33 @@ import sys
 
 def parse_json(text, what: str, error: type[Exception]):
     """json.loads(text), raising error with a message that starts with what
-    if the text is not JSON or is nested too deep for the parser."""
+    if the text is not JSON, holds an integer too long to convert, or is
+    nested too deep for the parser."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise error(f"{what} is not valid JSON: {e}") from e
+    except ValueError as e:  # an integer literal too long to convert
+        raise error(f"{what} cannot be read: {e}") from None
     except RecursionError as e:
         raise error(f"{what} is nested too deep to parse: {e}") from None
 
 
-# Schema kinds: "int" is a JSON integer (not a bool), "number" a finite JSON
-# number, "bool" true or false; a trailing "?" also admits null.
-_KIND_TYPES = {"int": (int,), "number": (int, float), "bool": (bool,), "str": (str,), "object": (dict,)}
-_KIND_NAMES = {"int": "an integer", "number": "a finite number", "bool": "true or false", "str": "a string",
-               "object": "a JSON object"}
+# Schema kinds: kind -> (admitted types, whether a number must be finite,
+# description). "int" is a JSON integer, not a bool; "?" also admits null.
+_KINDS = {
+    "int": ((int,), False, "an integer"),
+    "int?": ((int, type(None)), False, "an integer or null"),
+    "number": ((int, float), True, "a finite number"),
+    "number?": ((int, float, type(None)), True, "a finite number or null"),
+    "number|list": ((int, float, list), True, "a finite number or a list"),
+    "bool": ((bool,), False, "true or false"),
+    "str": ((str,), False, "a string"),
+    "object": ((dict,), False, "a JSON object"),
+    "list": ((list,), False, "a list"),
+}
 _ANNOTATION_KINDS = {"int": "int", "float": "number", "bool": "bool", "str": "str", "int | None": "int?"}
+_FLOAT_MAX = sys.float_info.max
 
 
 def field_kinds(cls, skip=()) -> dict[str, str]:
@@ -37,24 +50,42 @@ def field_kinds(cls, skip=()) -> dict[str, str]:
     return {f.name: _ANNOTATION_KINDS[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def check_object(doc, schema: dict[str, str], where: str, error: type[Exception]) -> None:
-    """Raise error unless doc is a JSON object whose keys are in schema and
-    whose every value is of its key's kind."""
+def refusal(where: str, key, value, wanted: str) -> str:
+    """The one message for a value that is not what its key admits; the
+    value is shown as JSON text cut to 60 characters."""
+    text = json.dumps(value)
+    return f"{where} key {key!r} must be {wanted}, not {text if len(text) <= 60 else text[:57] + '...'}"
+
+
+def number(x, where: str, key, error: type[Exception]) -> float:
+    """float(x) if x is a finite JSON number (a bool is not), else raise error.
+
+    Called once per value in the loaders' loops, so the message is only
+    built on failure."""
+    if (type(x) is float or type(x) is int) and -_FLOAT_MAX <= x <= _FLOAT_MAX:
+        return float(x)
+    raise error(refusal(where, key, x, "a finite number"))
+
+
+def check_object(doc, schema: dict[str, str], where: str, error: type[Exception], required=()) -> None:
+    """Raise error unless doc is a JSON object whose keys are in schema,
+    which has every key in required, and whose every value is of its key's
+    kind. Keys are checked in document order, so a bad value can be named
+    before a later unknown key."""
     if type(doc) is not dict:
         raise error(f"{where} must be a JSON object")
-    unknown = set(doc) - set(schema)
-    if unknown:
-        raise error(f"unknown {where} key(s): {', '.join(sorted(unknown))}")
     for key, value in doc.items():
-        kind = schema[key].rstrip("?")
-        if value is None and schema[key].endswith("?"):
-            continue
-        ok = type(value) in _KIND_TYPES[kind]
-        if ok and kind == "number":
-            ok = -sys.float_info.max <= value <= sys.float_info.max
-        if not ok:
-            null = " or null" if schema[key].endswith("?") else ""
-            raise error(f"{where} key {key!r} must be {_KIND_NAMES[kind]}{null}, not {json.dumps(value)}")
+        kind = schema.get(key)
+        if kind is None:
+            raise error(f"unknown {where} key(s): {', '.join(sorted(doc.keys() - schema.keys()))}")
+        types, finite, wanted = _KINDS[kind]
+        if type(value) not in types:
+            raise error(refusal(where, key, value, wanted))
+        if finite and (type(value) is float or type(value) is int):
+            number(value, where, key, error)
+    for key in required:
+        if key not in doc:
+            raise error(f"{where} lacks key(s): {', '.join(k for k in required if k not in doc)}")
 
 
 def write_atomic(path, text: str) -> None:

@@ -11,13 +11,12 @@ CSR arrays, relation id arrays) is a ``cached_property``, freed with the graph.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .fileio import json_document, parse_json
+from .fileio import check_object, json_document, number, parse_json, refusal
 
 
 _INF = float("inf")
@@ -27,7 +26,7 @@ class GraphError(ValueError):
     """Invalid graph document or graph operation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpGroup:
     """One atomically-placed group of operations."""
 
@@ -187,67 +186,31 @@ def _find_cycle(graph: ComputationGraph):
     return None
 
 
-_NODE_KEYS = {"id", "cost", "output_bytes", "members"}
+_GRAPH = {"name": "str", "nodes": "list", "edges": "list"}
+_NODE = {"id": "int", "cost": "number|list", "output_bytes": "number", "members": "list"}
 
 
-def _int_id(x, what: str) -> int:
-    """A JSON integer; floats such as 1.9 or 1.0 and booleans are not ids."""
-    if type(x) is not int:
-        raise GraphError(f"{what} {x!r} is not an integer")
-    return x
-
-
-_FLOAT_MAX = sys.float_info.max
-
-
-def _number(x, node, field: str) -> float:
-    """A finite JSON number; strings, booleans, null and lists are not numbers.
-
-    Called twice per node, so the error message is only built on failure.
-    """
-    if (type(x) is float or type(x) is int) and -_FLOAT_MAX <= x <= _FLOAT_MAX:
-        return float(x)
-    raise GraphError(f"node {node}: {field} {x!r} is not a finite number")
-
-
-def load_graph(data) -> ComputationGraph:
-    """Parse and validate a graph document (JSON text/bytes or a parsed dict).
+def load_graph(text) -> ComputationGraph:
+    """Parse and validate a graph document (JSON text or bytes).
 
     Sparse node ids are remapped to 0..n-1 in increasing original-id order;
     a remapped node with no declared members records its original id there.
     """
-    doc = parse_json(data, "graph", GraphError) if isinstance(data, (bytes, str)) else data
-    if not isinstance(doc, dict) or "nodes" not in doc:
-        raise GraphError("graph document must be an object with a 'nodes' list")
-
-    raw_nodes = doc["nodes"]
-    if not isinstance(raw_nodes, (list, tuple)):
-        raise GraphError("'nodes' must be a list")
+    doc = parse_json(text, "graph", GraphError)
+    check_object(doc, _GRAPH, "graph", GraphError, required=("nodes",))
     # One pass over the nodes: keys, id and values, in document order.
     orig_ids, fields = [], []
-    for nd in raw_nodes:
-        if not isinstance(nd, dict):
-            raise GraphError(f"node {nd!r} is not an object")
-        if "id" not in nd:
-            raise GraphError("node without an 'id'")
-        if not nd.keys() <= _NODE_KEYS:
-            unknown = ", ".join(sorted(map(repr, nd.keys() - _NODE_KEYS)))
-            allowed = ", ".join(sorted(_NODE_KEYS))
-            raise GraphError(f"node {nd['id']!r}: unknown key {unknown} (allowed: {allowed})")
-        orig = _int_id(nd["id"], "node id")
+    for i, nd in enumerate(doc["nodes"]):
+        where = f"graph nodes[{i}]"
+        check_object(nd, _NODE, where, GraphError, required=("id",))
         cost = nd.get("cost", 0.0)
-        if isinstance(cost, (list, tuple)):
-            cost = tuple([_number(c, orig, "cost") for c in cost])
+        if type(cost) is list:
+            cost = tuple([number(c, where, "cost", GraphError) for c in cost])
         else:
-            cost = (_number(cost, orig, "cost"),)
-        size = _number(nd.get("output_bytes", 0.0), orig, "output_bytes")
-        members = nd.get("members", ())
-        if members != ():
-            if not isinstance(members, (list, tuple)):
-                raise GraphError(f"node {orig}: members {members!r} is not a list")
-            members = tuple(map(str, members))
-        orig_ids.append(orig)
-        fields.append((cost, size, members))
+            cost = (float(cost),)
+        members = tuple(map(str, nd["members"])) if "members" in nd else ()
+        orig_ids.append(nd["id"])
+        fields.append((cost, float(nd.get("output_bytes", 0.0)), members))
 
     n = len(orig_ids)
     remap = range(n)  # original id -> dense id; a range when they are equal
@@ -264,18 +227,17 @@ def load_graph(data) -> ComputationGraph:
     nodes = tuple([OpGroup(i, cost, size, members) for i, (cost, size, members) in enumerate(fields)])
 
     edges = []
-    raw_edges = doc.get("edges", ())
-    if not isinstance(raw_edges, (list, tuple)):
-        raise GraphError("'edges' must be a list")
-    for e in raw_edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise GraphError(f"edge {e!r} is not a [parent, child] pair")
-        u, v = _int_id(e[0], "edge endpoint"), _int_id(e[1], "edge endpoint")
+    for e in doc.get("edges", ()):
+        if type(e) is not list or len(e) != 2:
+            raise GraphError(refusal("graph", "edges", e, "a [parent, child] pair of node ids"))
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(refusal("graph", "edges", e, "a [parent, child] pair of node ids"))
         if u not in remap or v not in remap:
             raise GraphError(f"edge ({u}, {v}) references a missing node")
         edges.append((remap[u], remap[v]))
 
-    return _indexed(str(doc.get("name", "")), nodes, edges)
+    return _indexed(doc.get("name", ""), nodes, edges)
 
 
 def save_graph(graph: ComputationGraph) -> str:

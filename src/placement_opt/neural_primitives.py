@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import parse_json, write_atomic
+from .fileio import check_object, number, parse_json, refusal, write_atomic
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -173,25 +172,25 @@ def params_to_doc(params: list[np.ndarray]):
     return [{"shape": list(p.shape), "data": p.ravel().tolist()} for p in params]
 
 
-_FLOAT_MAX = sys.float_info.max
+_PARAM = {"shape": "list", "data": "list"}
 
 
 def params_from_doc(doc) -> list[np.ndarray]:
     """Parameter arrays from [{"shape": [...], "data": [...]}, ...]; raises
     ValueError unless each entry holds prod(shape) finite numbers."""
     if type(doc) is not list:
-        raise ValueError("checkpoint 'params' must be a list")
+        raise ValueError(refusal("checkpoint", "params", doc, "a list"))
     out = []
     for i, e in enumerate(doc):
-        shape = e.get("shape") if type(e) is dict else None
-        data = e.get("data") if type(e) is dict else None
-        if type(shape) is not list or not all(type(d) is int and d >= 0 for d in shape) or type(data) is not list:
-            raise ValueError(f"checkpoint parameter {i} needs a 'shape' list of sizes and a 'data' list")
+        where = f"checkpoint params[{i}]"
+        check_object(e, _PARAM, where, ValueError, required=("shape", "data"))
+        shape, data = e["shape"], e["data"]
+        for d in shape:
+            if type(d) is not int or d < 0:
+                raise ValueError(refusal(where, "shape", d, "a size (an integer >= 0)"))
         if len(data) != math.prod(shape):
-            raise ValueError(f"checkpoint parameter {i}: {len(data)} values for shape {shape}")
-        if not all((type(x) is float or type(x) is int) and -_FLOAT_MAX <= x <= _FLOAT_MAX for x in data):
-            raise ValueError(f"checkpoint parameter {i}: data holds a value that is not a finite number")
-        out.append(np.array(data, dtype=np.float64).reshape(shape))
+            raise ValueError(f"{where}: {len(data)} values for shape {shape}")
+        out.append(np.array([number(x, where, "data", ValueError) for x in data]).reshape(shape))
     return out
 
 

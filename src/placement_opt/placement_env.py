@@ -25,6 +25,9 @@ BYTES_PER_GB = 1.0e9
 TERMINAL = "terminal"
 INTERMEDIATE = "intermediate"
 
+ALL_DEVICE_0 = "all_device_0"  # the default initial placement
+RANDOM_INIT = "random"
+
 
 class EnvError(ValueError):
     pass
@@ -46,6 +49,10 @@ class RewardConfig:
             raise EnvError("memory_threshold_bytes must be positive")
         if self.reward_scale is not None and not self.reward_scale > 0:
             raise EnvError("reward_scale must be positive")
+
+
+# What evaluation, prediction and exhaustive search score placements by.
+EVALUATION_REWARD = RewardConfig(mode=TERMINAL)
 
 
 def penalized_runtime(result: SimulationResult, topology: DeviceTopology, cfg: RewardConfig) -> float:
@@ -85,15 +92,15 @@ def reset(
     graph: ComputationGraph,
     topology: DeviceTopology,
     cfg: RewardConfig,
-    init_mode: str = "all_device_0",
+    init_mode: str = ALL_DEVICE_0,
     init_seed: int | None = None,
     order_seed: int | None = None,
 ) -> EpisodeState:
-    """Start an episode. init_mode is 'all_device_0' or 'random' (seeded)."""
+    """Start an episode. init_mode is ALL_DEVICE_0 or RANDOM_INIT (seeded)."""
     n = graph.num_nodes
-    if init_mode == "all_device_0":
+    if init_mode == ALL_DEVICE_0:
         placement = (0,) * n
-    elif init_mode == "random":
+    elif init_mode == RANDOM_INIT:
         rng = np.random.default_rng(init_seed)
         placement = tuple(int(d) for d in rng.integers(topology.num_devices, size=n))
     else:

@@ -82,10 +82,7 @@ class PolicyConfig:
         """The config of a checkpoint's policy header, which holds every
         field, each of its kind, and nothing else."""
         schema = field_kinds(PolicyConfig)
-        check_object(doc, schema, "policy header", PolicyError)
-        missing = set(schema) - set(doc)
-        if missing:
-            raise PolicyError(f"policy header lacks key(s): {', '.join(sorted(missing))}")
+        check_object(doc, schema, "policy header", PolicyError, required=tuple(schema))
         return PolicyConfig(**doc)
 
 
@@ -355,8 +352,11 @@ def pool_backward(tape, dlogits, params, grads, offsets):
     return demb
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(states, params: PolicyParameters):
-    """One batched pass over B states. Returns (probs (B, D), tape)."""
+    """One batched pass over B states. Returns (probs (B, D), tape). Finite
+    but huge parameters can overflow on the way; the logits are checked
+    instead, so an error is one message, not a run of numpy warnings."""
     cfg = params.config
     batch = _batch([s.graph for s in states], [s.current_node for s in states])
     feats = placement_env.featurize_batch(states, cfg.num_devices)

@@ -21,11 +21,10 @@ is dispatched once and completes once.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .fileio import json_document, parse_json
+from .fileio import check_object, json_document, number, parse_json, refusal
 from .graph_core import ComputationGraph
 
 
@@ -81,59 +80,27 @@ class DeviceTopology:
         return float(bw[src][dst])
 
 
-def _number(x, what: str) -> float:
-    """A finite JSON number; strings, booleans, null and lists are not numbers."""
-    if (type(x) is float or type(x) is int) and -sys.float_info.max <= x <= sys.float_info.max:
-        return float(x)
-    raise SimError(f"{what} {x!r} is not a finite number")
+_TOPOLOGY = {"devices": "list", "bandwidth_bytes_per_sec": "number|list"}
+_DEVICE = {"id": "int", "memory_bytes": "number", "compute_scale": "number"}
 
 
-_TOPOLOGY_KEYS = frozenset({"devices", "bandwidth_bytes_per_sec"})
-_DEVICE_KEYS = frozenset({"id", "memory_bytes", "compute_scale"})
-
-
-def _known_keys(doc: dict, allowed: frozenset, where: str):
-    """A key outside allowed is an error, not a value silently left unread."""
-    if not doc.keys() <= allowed:
-        unknown = ", ".join(sorted(map(repr, doc.keys() - allowed)))
-        raise SimError(f"{where}: unknown key {unknown} (allowed: {', '.join(sorted(allowed))})")
-
-
-def load_topology(data) -> DeviceTopology:
-    """Parse the topology JSON document."""
-    doc = parse_json(data, "topology", SimError) if isinstance(data, (bytes, str)) else data
-    if not isinstance(doc, dict):
-        raise SimError("topology document must be an object")
-    _known_keys(doc, _TOPOLOGY_KEYS, "topology")
-    raw_devices = doc.get("devices", ())
-    if not isinstance(raw_devices, (list, tuple)):
-        raise SimError("'devices' must be a list")
+def load_topology(text) -> DeviceTopology:
+    """Parse the topology JSON document (text or bytes)."""
+    doc = parse_json(text, "topology", SimError)
+    check_object(doc, _TOPOLOGY, "topology", SimError, required=("bandwidth_bytes_per_sec",))
     devs = []
-    for i, dd in enumerate(raw_devices):
-        if not isinstance(dd, dict):
-            raise SimError(f"device {dd!r} is not an object")
-        dev_id = dd.get("id", i)
-        if type(dev_id) is not int:
-            raise SimError(f"device id {dev_id!r} is not an integer")
-        _known_keys(dd, _DEVICE_KEYS, f"device {dev_id}")
-        if "memory_bytes" not in dd:
-            raise SimError(f"device {dev_id}: missing key 'memory_bytes'")
-        devs.append(
-            Device(
-                id=dev_id,
-                memory_bytes=_number(dd["memory_bytes"], f"device {dev_id}: memory_bytes"),
-                compute_scale=_number(dd.get("compute_scale", 1.0), f"device {dev_id}: compute_scale"),
-            )
-        )
-    bw = doc.get("bandwidth_bytes_per_sec")
-    if bw is None:
-        raise SimError("topology document missing bandwidth_bytes_per_sec")
-    if isinstance(bw, (list, tuple)):
-        if not all(isinstance(row, (list, tuple)) for row in bw):
-            raise SimError("bandwidth matrix rows must be lists")
-        bw = tuple(tuple(_number(x, "bandwidth_bytes_per_sec entry") for x in row) for row in bw)
+    for i, dd in enumerate(doc.get("devices", ())):
+        check_object(dd, _DEVICE, f"topology devices[{i}]", SimError, required=("memory_bytes",))
+        devs.append(Device(dd.get("id", i), float(dd["memory_bytes"]), float(dd.get("compute_scale", 1.0))))
+    bw = doc["bandwidth_bytes_per_sec"]
+    if type(bw) is list:
+        key = "bandwidth_bytes_per_sec"
+        for row in bw:
+            if type(row) is not list:
+                raise SimError(refusal("topology", key, row, "a list of finite numbers (a matrix row)"))
+        bw = tuple([tuple([number(x, "topology", key, SimError) for x in row]) for row in bw])
     else:
-        bw = _number(bw, "bandwidth_bytes_per_sec")
+        bw = float(bw)
     return DeviceTopology(devices=tuple(sorted(devs, key=lambda d: d.id)), bandwidth_bytes_per_sec=bw)
 
 
@@ -143,35 +110,32 @@ class Placement:
 
     assignment: tuple[int, ...]
 
-    @staticmethod
-    def from_mapping(mapping, num_nodes: int) -> "Placement":
-        """Node id (decimal string or int) -> device (int); nothing is coerced."""
-        if not isinstance(mapping, dict):
-            raise SimError("placement assignment must be an object")
-        out = [None] * num_nodes
-        for k, v in mapping.items():
-            node = int(k) if isinstance(k, str) and k.isascii() and k.isdigit() else k
-            if type(node) is not int or not 0 <= node < num_nodes:
-                raise SimError(f"placement key {k!r} is not a node id in 0..{num_nodes - 1}")
-            if type(v) is not int:
-                raise SimError(f"node {node}: device {v!r} is not an integer")
-            if out[node] is not None:
-                raise SimError(f"placement names node {node} twice")
-            out[node] = v
-        if any(d is None for d in out):
-            missing = [i for i, d in enumerate(out) if d is None]
-            raise SimError(f"placement missing nodes {missing}")
-        return Placement(assignment=tuple(out))
-
     def to_document(self, graph_name: str) -> str:
         return json_document({"graph": graph_name, "assignment": {str(i): d for i, d in enumerate(self.assignment)}})
 
 
-def load_placement(data, num_nodes: int) -> Placement:
-    doc = parse_json(data, "placement", SimError) if isinstance(data, (bytes, str)) else data
-    if not isinstance(doc, dict) or "assignment" not in doc:
-        raise SimError("placement document needs an 'assignment' object")
-    return Placement.from_mapping(doc["assignment"], num_nodes)
+_PLACEMENT = {"graph": "str", "assignment": "object"}
+
+
+def load_placement(text, num_nodes: int) -> Placement:
+    """Parse a placement JSON document (text or bytes) for a graph of
+    num_nodes: each node id, in decimal, maps to an integer device, once."""
+    doc = parse_json(text, "placement", SimError)
+    check_object(doc, _PLACEMENT, "placement", SimError, required=("assignment",))
+    out = [None] * num_nodes
+    for k, v in doc["assignment"].items():
+        node = int(k) if k.isascii() and k.isdigit() else -1
+        if not 0 <= node < num_nodes:
+            raise SimError(f"placement assignment key {k!r} is not a node id in 0..{num_nodes - 1}")
+        if type(v) is not int:
+            raise SimError(refusal("placement assignment", k, v, "an integer"))
+        if out[node] is not None:
+            raise SimError(f"placement names node {node} twice")
+        out[node] = v
+    missing = [i for i, d in enumerate(out) if d is None]
+    if missing:
+        raise SimError(f"placement missing nodes {missing}")
+    return Placement(assignment=tuple(out))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ class TrainerConfig:
     entropy_start: float = 1e-2
     entropy_end: float = 1e-3
     baseline_window: int = 10
-    init_mode: str = "all_device_0"
+    init_mode: str = placement_env.ALL_DEVICE_0
     randomize_visit_order: bool = False
     seed: int = 0
     threads: int = 1  # only 1 is legal; the field stays so existing run configs load
@@ -112,7 +112,7 @@ def rollout(
     topology: DeviceTopology,
     reward_cfg: RewardConfig,
     rngs: list,
-    init_mode: str = "all_device_0",
+    init_mode: str = placement_env.ALL_DEVICE_0,
     randomize_order: bool = False,
 ) -> list[EpisodeTrace]:
     """Episodes on graphs[i] drawing from rngs[i], advanced in lockstep: each
@@ -133,10 +133,10 @@ def rollout(
     hold the same objects, and one that acts differently splits off."""
     resets, states, traces, uniforms = {}, [], [], []
     for graph, rng in zip(graphs, rngs):
-        if rng is None and (randomize_order or init_mode == "random"):
+        if rng is None and (randomize_order or init_mode == placement_env.RANDOM_INIT):
             raise TrainerError("a greedy episode has no rng to draw a visit order or initial placement from")
         order_seed = int(rng.integers(2**31)) if randomize_order else None
-        init_seed = int(rng.integers(2**31)) if init_mode == "random" else None
+        init_seed = int(rng.integers(2**31)) if init_mode == placement_env.RANDOM_INIT else None
         key = (id(graph), order_seed, init_seed)  # graphs outlive the call, so ids stay unique
         if key not in resets:
             resets[key] = placement_env.reset(
@@ -342,7 +342,7 @@ def predict_placement(
         raise TrainerError(
             f"checkpoint is for {params.config.num_devices} devices, topology has {topology.num_devices}"
         )
-    reward_cfg = reward_cfg or RewardConfig(mode=placement_env.TERMINAL)
+    reward_cfg = reward_cfg or placement_env.EVALUATION_REWARD
     per_graph = 1 + n_samples
     rngs = []
     for _ in graphs:

@@ -184,7 +184,11 @@ def _diamond_text(**replace):
     return text
 
 
-NOT_A_NUMBER = "is not a finite number"
+NUMBER = "a finite number"
+NUMBER_OR_LIST = "a finite number or a list"
+NODE_3 = "graph nodes[3]"  # the diamond's last node, whose fields the cases below replace
+DEVICE_0 = "topology devices[0]"
+BANDWIDTH = "topology key 'bandwidth_bytes_per_sec'"
 
 
 class TestMalformedPlaceInputs:
@@ -221,13 +225,13 @@ class TestMalformedPlaceInputs:
     @pytest.mark.parametrize(
         "topology, message",
         [
-            ({**TOPO_DOC, "typo": 1}, "topology: unknown key 'typo'"),
+            ({**TOPO_DOC, "typo": 1}, "unknown topology key(s): typo"),
             ({**TOPO_DOC, "devices": [{"id": 0, "memory_bytes": 12e9, "speed": 3}, TOPO_DOC["devices"][1]]},
-             "device 0: unknown key 'speed'"),
+             "unknown topology devices[0] key(s): speed"),
             ({**TOPO_DOC, "devices": [TOPO_DOC["devices"][0], {"id": 1, "memory_bytes": 12e9, "compute_scael": 2}]},
-             "device 1: unknown key 'compute_scael'"),  # was read as compute_scale 1.0
+             "unknown topology devices[1] key(s): compute_scael"),  # was read as compute_scale 1.0
             ({**TOPO_DOC, "devices": [{"id": 0, "compute_scale": 1.0}, TOPO_DOC["devices"][1]]},
-             "device 0: missing key 'memory_bytes'"),  # was the bare "error: 'memory_bytes'"
+             "topology devices[0] lacks key(s): memory_bytes"),  # was the bare "error: 'memory_bytes'"
         ],
         ids=["unknown_top_level_key", "unknown_device_key", "misspelt_compute_scale", "missing_memory_bytes"],
     )
@@ -239,16 +243,20 @@ class TestMalformedPlaceInputs:
     @pytest.mark.parametrize(
         "node_fields, message",
         [
-            ('"cost": "15"', NOT_A_NUMBER),  # float() per character read it as the vector (1.0, 5.0)
-            ('"cost": "1.5"', NOT_A_NUMBER),
-            ('"cost": [null, 1.0]', NOT_A_NUMBER),
+            # float() per character read it as the vector (1.0, 5.0)
+            ('"cost": "15"', f"{NODE_3} key 'cost' must be {NUMBER_OR_LIST}, not \"15\""),
+            ('"cost": "1.5"', f"{NODE_3} key 'cost' must be {NUMBER_OR_LIST}, not \"1.5\""),
+            ('"cost": [null, 1.0]', f"{NODE_3} key 'cost' must be {NUMBER}, not null"),
             ('"cost": []', "empty compute cost vector"),
-            ('"cost": true', NOT_A_NUMBER),
-            ('"cost": 1.0, "output_bytes": [1]', NOT_A_NUMBER),
-            ('"cost": 1.0, "output_bytes": "2e6"', NOT_A_NUMBER),
-            ('"cost": 1.0, "output_bytes": 1' + "0" * 400, NOT_A_NUMBER),  # an int no float can hold
-            ('"cost": 1.0, "output_bytes": 0.0, "members": 5', "members 5 is not a list"),  # was a TypeError
-            ('"cost": 1.0, "output_bytes": 0.0, "members": "ab"', "is not a list"),  # was read as ("a", "b")
+            ('"cost": true', f"{NODE_3} key 'cost' must be {NUMBER_OR_LIST}, not true"),
+            ('"cost": 1.0, "output_bytes": [1]', f"{NODE_3} key 'output_bytes' must be {NUMBER}, not [1]"),
+            ('"cost": 1.0, "output_bytes": "2e6"', f"{NODE_3} key 'output_bytes' must be {NUMBER}, not \"2e6\""),
+            # an int no float can hold
+            ('"cost": 1.0, "output_bytes": 1' + "0" * 400, f"{NODE_3} key 'output_bytes' must be {NUMBER}, not 1000"),
+            # was a TypeError
+            ('"cost": 1.0, "output_bytes": 0.0, "members": 5', f"{NODE_3} key 'members' must be a list, not 5"),
+            # was read as ("a", "b")
+            ('"cost": 1.0, "output_bytes": 0.0, "members": "ab"', f"{NODE_3} key 'members' must be a list, not \"ab\""),
         ],
         ids=["cost_digits_string", "cost_decimal_string", "cost_null_entry", "cost_empty_list", "cost_bool",
              "output_bytes_list", "output_bytes_string", "output_bytes_int_beyond_float", "members_int",
@@ -262,13 +270,14 @@ class TestMalformedPlaceInputs:
     @pytest.mark.parametrize(
         "device0, bandwidth, message",
         [
-            ('"memory_bytes": null', "1e6", NOT_A_NUMBER),
-            ('"memory_bytes": "12e9"', "1e6", NOT_A_NUMBER),
-            ('"memory_bytes": 12e9, "compute_scale": 1e400', "1e6", NOT_A_NUMBER),
-            ('"memory_bytes": 12e9', "true", NOT_A_NUMBER),
-            ('"memory_bytes": 12e9', '"1e6"', NOT_A_NUMBER),
-            ('"memory_bytes": 12e9', "[[0, 1e6], [true, 0]]", NOT_A_NUMBER),
-            ('"memory_bytes": 12e9', "[1e6, 1e6]", "rows must be lists"),
+            ('"memory_bytes": null', "1e6", f"{DEVICE_0} key 'memory_bytes' must be {NUMBER}, not null"),
+            ('"memory_bytes": "12e9"', "1e6", f"{DEVICE_0} key 'memory_bytes' must be {NUMBER}, not \"12e9\""),
+            ('"memory_bytes": 12e9, "compute_scale": 1e400', "1e6",
+             f"{DEVICE_0} key 'compute_scale' must be {NUMBER}, not Infinity"),
+            ('"memory_bytes": 12e9', "true", f"{BANDWIDTH} must be {NUMBER_OR_LIST}, not true"),
+            ('"memory_bytes": 12e9', '"1e6"', f"{BANDWIDTH} must be {NUMBER_OR_LIST}, not \"1e6\""),
+            ('"memory_bytes": 12e9', "[[0, 1e6], [true, 0]]", f"{BANDWIDTH} must be {NUMBER}, not true"),
+            ('"memory_bytes": 12e9', "[1e6, 1e6]", f"{BANDWIDTH} must be a list of finite numbers (a matrix row), not 1000000.0"),
         ],
         ids=["memory_null", "memory_string", "compute_scale_inf", "bandwidth_bool", "bandwidth_string",
              "bandwidth_matrix_bool_entry", "bandwidth_rows_not_lists"],

@@ -197,3 +197,39 @@ def test_check_object_accepts_any_subset_of_keys():
     schema = fileio.field_kinds(_Kinds)
     for doc in ({}, {"count": 3, "rate": 2, "flag": True, "name": "n", "width": None}):
         fileio.check_object(doc, schema, "thing", _Refused)
+
+
+@pytest.mark.parametrize(
+    "doc, schema, required, message",
+    [
+        ({"rate": 2}, {"count": "int", "rate": "number"}, ("count",), "thing lacks key(s): count"),
+        ({}, {"count": "int", "rate": "number"}, ("count", "rate"), "thing lacks key(s): count, rate"),
+        ({"extra": 1}, {"count": "int"}, ("count",), "unknown thing key(s): extra"),  # unknown before missing
+        ({"cost": "1"}, {"cost": "number|list"}, (), "thing key 'cost' must be a finite number or a list, not \"1\""),
+        ({"cost": float("nan")}, {"cost": "number|list"}, (), "thing key 'cost' must be a finite number, not NaN"),
+        ({"rows": (1, 2)}, {"rows": "list"}, (), "thing key 'rows' must be a list, not [1, 2]"),
+        ({"name": "x" * 100}, {"name": "int"}, (), "thing key 'name' must be an integer, not \"" + "x" * 56 + "..."),
+    ],
+)
+def test_check_object_refuses_missing_keys_and_combined_kinds(doc, schema, required, message):
+    with pytest.raises(_Refused) as e:
+        fileio.check_object(doc, schema, "thing", _Refused, required=required)
+    assert str(e.value) == message
+
+
+def test_check_object_accepts_required_keys_and_either_kind():
+    schema = {"count": "int", "cost": "number|list", "rate": "number?"}
+    for doc in ({"count": 1}, {"count": 1, "cost": 2.5, "rate": None}, {"count": 1, "cost": [1, "x"]}):
+        fileio.check_object(doc, schema, "thing", _Refused, required=("count",))
+
+
+@pytest.mark.parametrize("x", [True, None, "1", [1.0], 1e400, float("nan"), -(10**400)])
+def test_number_refuses_what_is_not_a_finite_json_number(x):
+    with pytest.raises(_Refused, match="^graph nodes\\[2\\] key 'cost' must be a finite number, not "):
+        fileio.number(x, "graph nodes[2]", "cost", _Refused)
+
+
+def test_number_reads_ints_and_floats_as_floats():
+    assert [fileio.number(x, "w", "k", _Refused) for x in (3, -0.5, 1.7976931348623157e308)] == [
+        3.0, -0.5, 1.7976931348623157e308]
+    assert type(fileio.number(3, "w", "k", _Refused)) is float
