@@ -26,6 +26,7 @@ from .sim_engine import (
     SimulationResult,
     load_placement,
     load_topology,
+    makespan,
     oracle_simulate,
     simulate,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "load_graph",
     "load_placement",
     "load_topology",
+    "makespan",
     "merge_and_colocate",
     "oracle_simulate",
     "penalized_runtime",

@@ -17,7 +17,7 @@ import numpy as np
 from . import placement_env
 from .graph_core import ComputationGraph, topological_order
 from .placement_env import RewardConfig
-from .sim_engine import DeviceTopology, Placement, simulate
+from .sim_engine import DeviceTopology, Placement
 
 
 EXHAUSTIVE_BUDGET = 2**20  # exhaustive_search's default cap on |D| ** |V|
@@ -249,8 +249,7 @@ def exhaustive_search(
         if k < n:
             stack.extend((k + 1, c) for c in reversed(range(first_devices if k == 0 else m)))
             continue
-        result = simulate(graph, topology, Placement(tuple(assign)))
-        runtime = placement_env.penalized_runtime(result, topology, reward_cfg)
+        runtime = placement_env.runtime_of(graph, topology, Placement(tuple(assign)), reward_cfg)
         if best_runtime is None or runtime < best_runtime:
             best_runtime = runtime
             best_assign = tuple(assign)

@@ -50,11 +50,15 @@ def field_kinds(cls, skip=()) -> dict[str, str]:
     return {f.name: _ANNOTATION_KINDS[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
 
 
+def clip(text: str) -> str:
+    """text cut to 60 characters, as error messages show a document's text."""
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def refusal(where: str, key, value, wanted: str) -> str:
     """The one message for a value that is not what its key admits; the
     value is shown as JSON text cut to 60 characters."""
-    text = json.dumps(value)
-    return f"{where} key {key!r} must be {wanted}, not {text if len(text) <= 60 else text[:57] + '...'}"
+    return f"{where} key {key!r} must be {wanted}, not {clip(json.dumps(value))}"
 
 
 def number(x, where: str, key, error: type[Exception]) -> float:

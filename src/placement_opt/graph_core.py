@@ -5,12 +5,15 @@ vector (a single entry is broadcast to all devices at simulation time) and the
 byte size of its output tensor. Node ids are densified to 0..n-1 on load;
 original ids are kept in ``members``.
 
-What the featurizer and the policy derive from a graph alone (feature columns,
-CSR arrays, relation id arrays) is a ``cached_property``, freed with the graph.
+What the simulator, the featurizer and the policy derive from a graph alone
+(output sizes, parent counts, source ids, cost-vector widths, total output
+bytes, feature columns, CSR arrays, relation id arrays) is a
+``cached_property``, freed with the graph.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,13 +91,38 @@ class ComputationGraph:
         node's device-0 compute cost and output bytes over their graph-wide
         maxima; a column whose maximum is 0 stays 0."""
         cols = np.zeros((self.num_nodes, 2))
-        for k, values in enumerate(([g.cost_on(0) for g in self.nodes], [g.output_bytes for g in self.nodes])):
+        for k, values in enumerate(([g.cost_on(0) for g in self.nodes], self.output_sizes)):
             values = np.array(values, dtype=np.float64)
             top = values.max(initial=0.0)
             if top > 0:
                 cols[:, k] = values / top
         cols.flags.writeable = False
         return cols
+
+    @cached_property
+    def output_sizes(self) -> tuple[float, ...]:
+        """Each node's output_bytes, in id order."""
+        return tuple([g.output_bytes for g in self.nodes])
+
+    @cached_property
+    def total_output_bytes(self) -> float:
+        """The correctly rounded sum of every node's output_bytes."""
+        return math.fsum(self.output_sizes)
+
+    @cached_property
+    def parent_counts(self) -> tuple[int, ...]:
+        """Each node's number of parents, in id order."""
+        return tuple(map(len, self.parents))
+
+    @cached_property
+    def source_ids(self) -> tuple[int, ...]:
+        """The nodes without parents, in id order."""
+        return tuple([v for v, p in enumerate(self.parents) if not p])
+
+    @cached_property
+    def cost_widths(self) -> frozenset[int]:
+        """The distinct lengths of the nodes' compute cost vectors."""
+        return frozenset([len(g.compute_seconds) for g in self.nodes])
 
     @cached_property
     def parent_csr(self) -> tuple[np.ndarray, np.ndarray]:

@@ -209,8 +209,10 @@ def load_checkpoint(path):
         doc = parse_json(f.read(), "checkpoint", ValueError)
     if type(doc) is not dict:
         raise ValueError("checkpoint must be a JSON object")
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unknown checkpoint format {doc.get('format')!r}")
+    if "format" not in doc:
+        raise ValueError("checkpoint lacks key(s): format")
+    if doc["format"] != CHECKPOINT_FORMAT:
+        raise ValueError(refusal("checkpoint", "format", doc["format"], json.dumps(CHECKPOINT_FORMAT)))
     if "params" not in doc:
         raise ValueError("checkpoint has no 'params'")
     extra = doc.get("extra", {})

@@ -17,6 +17,13 @@ Determinism rules (shared with the reference oracle below):
 
 `event_count` counts completions plus dispatches: each op and each transfer
 is dispatched once and completes once.
+
+One event loop, `_run`, serves two entries. `simulate` adds the transfer
+records, the spans and the per-device memory peaks (`memory_profile`) to it,
+for reports and timelines. `makespan` returns only the finish time, bit for
+bit simulate's `makespan_seconds`; rewards and exhaustive search read it
+through `placement_env.runtime_of`, which runs the full `simulate` only when
+the memory penalty could be nonzero.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .fileio import check_object, json_document, number, parse_json, refusal
+from .fileio import check_object, clip, json_document, number, parse_json, refusal
 from .graph_core import ComputationGraph
 
 
@@ -123,10 +130,14 @@ def load_placement(text, num_nodes: int) -> Placement:
     doc = parse_json(text, "placement", SimError)
     check_object(doc, _PLACEMENT, "placement", SimError, required=("assignment",))
     out = [None] * num_nodes
+    width = len(str(num_nodes))
     for k, v in doc["assignment"].items():
-        node = int(k) if k.isascii() and k.isdigit() else -1
+        # A key with more digits than num_nodes, leading zeros aside, is no
+        # node id; it is refused before int() could refuse its length.
+        digits = k.lstrip("0") or "0"
+        node = int(digits) if k.isascii() and k.isdigit() and len(digits) <= width else -1
         if not 0 <= node < num_nodes:
-            raise SimError(f"placement assignment key {k!r} is not a node id in 0..{num_nodes - 1}")
+            raise SimError(f"placement assignment key {clip(k)!r} is not a node id in 0..{num_nodes - 1}")
         if type(v) is not int:
             raise SimError(refusal("placement assignment", k, v, "an integer"))
         if out[node] is not None:
@@ -183,12 +194,9 @@ def _check_inputs(graph: ComputationGraph, topology: DeviceTopology, placement: 
     for v, d in enumerate(placement.assignment):
         if not (0 <= d < m):
             raise SimError(f"node {v} placed on invalid device {d}")
-    for g in graph.nodes:
-        if len(g.compute_seconds) not in (1, m):
-            raise SimError(
-                f"node {g.id}: cost vector length {len(g.compute_seconds)} "
-                f"incompatible with {m} devices"
-            )
+    if not graph.cost_widths <= {1, m}:
+        g = next(g for g in graph.nodes if len(g.compute_seconds) not in (1, m))
+        raise SimError(f"node {g.id}: cost vector length {len(g.compute_seconds)} incompatible with {m} devices")
 
 
 def _durations(graph, topology, placement):
@@ -206,17 +214,19 @@ def _transfer_pairs(graph, placement):
     return pairs
 
 
-def simulate(graph: ComputationGraph, topology: DeviceTopology, placement: Placement) -> SimulationResult:
-    """Run the event simulation and profile memory. See module docstring."""
+def _run(graph: ComputationGraph, topology: DeviceTopology, placement: Placement):
+    """The event loop. Returns (node_start, node_end, done, seq): per-node
+    start and end times, the finished transfers as (start, producer, dst,
+    end) in completion order, and the number of dispatches."""
     _check_inputs(graph, topology, placement)
     n = graph.num_nodes
     m = topology.num_devices
     dev_of = placement.assignment
     children = graph.children
     dur = _durations(graph, topology, placement)
-    size = [g.output_bytes for g in graph.nodes]
+    size = graph.output_sizes
     bw = [[topology.bandwidth(s, d) for d in range(m)] for s in range(m)]
-    deps = [len(p) for p in graph.parents]
+    deps = list(graph.parent_counts)
 
     q_op = [[] for _ in range(m)]  # heaps of (time entered, node)
     q_tr = [[] for _ in range(m)]  # heaps of (time entered, producer, dst)
@@ -229,9 +239,8 @@ def simulate(graph: ComputationGraph, topology: DeviceTopology, placement: Place
     seq = 0
 
     # Sources enter their device queues at t=0 in id order (a sorted list is a heap).
-    for v in range(n):
-        if not deps[v]:
-            q_op[dev_of[v]].append((0.0, v))
+    for v in graph.source_ids:
+        q_op[dev_of[v]].append((0.0, v))
 
     zero_work = 0.0 in dur or 0.0 in size
     clock = 0.0
@@ -292,18 +301,31 @@ def simulate(graph: ComputationGraph, topology: DeviceTopology, placement: Place
     if any(deps):
         raise SimError("simulation ended with unexecuted ops")  # unreachable on valid DAGs
 
-    makespan = max(node_end, default=0.0)
+    return node_start, node_end, done, seq
+
+
+def simulate(graph: ComputationGraph, topology: DeviceTopology, placement: Placement) -> SimulationResult:
+    """Run the event simulation and profile memory. See module docstring."""
+    node_start, node_end, done, seq = _run(graph, topology, placement)
+    dev_of = placement.assignment
+    finish = max(node_end, default=0.0)
     done.sort()
     transfers = tuple([TransferRecord(v, dev_of[v], dst, ts, te) for ts, v, dst, te in done])
     spans = tuple(zip(node_start, node_end))
-    peaks = memory_profile(spans, transfers, makespan, graph, topology, placement)
+    peaks = memory_profile(spans, transfers, finish, graph, topology, placement)
     return SimulationResult(
-        makespan_seconds=makespan,
+        makespan_seconds=finish,
         peak_memory_bytes=peaks,
         node_spans=spans,
         transfers=transfers,
         event_count=2 * seq,  # every op and transfer is dispatched once and completes once
     )
+
+
+def makespan(graph: ComputationGraph, topology: DeviceTopology, placement: Placement) -> float:
+    """simulate(...).makespan_seconds from the same event loop, without the
+    transfer records, the spans or the memory profile."""
+    return max(_run(graph, topology, placement)[1], default=0.0)
 
 
 def memory_profile(node_spans, transfers, makespan, graph, topology, placement):

@@ -134,11 +134,16 @@ KEY_CASES = {
                          "topology devices[1] lacks key(s): memory_bytes"),
     "placement_unknown_key": ("placement", put((), "notes", "x"), "unknown placement key(s): notes"),
     "placement_no_assignment": ("placement", drop((), "assignment"), "placement lacks key(s): assignment"),
+    "placement_key_too_long": ("placement", put(("assignment",), "1" * 5000, 0),
+                               f"placement assignment key '{'1' * 57}...' is not a node id in 0..3"),
     "manifest_unknown_key": ("manifest", rename((), "seed", "sede"), "unknown dataset manifest key(s): sede"),
     "manifest_no_members": ("manifest", drop((), "members"), "dataset manifest lacks key(s): members"),
     "member_unknown_key": ("manifest", put(("members", 1), "weight", 2),
                            "unknown dataset manifest members[1] key(s): weight"),
     "member_no_file": ("manifest", drop(("members", 1), "file"), "dataset manifest members[1] lacks key(s): file"),
+    "checkpoint_null_format": ("checkpoint", put((), "format", None),
+                               'checkpoint key \'format\' must be "placement-opt-checkpoint-v1", not null'),
+    "checkpoint_no_format": ("checkpoint", drop((), "format"), "checkpoint lacks key(s): format"),
     "param_unknown_key": ("checkpoint", put(("params", 1), "dtype", "float64"),
                           "unknown checkpoint params[1] key(s): dtype"),
     "param_no_shape": ("checkpoint", drop(("params", 1), "shape"), "checkpoint params[1] lacks key(s): shape"),

@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from placement_opt import placement_env
+from placement_opt import placement_env, sim_engine
 from placement_opt.placement_env import (
     BYTES_PER_GB,
     EnvError,
@@ -13,10 +14,11 @@ from placement_opt.placement_env import (
     featurize_batch,
     penalized_runtime,
     reset,
+    runtime_of,
     step,
 )
-from placement_opt.graph_core import ComputationGraph
-from placement_opt.sim_engine import Placement, SimulationResult
+from placement_opt.graph_core import ComputationGraph, OpGroup
+from placement_opt.sim_engine import Device, DeviceTopology, Placement, SimulationResult, simulate
 
 from conftest import make_graph, make_topology, random_dag
 
@@ -292,3 +294,81 @@ class TestStep:
             t_order = ret("terminal", acts1) - ret("terminal", acts2)
             i_order = ret("intermediate", acts1) - ret("intermediate", acts2)
             assert t_order == pytest.approx(i_order, abs=1e-9)
+
+
+@pytest.fixture
+def profiled(monkeypatch):
+    """How many times memory_profile runs."""
+    calls = []
+    memory_profile = sim_engine.memory_profile
+
+    def counting(*args):
+        calls.append(1)
+        return memory_profile(*args)
+
+    monkeypatch.setattr(sim_engine, "memory_profile", counting)
+    return calls
+
+
+def runtime_case(rng):
+    """A random graph, topology and placement on 1-3 devices: cost vectors,
+    compute scales and bandwidth matrices in about half the cases each."""
+    m = int(rng.integers(1, 4))
+    g = random_dag(rng, max_nodes=9, bytes_range=(0.0, 4e6))
+    if rng.random() < 0.5:
+        costs = rng.uniform(0.1, 5.0, size=(g.num_nodes, m))
+        nodes = [OpGroup(id=v, compute_seconds=tuple(map(float, costs[v])), output_bytes=g.nodes[v].output_bytes)
+                 for v in range(g.num_nodes)]
+        g = ComputationGraph.build("vec", nodes, set(g.edges))
+    scales = rng.choice([0.5, 1.0, 1.5, 2.0], size=m) if rng.random() < 0.5 else np.ones(m)
+    bandwidth = float(rng.uniform(0.5e6, 3e6))
+    if rng.random() < 0.5:
+        bandwidth = tuple(tuple(map(float, row)) for row in rng.uniform(0.5e6, 3e6, size=(m, m)))
+    topo = DeviceTopology(
+        devices=tuple(Device(id=i, memory_bytes=1e9, compute_scale=float(s)) for i, s in enumerate(scales)),
+        bandwidth_bytes_per_sec=bandwidth,
+    )
+    return g, topo, Placement(tuple(int(d) for d in rng.integers(m, size=g.num_nodes)))
+
+
+class TestRuntimeOf:
+    def test_equals_penalized_simulation(self, profiled):
+        # Thresholds from a fifth to twice the graph's total output bytes put
+        # the total on both sides, and the peaks too.
+        rng = np.random.default_rng(61)
+        full = fast = penalized = 0
+        for _ in range(300):
+            g, topo, pl = runtime_case(rng)
+            total = g.total_output_bytes
+            if not total:
+                continue
+            cfg = RewardConfig(memory_threshold_bytes=total * float(rng.choice([0.2, 0.5, 0.9, 1.0, 1.01, 2.0])))
+            expected = penalized_runtime(simulate(g, topo, pl), topo, cfg)
+            profiled.clear()
+            assert runtime_of(g, topo, pl, cfg) == expected
+            full += bool(profiled)
+            fast += not profiled
+            penalized += expected > sim_engine.makespan(g, topo, pl)
+        assert full > 50 and fast > 50 and penalized > 20
+
+    def test_total_within_the_margin_takes_the_full_path(self, two_device, profiled):
+        # One ulp of headroom: the penalty is 0, but rounding in the memory
+        # sweep could in principle exceed it, so memory_profile decides.
+        g = make_graph("chain", [1.0, 2.0, 3.0], [1e6, 3e6, 0.7e6], {(0, 1), (1, 2)})
+        pl = Placement((0, 1, 0))
+        total = g.total_output_bytes
+        margin = (g.num_nodes + 1) * 2.0**-49
+        for threshold, profiles in ((math.nextafter(total, math.inf), 1), (total * (1 + 2 * margin), 0)):
+            cfg = RewardConfig(memory_threshold_bytes=threshold)
+            expected = simulate(g, two_device, pl).makespan_seconds
+            profiled.clear()
+            assert runtime_of(g, two_device, pl, cfg) == expected
+            assert len(profiled) == profiles
+
+    def test_episode_rewards_skip_the_memory_profile(self, diamond, two_device, profiled):
+        cfg = RewardConfig(mode="intermediate")
+        st, _ = walk(reset(diamond, two_device, cfg), [1, 0, 1, 1], two_device, cfg)
+        assert placement_env.final_runtime(st, two_device, cfg) == evaluate_placement(
+            diamond, two_device, Placement(st.placement), cfg
+        )[0]
+        assert len(profiled) == 1  # evaluate_placement's own

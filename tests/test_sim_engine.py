@@ -13,6 +13,7 @@ from placement_opt.sim_engine import (
     SimError,
     load_placement,
     load_topology,
+    makespan,
     oracle_simulate,
     simulate,
 )
@@ -324,14 +325,15 @@ def result_digest(results):
     return h.hexdigest()
 
 
-def golden_results(family):
+def golden_cases(family):
+    """The (graph, topology, placement) instances a golden digest covers."""
     rng = np.random.default_rng([7, FAMILIES.index(family) if family in FAMILIES else 99])
     if family in FAMILIES:
-        return [simulate(*fuzz_case(rng, family, max_nodes=12)) for _ in range(60)]
+        return [fuzz_case(rng, family, max_nodes=12) for _ in range(60)]
     # "blocks4": branch_blocks graphs of about 60 nodes on the matrix4 topology.
     _, topo, _ = fuzz_case(rng, "matrix4")
     spec = datagen.FamilySpec("branch_blocks", count=4, blocks=6, branches_hi=4, seed=3)
-    return [simulate(g, topo, random_placement(rng, g, 4)) for g in datagen.generate_family(spec)]
+    return [(g, topo, random_placement(rng, g, 4)) for g in datagen.generate_family(spec)]
 
 
 # Recorded from the original event-object simulator; any change to a makespan,
@@ -348,7 +350,13 @@ GOLDEN = {
 
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_golden_digest(family):
-    assert result_digest(golden_results(family)) == GOLDEN[family]
+    assert result_digest([simulate(*case) for case in golden_cases(family)]) == GOLDEN[family]
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN))
+def test_makespan_equals_simulate_on_golden_cases(family):
+    for case in golden_cases(family):
+        assert makespan(*case) == simulate(*case).makespan_seconds
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -356,7 +364,9 @@ def test_oracle_agreement_fuzz(family):
     rng = np.random.default_rng([11, FAMILIES.index(family)])
     for _ in range(150):
         g, topo, pl = fuzz_case(rng, family)
-        assert simulate(g, topo, pl).makespan_seconds == oracle_simulate(g, topo, pl)
+        expected = oracle_simulate(g, topo, pl)
+        assert simulate(g, topo, pl).makespan_seconds == expected
+        assert makespan(g, topo, pl) == expected
 
 
 def brute_force_peaks(graph, topology, placement, result):
