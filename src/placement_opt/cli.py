@@ -136,9 +136,8 @@ def cmd_place(args):
     return 0
 
 
-# Run-config schema: key -> kind (see fileio.check_object), per section. The
-# env section is written out, as memory_threshold_gb is not a RewardConfig
-# field; the others are their configs' fields.
+# Run-config schema: key -> kind (see fileio.check_object), per section. Each
+# section is its config's fields; env also takes the trainer's init_mode.
 _RUN_CONFIG = {
     "topology": "str",
     "dataset": "str",
@@ -150,13 +149,7 @@ _RUN_CONFIG = {
     "trainer": "object",
 }
 _SECTIONS = {
-    "env": {
-        "mode": "str",
-        "memory_threshold_gb": "number",
-        "penalty_per_gb": "number",
-        "reward_scale": "number?",
-        "init_mode": "str",
-    },
+    "env": {**field_kinds(RewardConfig), "init_mode": "str"},
     "policy": field_kinds(PolicyConfig, skip=("num_devices",)),
     "trainer": field_kinds(trainer.TrainerConfig, skip=("seed", "init_mode")),
     "family": field_kinds(datagen.FamilySpec),
@@ -175,14 +168,6 @@ def load_run_config(text):
     return doc
 
 
-def _reward_config(env_doc):
-    """RewardConfig from the env keys given; the threshold is read in GB."""
-    given = {key: env_doc[key] for key in ("mode", "penalty_per_gb", "reward_scale") if key in env_doc}
-    if "memory_threshold_gb" in env_doc:
-        given["memory_threshold_bytes"] = env_doc["memory_threshold_gb"] * BYTES_PER_GB
-    return RewardConfig(**given)
-
-
 def cmd_train(args):
     doc = load_run_config(_read(args.config))
     out = args.out or doc.get("out") or "."
@@ -190,11 +175,12 @@ def cmd_train(args):
     write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
 
     topology = load_topology(_read(args.topology or doc["topology"]))
-    env_doc = doc.get("env", {})
-    reward_cfg = _reward_config(env_doc)
+    env_doc = dict(doc.get("env", {}))
+    init_mode = env_doc.pop("init_mode", None)
+    reward_cfg = RewardConfig(**env_doc)
     policy_cfg = PolicyConfig(num_devices=topology.num_devices, **doc.get("policy", {}))
     # Neither key may be null, so None means not given.
-    given = {"seed": doc.get("seed") if args.seed is None else args.seed, "init_mode": env_doc.get("init_mode")}
+    given = {"seed": doc.get("seed") if args.seed is None else args.seed, "init_mode": init_mode}
     cfg = trainer.TrainerConfig(**doc.get("trainer", {}), **{k: v for k, v in given.items() if v is not None})
     if "dataset" in doc:
         _, train_graphs, _ = datagen.read_dataset(doc["dataset"])

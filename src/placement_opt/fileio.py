@@ -40,7 +40,9 @@ _KINDS = {
     "object": ((dict,), False, "a JSON object"),
     "list": ((list,), False, "a list"),
 }
-_ANNOTATION_KINDS = {"int": "int", "float": "number", "bool": "bool", "str": "str", "int | None": "int?"}
+_ANNOTATION_KINDS = {
+    "int": "int", "float": "number", "bool": "bool", "str": "str", "int | None": "int?", "float | None": "number?"
+}
 _FLOAT_MAX = sys.float_info.max
 
 

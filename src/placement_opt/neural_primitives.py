@@ -176,10 +176,8 @@ _PARAM = {"shape": "list", "data": "list"}
 
 
 def params_from_doc(doc) -> list[np.ndarray]:
-    """Parameter arrays from [{"shape": [...], "data": [...]}, ...]; raises
-    ValueError unless each entry holds prod(shape) finite numbers."""
-    if type(doc) is not list:
-        raise ValueError(refusal("checkpoint", "params", doc, "a list"))
+    """Parameter arrays from the list [{"shape": [...], "data": [...]}, ...];
+    raises ValueError unless each entry holds prod(shape) finite numbers."""
     out = []
     for i, e in enumerate(doc):
         where = f"checkpoint params[{i}]"
@@ -203,19 +201,17 @@ def save_checkpoint(path, params, extra=None):
     write_atomic(path, json.dumps(doc))
 
 
+_CHECKPOINT = {"format": "str", "params": "list", "extra": "object"}
+
+
 def load_checkpoint(path):
-    """Returns (params, extra dict); keys other than params and extra are ignored."""
+    """Returns (params, extra dict). Older checkpoints also hold adam and
+    rng_state, which are dropped unread."""
     with open(path) as f:
         doc = parse_json(f.read(), "checkpoint", ValueError)
-    if type(doc) is not dict:
-        raise ValueError("checkpoint must be a JSON object")
-    if "format" not in doc:
-        raise ValueError("checkpoint lacks key(s): format")
-    if doc["format"] != CHECKPOINT_FORMAT:
-        raise ValueError(refusal("checkpoint", "format", doc["format"], json.dumps(CHECKPOINT_FORMAT)))
-    if "params" not in doc:
-        raise ValueError("checkpoint has no 'params'")
-    extra = doc.get("extra", {})
-    if type(extra) is not dict:
-        raise ValueError("checkpoint 'extra' must be a JSON object")
-    return params_from_doc(doc["params"]), extra
+    if type(doc) is dict:
+        doc = {k: v for k, v in doc.items() if k not in ("adam", "rng_state")}
+        if doc.get("format", CHECKPOINT_FORMAT) != CHECKPOINT_FORMAT:
+            raise ValueError(refusal("checkpoint", "format", doc["format"], json.dumps(CHECKPOINT_FORMAT)))
+    check_object(doc, _CHECKPOINT, "checkpoint", ValueError, required=("format", "params"))
+    return params_from_doc(doc["params"]), doc.get("extra", {})

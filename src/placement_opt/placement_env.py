@@ -8,11 +8,14 @@ is |D| + 4. Rewards come from the memory-penalized runtime of the simulated
 placement, either once at the end of the episode (terminal mode) or as the
 per-step improvement (intermediate mode).
 
+The penalty charges each device's peak memory above that device's own
+memory_bytes; the topology is the one definition of the limit.
+
 Rewards, reset's scale and final_runtime read that runtime through
 runtime_of. When the graph's total output bytes, with a rounding margin, are
-at most the memory threshold, no device's peak can exceed the threshold, so
-the penalty is 0 and runtime_of runs sim_engine.makespan, the event loop
-alone. Otherwise it runs evaluate_placement: the full simulate, with the
+at most the smallest device's memory_bytes, no device's peak can exceed its
+limit, so the penalty is 0 and runtime_of runs sim_engine.makespan, the event
+loop alone. Otherwise it runs evaluate_placement: the full simulate, with the
 memory profile. Both give the same float.
 """
 
@@ -42,9 +45,11 @@ class EnvError(ValueError):
 
 @dataclass(frozen=True)
 class RewardConfig:
+    """How placements are scored; the memory limits are the topology's
+    per-device memory_bytes."""
+
     mode: str = INTERMEDIATE
-    memory_threshold_bytes: float = 10.7 * BYTES_PER_GB
-    penalty_per_gb: float = 2.0  # seconds per GB over threshold
+    penalty_per_gb: float = 2.0  # seconds per GB over a device's memory_bytes
     reward_scale: float | None = None  # None: use R(p0) per episode, floored at 1e-6
 
     def __post_init__(self):
@@ -52,8 +57,6 @@ class RewardConfig:
             raise EnvError(f"unknown reward mode {self.mode!r}")
         if self.penalty_per_gb < 0:
             raise EnvError("penalty_per_gb must be >= 0")
-        if not self.memory_threshold_bytes > 0:
-            raise EnvError("memory_threshold_bytes must be positive")
         if self.reward_scale is not None and not self.reward_scale > 0:
             raise EnvError("reward_scale must be positive")
 
@@ -63,12 +66,13 @@ EVALUATION_REWARD = RewardConfig(mode=TERMINAL)
 
 
 def penalized_runtime(result: SimulationResult, topology: DeviceTopology, cfg: RewardConfig) -> float:
-    """Makespan plus penalty_per_gb * GB of peak memory above the threshold."""
-    m = max(result.peak_memory_bytes)
+    """Makespan plus penalty_per_gb times the largest overflow, in GB, of a
+    device's peak memory above that device's memory_bytes."""
+    over = max(p - d.memory_bytes for p, d in zip(result.peak_memory_bytes, topology.devices))
     r = result.makespan_seconds
-    if m <= cfg.memory_threshold_bytes:
+    if over <= 0:
         return r
-    return r + cfg.penalty_per_gb * (m - cfg.memory_threshold_bytes) / BYTES_PER_GB
+    return r + cfg.penalty_per_gb * over / BYTES_PER_GB
 
 
 def evaluate_placement(graph, topology, placement, cfg: RewardConfig):
@@ -89,13 +93,15 @@ def runtime_of(graph, topology, placement, cfg: RewardConfig) -> float:
     u = 2**-53), so every computed peak is at most T * (1 + 4.01*n*u) for
     n < 2**40. total_output_bytes is T correctly rounded (math.fsum). The
     condition below scales it by 1 + 16*(n + 1)*u; its three roundings (the
-    sum, the factor, the product) cost at most about 3u, so when it holds no
-    computed peak exceeds the threshold and penalized_runtime would return
-    the makespan unchanged. Peaks are taken per device, so the device count
-    does not enter the margin.
+    sum, the factor, the product) cost at most about 3u, so when it is at
+    most the smallest device's memory_bytes no computed peak exceeds its
+    device's limit and penalized_runtime would return the makespan
+    unchanged. Peaks are taken per device, so the device count does not
+    enter the margin.
     """
     n = graph.num_nodes
-    if graph.total_output_bytes * (1.0 + (n + 1) * 2.0**-49) <= cfg.memory_threshold_bytes:
+    limit = min(d.memory_bytes for d in topology.devices)
+    if graph.total_output_bytes * (1.0 + (n + 1) * 2.0**-49) <= limit:
         return sim_engine.makespan(graph, topology, placement)
     return evaluate_placement(graph, topology, placement, cfg)[0]
 

@@ -48,33 +48,39 @@ class Device:
 
 @dataclass(frozen=True)
 class DeviceTopology:
-    """Devices plus pairwise bandwidth (scalar = uniform)."""
+    """Devices plus pairwise bandwidth (scalar = uniform). Devices may be
+    given in any order of their ids, which must be 0..|D|-1; they are kept
+    sorted by id. Errors name a device by its position as given."""
 
     devices: tuple[Device, ...]
     bandwidth_bytes_per_sec: object  # float or |D|x|D| nested tuples
 
     def __post_init__(self):
-        if len(self.devices) < 1:
-            raise SimError("topology needs at least one device")
+        m = len(self.devices)
+        if not m:
+            raise SimError(refusal("topology", "devices", [], "a non-empty list"))
+        ids = set()
         for i, d in enumerate(self.devices):
-            if d.id != i:
-                raise SimError("device ids must be dense 0..|D|-1")
-            if not d.memory_bytes > 0:
-                raise SimError(f"device {i}: memory_bytes must be positive")
-            if not d.compute_scale > 0:
-                raise SimError(f"device {i}: compute_scale must be positive")
+            where = f"topology devices[{i}]"
+            if not 0 <= d.id < m or d.id in ids:
+                raise SimError(refusal(where, "id", d.id, f"an id in 0..{m - 1} that no other device has"))
+            ids.add(d.id)
+            for key, value in (("memory_bytes", d.memory_bytes), ("compute_scale", d.compute_scale)):
+                if not value > 0:
+                    raise SimError(refusal(where, key, value, "a positive number"))
+        object.__setattr__(self, "devices", tuple(sorted(self.devices, key=lambda d: d.id)))
         bw = self.bandwidth_bytes_per_sec
+        key = "bandwidth_bytes_per_sec"
         if isinstance(bw, (int, float)):
             if not bw > 0:
-                raise SimError("bandwidth must be positive")
+                raise SimError(refusal("topology", key, bw, "a positive number"))
         else:
-            m = len(self.devices)
             if len(bw) != m or any(len(row) != m for row in bw):
-                raise SimError("bandwidth matrix must be |D|x|D|")
+                raise SimError(refusal("topology", key, bw, f"a {m}x{m} matrix"))
             for i in range(m):
                 for j in range(m):
                     if i != j and not bw[i][j] > 0:
-                        raise SimError(f"bandwidth[{i}][{j}] must be positive")
+                        raise SimError(refusal("topology", key, bw, f"positive at [{i}][{j}]"))
 
     @property
     def num_devices(self) -> int:
@@ -94,9 +100,9 @@ _DEVICE = {"id": "int", "memory_bytes": "number", "compute_scale": "number"}
 def load_topology(text) -> DeviceTopology:
     """Parse the topology JSON document (text or bytes)."""
     doc = parse_json(text, "topology", SimError)
-    check_object(doc, _TOPOLOGY, "topology", SimError, required=("bandwidth_bytes_per_sec",))
+    check_object(doc, _TOPOLOGY, "topology", SimError, required=("devices", "bandwidth_bytes_per_sec"))
     devs = []
-    for i, dd in enumerate(doc.get("devices", ())):
+    for i, dd in enumerate(doc["devices"]):
         check_object(dd, _DEVICE, f"topology devices[{i}]", SimError, required=("memory_bytes",))
         devs.append(Device(dd.get("id", i), float(dd["memory_bytes"]), float(dd.get("compute_scale", 1.0))))
     bw = doc["bandwidth_bytes_per_sec"]
@@ -108,7 +114,7 @@ def load_topology(text) -> DeviceTopology:
         bw = tuple([tuple([number(x, "topology", key, SimError) for x in row]) for row in bw])
     else:
         bw = float(bw)
-    return DeviceTopology(devices=tuple(sorted(devs, key=lambda d: d.id)), bandwidth_bytes_per_sec=bw)
+    return DeviceTopology(devices=tuple(devs), bandwidth_bytes_per_sec=bw)
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,11 @@ def make_graph(name, costs, bytes_out, edges):
 
 
 def make_topology(n_devices=2, memory=12e9, bandwidth=1e6, scales=None):
+    """memory is every device's memory_bytes, or a sequence of one per device."""
     scales = scales or [1.0] * n_devices
+    memory = memory if isinstance(memory, (list, tuple)) else [memory] * n_devices
     return DeviceTopology(
-        devices=tuple(Device(id=i, memory_bytes=memory, compute_scale=scales[i]) for i in range(n_devices)),
+        devices=tuple(Device(id=i, memory_bytes=memory[i], compute_scale=scales[i]) for i in range(n_devices)),
         bandwidth_bytes_per_sec=bandwidth,
     )
 

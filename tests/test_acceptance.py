@@ -91,22 +91,27 @@ def test_hand_traced_fixture():
 
 @criterion(3, "memory penalty: R(2.0 s, 11.7 GB) = 4.0 s; monotone and continuous")
 def test_memory_penalty():
-    topo = make_topology(2)
+    # The paper's 10.7 GB limit is each device's memory_bytes.
+    m_star = 10.7 * BYTES_PER_GB
+    topo = make_topology(2, memory=m_star)
     cfg = RewardConfig(mode="terminal")
-    assert cfg.memory_threshold_bytes == 10.7 * BYTES_PER_GB
     assert cfg.penalty_per_gb == 2.0
 
-    def result(m):
-        return SimulationResult(2.0, (m, 0.0), (), (), 0)
+    def result(m, other=0.0):
+        return SimulationResult(2.0, (m, other), (), (), 0)
 
     assert penalized_runtime(result(11.7 * BYTES_PER_GB), topo, cfg) == 4.0
     grid = np.linspace(8.0, 14.0, 241) * BYTES_PER_GB
     vals = [penalized_runtime(result(m), topo, cfg) for m in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    m_star = cfg.memory_threshold_bytes
     assert abs(
         penalized_runtime(result(m_star + 1.0), topo, cfg) - penalized_runtime(result(m_star), topo, cfg)
     ) < 1e-8
+    # A device over its own smaller limit is penalized, though its peak is
+    # below the other device's limit.
+    small = make_topology(2, memory=[m_star, 5e9])
+    assert penalized_runtime(result(0.0, 6e9), small, cfg) == 4.0
+    assert penalized_runtime(result(6e9, 0.0), small, cfg) == 2.0
 
 
 @criterion(4, "episode-loss gradients match finite differences in all three modes")

@@ -23,8 +23,9 @@ from placement_opt.sim_engine import Device, DeviceTopology, Placement, simulate
 from conftest import make_graph, make_topology, random_dag
 
 TCFG = RewardConfig(mode="terminal")
-# Peaks of a few MB over a 3 MB threshold make the memory penalty decide.
-PENALTY_CFG = RewardConfig(mode="terminal", memory_threshold_bytes=3e6, penalty_per_gb=2e3)
+# Peaks of a few MB over devices of 3 MB each make the memory penalty decide.
+PENALTY_CFG = RewardConfig(mode="terminal", penalty_per_gb=2e3)
+PENALTY_MEMORY = 3e6
 
 
 class TestSingleDevice:
@@ -408,16 +409,17 @@ def simulated(monkeypatch):
 
 
 class TestExhaustiveMirrorPruning:
-    def test_memory_penalty_matches_full_enumeration(self, two_device, simulated):
+    def test_memory_penalty_matches_full_enumeration(self, simulated):
         rng = np.random.default_rng(51)
+        topo = make_topology(2, memory=PENALTY_MEMORY)
         penalized = 0
         for _ in range(12):
             g = random_dag(rng, max_nodes=8, bytes_range=(0.5e6, 4e6))
-            expected = full_enumeration(g, two_device, PENALTY_CFG)
+            expected = full_enumeration(g, topo, PENALTY_CFG)
             simulated.clear()
-            assert exhaustive_search(g, two_device, PENALTY_CFG) == expected
+            assert exhaustive_search(g, topo, PENALTY_CFG) == expected
             assert_mirror_restricted(simulated, g.num_nodes)
-            best = simulate(g, two_device, expected[0])
+            best = simulate(g, topo, expected[0])
             penalized += expected[1] > best.makespan_seconds
         assert penalized > 0
 
@@ -433,19 +435,26 @@ class TestExhaustiveMirrorPruning:
             assert exhaustive_search(g, two_device, TCFG) == expected
             assert_mirror_restricted(simulated, n)
 
-    @pytest.mark.parametrize("case", ["compute_scale", "bandwidth_matrix", "cost_vectors", "memory_bytes"])
+    @pytest.mark.parametrize(
+        "case", ["compute_scale", "bandwidth_matrix", "cost_vectors", "memory_bytes", "memory_binding"]
+    )
     def test_distinguishable_devices_enumerate_everything(self, case):
         # Devices that differ are not mirror-restricted: the search reaches
         # optima with node 0 on device 1. full_enumeration returns the
         # lexicographically first optimum, so when it puts node 0 on device 1
-        # no optimum has node 0 on device 0. Device memory does not enter the
-        # runtime, so its optima always have a mirror with node 0 on device 0.
+        # no optimum has node 0 on device 0. Device memory enters the runtime
+        # only when a peak exceeds its device's memory_bytes: with limits of
+        # 1 and 2 GB no peak of a few MB does, so every optimum has a mirror
+        # with node 0 on device 0; with limits of 3 and 6 MB the penalty
+        # favours device 1.
         rng = np.random.default_rng(57)
-        scales, bandwidth, memory = (1.0, 1.0), 1e6, (1e9, 1e9)
+        scales, bandwidth, memory, cfg = (1.0, 1.0), 1e6, (1e9, 1e9), TCFG
         if case == "compute_scale":
             scales = (2.0, 1.0)
         elif case == "memory_bytes":
             memory = (1e9, 2e9)
+        elif case == "memory_binding":
+            memory, cfg = (PENALTY_MEMORY, 2 * PENALTY_MEMORY), PENALTY_CFG
         elif case == "bandwidth_matrix":
             bandwidth = ((0.0, 2e6), (0.5e6, 0.0))
         topo = DeviceTopology(
@@ -461,8 +470,8 @@ class TestExhaustiveMirrorPruning:
                     for v in range(g.num_nodes)
                 ]
                 g = ComputationGraph.build("vec", nodes, set(g.edges))
-            expected = full_enumeration(g, topo, TCFG)
-            assert exhaustive_search(g, topo, TCFG) == expected
+            expected = full_enumeration(g, topo, cfg)
+            assert exhaustive_search(g, topo, cfg) == expected
             node0_on_1 += expected[0].assignment[0] == 1
         if case == "memory_bytes":
             assert node0_on_1 == 0
@@ -492,7 +501,7 @@ SEARCH_TOPOLOGIES = {
     "bandwidth_matrix": make_topology(3, bandwidth=((0.0, 1e6, 3e6), (0.5e6, 0.0, 2e6), (4e6, 0.25e6, 0.0))),
     "cost_vectors": make_topology(3),
     "zero_work": make_topology(2),
-    "memory_penalty": make_topology(3),
+    "memory_penalty": make_topology(3, memory=PENALTY_MEMORY),
     "ties": make_topology(3),
     "shuffled_ids": make_topology(2),
 }

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from placement_opt import cli, trainer
 from placement_opt.datagen import FAMILIES, FamilySpec, write_dataset
 from placement_opt.graph_core import load_graph
 from placement_opt.neural_primitives import CHECKPOINT_FORMAT, params_to_doc
-from placement_opt.placement_env import BYTES_PER_GB, INTERMEDIATE, RewardConfig
+from placement_opt.placement_env import INTERMEDIATE, RewardConfig
 from placement_opt.policy_gnn import PolicyConfig, init_policy
 from placement_opt.sim_engine import load_topology
 from placement_opt.trainer import save_policy_checkpoint
@@ -552,6 +553,52 @@ class TestTrainEvaluate:
         assert "devices" in capsys.readouterr().err
 
 
+class TestMemoryBound:
+    """Workloads where the memory limits bind: encoder_decoder graphs with
+    0.5-2 GB tensors peak at 5-7 GB on a device, against devices of 5-6 GB."""
+
+    @pytest.mark.parametrize("limits", [(5e9, 5e9), (6e9, 6e9), (5e9, 6e9)], ids=["5GB", "6GB", "5GB_6GB"])
+    def test_penalty_reads_each_device_limit(self, tmp_path, monkeypatch, limits):
+        monkeypatch.chdir(tmp_path)
+        assert run(["datagen", "--family", "encoder_decoder", "--layers", "1", "2", "--unroll", "2", "3",
+                    "--tensor-bytes", "0.5e9", "2e9", "--count", "8", "--seed", "1", "--out", "ds"]) == 0
+        topo = {"devices": [{"id": i, "memory_bytes": b} for i, b in enumerate(limits)],
+                "bandwidth_bytes_per_sec": 1e9}
+        (tmp_path / "topology.json").write_text(json.dumps(topo))
+        (tmp_path / "run.json").write_text(json.dumps({
+            "topology": "topology.json", "dataset": "ds", "seed": 1,
+            "policy": {"message_rounds": 1}, "trainer": {"episodes": 1, "workers": 1},
+        }))
+        assert run(["train", "--config", "run.json", "--out", "train_out"]) == 0
+        assert run(["evaluate", "--checkpoint", "train_out/checkpoint.json", "--dataset", "ds",
+                     "--topology", "topology.json", "--out", "eval_out"]) == 0
+        with open("eval_out/evaluation.csv") as f:
+            rows = {(r["graph"], r["scheme"]): [float(r[k]) for k in cli.EVAL_COLUMNS[2:]] for r in csv.DictReader(f)}
+        bound = []
+        for (graph, scheme), (penalized, makespan, peak) in rows.items():
+            if scheme == "single_device":
+                # Everything on device 0: 2 s per GB over device 0's own limit.
+                over = peak - limits[0]
+                assert penalized == (makespan + 2.0 * over / 1e9 if over > 0 else makespan)
+                penalized_exhaustive, makespan_exhaustive, _ = rows[graph, "exhaustive"]
+                if penalized > makespan and penalized_exhaustive == makespan_exhaustive:
+                    bound.append(graph)
+        assert bound, "no graph whose single-device row is penalized and whose optimum is not"
+
+
+def test_readme_walkthrough_documents_load(tmp_path, monkeypatch):
+    # The walkthrough's heredocs are read by the loaders they feed.
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as f:
+        heredocs = dict(re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n", f.read(), re.DOTALL))
+    assert set(heredocs) == {"topology.json", "run.json"}
+    topology = load_topology(heredocs["topology.json"])
+    assert [d.memory_bytes for d in topology.devices] == [12e9, 12e9]
+    doc = cli.load_run_config(heredocs["run.json"])
+    assert doc["topology"] == "topology.json" and doc["dataset"] == "dataset"
+    assert RewardConfig(**doc["env"]) == RewardConfig(mode=INTERMEDIATE)
+
+
 def _fails_with_one_error_line(capsys, argv):
     rc = run(argv)
     err = capsys.readouterr().err
@@ -578,7 +625,7 @@ class TestMalformedRunConfig:
             ("trainer", "randomize_visit_order", 1),
             ("trainer", "randomize_visit_order", "true"),
             ("env", "penalty_per_gb", "2"),
-            ("env", "memory_threshold_gb", [10.7]),
+            ("env", "reward_scale", [2.5]),
             ("env", "reward_scale", False),
             ("env", "mode", 1),
             ("policy", "message_rounds", 1.5),
@@ -645,6 +692,14 @@ class TestMalformedRunConfig:
         )
         assert run(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
+    def test_global_memory_threshold_is_refused(self, files, tmp_path, capsys):
+        # The memory limit is each topology device's memory_bytes; a config
+        # that still sets the removed global threshold is refused by name.
+        path = write_run_config(tmp_path, files["topo"], env={"mode": "intermediate", "memory_threshold_gb": 10.7})
+        err = _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(tmp_path / "o")])
+        assert err == "error: unknown env key(s): memory_threshold_gb\n"
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
 
 class _TrainCalled(Exception):
     pass
@@ -662,6 +717,9 @@ class TestRunConfigDefaults:
             "entropy_start": "number", "entropy_end": "number", "baseline_window": "int",
             "randomize_visit_order": "bool", "threads": "int",
         }
+        # env is RewardConfig's fields and init_mode; the memory limit is the topology's.
+        assert cli._SECTIONS["env"] == {"mode": "str", "penalty_per_gb": "number", "reward_scale": "number?",
+                                        "init_mode": "str"}
 
     def _configs(self, files, tmp_path, monkeypatch, doc, flags=()):
         """The (policy, trainer, reward) configs train is called with."""
@@ -688,16 +746,15 @@ class TestRunConfigDefaults:
         # The values cmd_train spelled out before it took them from the dataclasses.
         assert policy_cfg == PolicyConfig(num_devices=2, message_rounds=8, mode="full", head_hidden=None)
         assert (cfg.seed, cfg.init_mode) == (0, "all_device_0")
-        assert reward_cfg == RewardConfig(mode=INTERMEDIATE, memory_threshold_bytes=10.7 * BYTES_PER_GB,
-                                          penalty_per_gb=2.0, reward_scale=None)
+        assert reward_cfg == RewardConfig(mode=INTERMEDIATE, penalty_per_gb=2.0, reward_scale=None)
 
     def test_given_keys_reach_the_configs(self, files, tmp_path, monkeypatch):
-        doc = {"seed": 5, "env": {"init_mode": "random", "memory_threshold_gb": 3, "reward_scale": 2.5},
+        doc = {"seed": 5, "env": {"init_mode": "random", "penalty_per_gb": 3, "reward_scale": 2.5},
                "policy": {"mode": "simple_aggregator"}, "trainer": {"episodes": 4}}
         policy_cfg, cfg, reward_cfg = self._configs(files, tmp_path, monkeypatch, doc)
         assert policy_cfg == PolicyConfig(num_devices=2, mode="simple_aggregator")
         assert cfg == trainer.TrainerConfig(episodes=4, seed=5, init_mode="random")
-        assert reward_cfg == RewardConfig(memory_threshold_bytes=3 * BYTES_PER_GB, reward_scale=2.5)
+        assert reward_cfg == RewardConfig(penalty_per_gb=3, reward_scale=2.5)
         _, cfg, _ = self._configs(files, tmp_path, monkeypatch, doc, ["--seed", "7"])
         assert cfg.seed == 7
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from placement_opt import cli
+from placement_opt.sim_engine import load_topology
 from placement_opt.policy_gnn import PolicyConfig, init_policy
 from placement_opt.trainer import TrainerConfig, save_policy_checkpoint
 
@@ -39,7 +40,7 @@ RUN_CONFIG = {
     "topology": "topology.json",
     "dataset": "ds",
     "seed": 1,
-    "env": {"mode": "intermediate", "memory_threshold_gb": 10.7},
+    "env": {"mode": "intermediate", "penalty_per_gb": 2.0},
     "policy": {"message_rounds": WORK["message_rounds"]},
     "trainer": {"episodes": WORK["episodes"], "workers": WORK["workers"], "lr_start": 1e-3},
 }
@@ -154,12 +155,35 @@ KEY_CASES = {
     "config_no_topology": ("run_config", drop((), "topology"), "config lacks key(s): topology"),
     "trainer_misspelt_episodes": ("run_config", rename(("trainer",), "episodes", "epsiodes"),
                                   "unknown trainer key(s): epsiodes"),
+    "topology_no_devices": ("topology", drop((), "devices"), "topology lacks key(s): devices"),
+    "checkpoint_misspelt_params": ("checkpoint", rename((), "params", "paramz"), "unknown checkpoint key(s): paramz"),
+    "checkpoint_no_params": ("checkpoint", drop((), "params"), "checkpoint lacks key(s): params"),
+    "checkpoint_extra_list": ("checkpoint", put((), "extra", []),
+                              "checkpoint key 'extra' must be a JSON object, not []"),
+}
+
+# Values of the right kind that the topology still refuses, named by entry.
+BANDWIDTH = "topology key 'bandwidth_bytes_per_sec' must be"
+TOPOLOGY_VALUE_CASES = {
+    "no_devices": (put((), "devices", []), "topology key 'devices' must be a non-empty list, not []"),
+    "duplicate_id": (put(("devices", 1), "id", 0),
+                     "topology devices[1] key 'id' must be an id in 0..1 that no other device has, not 0"),
+    "id_out_of_range": (put(("devices", 0), "id", 2),
+                        "topology devices[0] key 'id' must be an id in 0..1 that no other device has, not 2"),
+    "zero_memory": (put(("devices", 1), "memory_bytes", 0),
+                    "topology devices[1] key 'memory_bytes' must be a positive number, not 0.0"),
+    "negative_compute_scale": (put(("devices", 0), "compute_scale", -1.5),
+                               "topology devices[0] key 'compute_scale' must be a positive number, not -1.5"),
+    "negative_bandwidth": (put((), "bandwidth_bytes_per_sec", -1), f"{BANDWIDTH} a positive number, not -1.0"),
+    "bandwidth_not_square": (put((), "bandwidth_bytes_per_sec", [[0.0, 1e6]]),
+                             f"{BANDWIDTH} a 2x2 matrix, not [[0.0, 1000000.0]]"),
+    "bandwidth_zero_entry": (put((), "bandwidth_bytes_per_sec", [[0.0, 1e6], [0.0, 0.0]]),
+                             f"{BANDWIDTH} positive at [1][0], not [[0.0, 1000000.0], [0.0, 0.0]]"),
 }
 
 
-@pytest.mark.parametrize("case", KEY_CASES)
-def test_keys_are_checked_in_every_document(docs, capsys, case):
-    kind, edit, message = KEY_CASES[case]
+def assert_refused(docs, capsys, kind, edit, message):
+    """The edited valid document of kind ends in the one error line message."""
     doc = copy.deepcopy(docs.valid[kind])
     edit(doc)
     rc = docs.run(kind, doc)
@@ -167,6 +191,35 @@ def test_keys_are_checked_in_every_document(docs, capsys, case):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert message in err
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_keys_are_checked_in_every_document(docs, capsys, case):
+    assert_refused(docs, capsys, *KEY_CASES[case])
+
+
+@pytest.mark.parametrize("case", TOPOLOGY_VALUE_CASES)
+def test_topology_values_name_their_entry(docs, capsys, case):
+    assert_refused(docs, capsys, "topology", *TOPOLOGY_VALUE_CASES[case])
+
+
+def test_devices_in_any_id_order_load_sorted_by_id(docs, capsys):
+    doc = copy.deepcopy(docs.valid["topology"])
+    doc["devices"] = [{"id": 1, "memory_bytes": 6e9}, {"id": 0, "memory_bytes": 12e9, "compute_scale": -1.0}]
+    assert docs.run("topology", doc) == 1
+    assert "topology devices[1] key 'compute_scale'" in capsys.readouterr().err
+    doc["devices"][1]["compute_scale"] = 2.0
+    assert docs.run("topology", doc) == 0
+    topo = load_topology(json.dumps(doc))
+    assert [(d.id, d.memory_bytes, d.compute_scale) for d in topo.devices] == [(0, 12e9, 2.0), (1, 6e9, 1.0)]
+
+
+def test_legacy_checkpoint_keys_are_dropped_unread(docs, capsys):
+    # Checkpoints written before the optimizer and rng fields were dropped.
+    doc = copy.deepcopy(docs.valid["checkpoint"])
+    doc.update(adam={"timestep": 3}, rng_state=None)
+    assert docs.run("checkpoint", doc) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("kind", KINDS)

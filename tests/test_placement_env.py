@@ -58,33 +58,49 @@ def fake_result(makespan, peak_bytes):
     )
 
 
+# The paper's memory limit, declared by every device of PAPER_TOPOLOGY.
+PAPER_LIMIT = 10.7 * BYTES_PER_GB
+PAPER_TOPOLOGY = make_topology(2, memory=PAPER_LIMIT)
+
+
 class TestPenalizedRuntime:
-    def test_paper_constants(self, two_device):
-        # r = 2.0 s, peak 11.7 GB against a 10.7 GB threshold at 2 s/GB
+    def test_paper_constants(self):
+        # r = 2.0 s, peak 11.7 GB against a 10.7 GB device at 2 s/GB
         cfg = RewardConfig(mode="terminal")
         res = fake_result(2.0, [11.7 * BYTES_PER_GB, 0.0])
-        assert penalized_runtime(res, two_device, cfg) == 4.0
+        assert penalized_runtime(res, PAPER_TOPOLOGY, cfg) == 4.0
 
-    def test_below_threshold_identity(self, two_device):
+    def test_below_threshold_identity(self):
         cfg = RewardConfig(mode="terminal")
         res = fake_result(3.5, [1e9, 2e9])
-        assert penalized_runtime(res, two_device, cfg) == 3.5
+        assert penalized_runtime(res, PAPER_TOPOLOGY, cfg) == 3.5
 
-    def test_boundary_inclusive(self, two_device):
+    def test_boundary_inclusive(self):
         cfg = RewardConfig(mode="terminal")
-        res = fake_result(1.0, [cfg.memory_threshold_bytes])
-        assert penalized_runtime(res, two_device, cfg) == 1.0
+        res = fake_result(1.0, [PAPER_LIMIT, PAPER_LIMIT])
+        assert penalized_runtime(res, PAPER_TOPOLOGY, cfg) == 1.0
 
-    def test_monotone_and_continuous_in_memory(self, two_device):
+    def test_monotone_and_continuous_in_memory(self):
         cfg = RewardConfig(mode="terminal")
         m_grid = np.linspace(9.0, 13.0, 81) * BYTES_PER_GB
-        vals = [penalized_runtime(fake_result(2.0, [m]), two_device, cfg) for m in m_grid]
+        vals = [penalized_runtime(fake_result(2.0, [m, 0.0]), PAPER_TOPOLOGY, cfg) for m in m_grid]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        at = penalized_runtime(fake_result(2.0, [cfg.memory_threshold_bytes]), two_device, cfg)
-        just_above = penalized_runtime(
-            fake_result(2.0, [cfg.memory_threshold_bytes + 1.0]), two_device, cfg
-        )
+        at = penalized_runtime(fake_result(2.0, [PAPER_LIMIT, 0.0]), PAPER_TOPOLOGY, cfg)
+        just_above = penalized_runtime(fake_result(2.0, [PAPER_LIMIT + 1.0, 0.0]), PAPER_TOPOLOGY, cfg)
         assert abs(just_above - at) < 1e-8
+
+    def test_each_device_has_its_own_limit(self):
+        # Devices of 4 GB and 10.7 GB: the penalty charges the largest
+        # overflow of a peak above its own device's limit.
+        cfg = RewardConfig(mode="terminal")
+        topo = make_topology(2, memory=[4e9, PAPER_LIMIT])
+        gb = BYTES_PER_GB
+        assert penalized_runtime(fake_result(2.0, [4e9, PAPER_LIMIT]), topo, cfg) == 2.0
+        assert penalized_runtime(fake_result(2.0, [3e9, 11.7 * gb]), topo, cfg) == 4.0
+        # 5 GB on device 0 is over its 4 GB, though below device 1's limit.
+        assert penalized_runtime(fake_result(2.0, [5e9, 0.0]), topo, cfg) == 4.0
+        assert penalized_runtime(fake_result(2.0, [6e9, 11.7 * gb]), topo, cfg) == 6.0
+        assert penalized_runtime(fake_result(2.0, [0.0, 6e9]), topo, cfg) == 2.0
 
     def test_config_validation(self):
         with pytest.raises(EnvError):
@@ -222,15 +238,15 @@ class TestFeaturize:
 
 
 class TestStep:
-    def test_terminal_final_reward(self, two_device):
+    def test_terminal_final_reward(self):
         # Build an instance whose final placement yields R = 4.0: makespan 2.0
-        # with an 11.7 GB tensor against the 10.7 GB threshold.
+        # with an 11.7 GB tensor on a 10.7 GB device.
         g = make_graph("mem", [1.0, 1.0], [11.7 * BYTES_PER_GB, 0.0], {(0, 1)})
         cfg = RewardConfig(mode="terminal", reward_scale=1.0)
-        st = reset(g, two_device, cfg)
-        st, r, done = step(st, 0, two_device, cfg)
+        st = reset(g, PAPER_TOPOLOGY, cfg)
+        st, r, done = step(st, 0, PAPER_TOPOLOGY, cfg)
         assert (r, done) == (0.0, False)
-        st, r, done = step(st, 0, two_device, cfg)
+        st, r, done = step(st, 0, PAPER_TOPOLOGY, cfg)
         assert done
         assert r == -4.0
 
@@ -312,7 +328,10 @@ def profiled(monkeypatch):
 
 def runtime_case(rng):
     """A random graph, topology and placement on 1-3 devices: cost vectors,
-    compute scales and bandwidth matrices in about half the cases each."""
+    compute scales and bandwidth matrices in about half the cases each. Each
+    device's memory_bytes is drawn on its own, from a fifth to twice the
+    graph's total output bytes, so the total and the peaks fall on both sides
+    of the limits and the smallest limit is on any device."""
     m = int(rng.integers(1, 4))
     g = random_dag(rng, max_nodes=9, bytes_range=(0.0, 4e6))
     if rng.random() < 0.5:
@@ -324,26 +343,35 @@ def runtime_case(rng):
     bandwidth = float(rng.uniform(0.5e6, 3e6))
     if rng.random() < 0.5:
         bandwidth = tuple(tuple(map(float, row)) for row in rng.uniform(0.5e6, 3e6, size=(m, m)))
+    limits = (g.total_output_bytes or 1.0) * rng.choice([0.2, 0.5, 0.9, 1.0, 1.01, 2.0], size=m)
     topo = DeviceTopology(
-        devices=tuple(Device(id=i, memory_bytes=1e9, compute_scale=float(s)) for i, s in enumerate(scales)),
+        devices=tuple(Device(id=i, memory_bytes=float(b), compute_scale=float(s))
+                      for i, (b, s) in enumerate(zip(limits, scales))),
         bandwidth_bytes_per_sec=bandwidth,
     )
     return g, topo, Placement(tuple(int(d) for d in rng.integers(m, size=g.num_nodes)))
 
 
+def penalized_by_device(result, topology, cfg):
+    """The penalized runtime as the worst of each over-limit device's own
+    penalized makespan; the penalty is monotone, so bit for bit the same."""
+    r = result.makespan_seconds
+    return max((r + cfg.penalty_per_gb * (p - d.memory_bytes) / BYTES_PER_GB
+                for p, d in zip(result.peak_memory_bytes, topology.devices) if p > d.memory_bytes), default=r)
+
+
 class TestRuntimeOf:
     def test_equals_penalized_simulation(self, profiled):
-        # Thresholds from a fifth to twice the graph's total output bytes put
-        # the total on both sides, and the peaks too.
         rng = np.random.default_rng(61)
+        cfg = RewardConfig()
         full = fast = penalized = 0
-        for _ in range(300):
+        for _ in range(400):
             g, topo, pl = runtime_case(rng)
-            total = g.total_output_bytes
-            if not total:
+            if not g.total_output_bytes:
                 continue
-            cfg = RewardConfig(memory_threshold_bytes=total * float(rng.choice([0.2, 0.5, 0.9, 1.0, 1.01, 2.0])))
-            expected = penalized_runtime(simulate(g, topo, pl), topo, cfg)
+            result = simulate(g, topo, pl)
+            expected = penalized_by_device(result, topo, cfg)
+            assert penalized_runtime(result, topo, cfg) == expected
             profiled.clear()
             assert runtime_of(g, topo, pl, cfg) == expected
             full += bool(profiled)
@@ -351,18 +379,20 @@ class TestRuntimeOf:
             penalized += expected > sim_engine.makespan(g, topo, pl)
         assert full > 50 and fast > 50 and penalized > 20
 
-    def test_total_within_the_margin_takes_the_full_path(self, two_device, profiled):
-        # One ulp of headroom: the penalty is 0, but rounding in the memory
-        # sweep could in principle exceed it, so memory_profile decides.
+    def test_total_within_the_margin_takes_the_full_path(self, profiled):
+        # One ulp of headroom on the smaller device, device 1: the penalty is
+        # 0, but rounding in the memory sweep could in principle exceed it,
+        # so memory_profile decides.
         g = make_graph("chain", [1.0, 2.0, 3.0], [1e6, 3e6, 0.7e6], {(0, 1), (1, 2)})
         pl = Placement((0, 1, 0))
+        cfg = RewardConfig()
         total = g.total_output_bytes
         margin = (g.num_nodes + 1) * 2.0**-49
-        for threshold, profiles in ((math.nextafter(total, math.inf), 1), (total * (1 + 2 * margin), 0)):
-            cfg = RewardConfig(memory_threshold_bytes=threshold)
-            expected = simulate(g, two_device, pl).makespan_seconds
+        for limit, profiles in ((math.nextafter(total, math.inf), 1), (total * (1 + 2 * margin), 0)):
+            topo = make_topology(2, memory=[4 * total, limit])
+            expected = simulate(g, topo, pl).makespan_seconds
             profiled.clear()
-            assert runtime_of(g, two_device, pl, cfg) == expected
+            assert runtime_of(g, topo, pl, cfg) == expected
             assert len(profiled) == profiles
 
     def test_episode_rewards_skip_the_memory_profile(self, diamond, two_device, profiled):
