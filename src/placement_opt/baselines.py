@@ -45,7 +45,8 @@ def _node_loads(graph: ComputationGraph, topology: DeviceTopology) -> list[float
 
 
 def _cut_bytes(graph: ComputationGraph, assignment) -> float:
-    return sum(graph.nodes[u].output_bytes for u, v in graph.edges if assignment[u] != assignment[v])
+    size = graph.output_sizes
+    return sum(size[u] for u, v in graph.edges if assignment[u] != assignment[v])
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,7 @@ def place_balanced_mincut(
     loads_w = _node_loads(graph, topology)
     total = sum(loads_w)
     order = topological_order(graph)
+    out_bytes = graph.output_sizes
 
     eps = cfg.balance_tolerance
     relaxed = False
@@ -105,9 +107,7 @@ def place_balanced_mincut(
             for d in range(m):
                 if load[d] + loads_w[v] > cap + 1e-12:
                     continue
-                added = sum(
-                    graph.nodes[p].output_bytes for p in graph.parents[v] if assignment[p] != d
-                )
+                added = sum(out_bytes[p] for p in graph.parents[v] if assignment[p] != d)
                 key = (added, d)
                 if best is None or key < best[0]:
                     best = (key, d)
@@ -123,7 +123,6 @@ def place_balanced_mincut(
 
     # Kernighan-Lin style single-node refinement: accept the best strictly
     # cut-reducing move per node that keeps the balance bound.
-    out_bytes = [g.output_bytes for g in graph.nodes]
     for _ in range(cfg.refinement_passes):
         moved = False
         for v in range(n):
@@ -277,7 +276,7 @@ def _lower_bound(graph: ComputationGraph, topology: DeviceTopology):
     scale = [dev.compute_scale for dev in topology.devices]
     dur = [[g.cost_on(d) * scale[d] for d in range(m)] for g in graph.nodes]
     cheapest = [min(row) for row in dur]
-    size = [g.output_bytes for g in graph.nodes]
+    size = graph.output_sizes
     bw = [[topology.bandwidth(s, d) for d in range(m)] for s in range(m)]
     order = topological_order(graph)
     parents = graph.parents

@@ -123,13 +123,32 @@ def write_csv(path, columns, rows) -> None:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
+@dataclasses.dataclass(frozen=True)
+class Table:
+    """A list of objects with the same keys, held as one column per key:
+    json_document writes it as ``[{keys[0]: columns[0][i], ...}, ...]``, one
+    object per row i, without building the row objects."""
+
+    keys: tuple[str, ...]
+    columns: tuple  # one sequence per key, all of one length
+
+    def __post_init__(self):
+        if not self.keys or len(self.columns) != len(self.keys) or len(set(map(len, self.columns))) != 1:
+            raise ValueError(f"a table needs one column per key, all of one length: {self.keys}")
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
 def json_document(doc) -> str:
-    """Exactly ``json.dumps(doc, indent=2)``, built from pieces encoded in C.
+    """Exactly ``json.dumps(doc, indent=2)``, built from pieces encoded in C;
+    a Table is written as the list of its row objects.
 
     An indent always selects json's pure-Python encoder. Here each list is
     encoded a column at a time instead: one C ``json.dumps`` per column of
-    scalars, split on the C encoder's ", " separator, and for a list of
-    like-shaped objects or lists one ``%`` template filled in for every row.
+    scalars, split on the C encoder's ", " separator, and for a Table or a
+    list of like-shaped objects or lists one ``%`` template filled in for
+    every row.
     """
     return _encode(doc, "\n")
 
@@ -145,11 +164,12 @@ def _encode(o, nl: str) -> str:
             keys = [k if isinstance(k, str) else json.dumps(k) for k in keys]
         pairs = map("%s: %s".__mod__, zip(_items(keys, inner), _items(list(o.values()), inner)))
         return "{" + inner + ("," + inner).join(pairs) + nl + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
+    if isinstance(o, (list, tuple, Table)):
+        if not len(o):
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join(_items(o, inner)) + nl + "]"
+        items = _rows(_heads(o.keys), o.columns, "{}", inner) if isinstance(o, Table) else _items(o, inner)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     return json.dumps(o)
 
 
@@ -165,13 +185,21 @@ def _items(values, nl: str) -> list[str]:
     # Rows: objects with the same keys in the same order, or lists of one
     # length. Each column is encoded as a list of its own.
     if kinds == {dict} and len(shapes := set(map(tuple, values))) == 1 and (keys := shapes.pop()):
-        heads = [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " for k in keys]
-        columns, brackets = zip(*map(dict.values, values)), "{}"
-    elif kinds <= {list, tuple} and len(widths := set(map(len, values))) == 1 and (width := widths.pop()):
-        heads = [""] * width
-        columns, brackets = zip(*values), "[]"
-    else:
-        return [_encode(v, nl) for v in values]
+        return _rows(_heads(keys), list(zip(*map(dict.values, values))), "{}", nl)
+    if kinds <= {list, tuple} and len(widths := set(map(len, values))) == 1 and (width := widths.pop()):
+        return _rows([""] * width, list(zip(*values)), "[]", nl)
+    return [_encode(v, nl) for v in values]
+
+
+def _heads(keys) -> list[str]:
+    """Each key as an object member's head: its JSON string and ": "."""
+    return [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " for k in keys]
+
+
+def _rows(heads, columns, brackets: str, nl: str) -> list[str]:
+    """One row per index of the columns, at the depth whose line break is
+    nl: column i's encoded entry after heads[i], between brackets. Each
+    column is encoded by one _items call and each row by one template."""
     inner = nl + "  "
     fields = ("," + inner).join(h.replace("%", "%%") + "%s" for h in heads)
     template = brackets[0] + inner + fields + nl + brackets[1]

@@ -14,8 +14,10 @@ bytes, feature columns, CSR arrays, relation id arrays) is a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -23,31 +25,40 @@ from .fileio import check_object, json_document, number, parse_json, refusal
 
 
 _INF = float("inf")
+_FLOAT_MAX = sys.float_info.max
 
 
 class GraphError(ValueError):
     """Invalid graph document or graph operation."""
 
 
-@dataclass(frozen=True, slots=True)
-class OpGroup:
-    """One atomically-placed group of operations."""
-
+class _OpGroupFields(NamedTuple):
     id: int
     compute_seconds: tuple[float, ...]  # len 1 = same cost on every device
     output_bytes: float
     members: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.id < 0:
-            raise GraphError(f"node id {self.id} is negative")
-        if len(self.compute_seconds) == 0:
-            raise GraphError(f"node {self.id}: empty compute cost vector")
-        for c in self.compute_seconds:
+
+class OpGroup(_OpGroupFields):
+    """One atomically-placed group of operations: an immutable named tuple.
+
+    Building one by its fields checks them; ``load_graph`` checks a whole
+    node table by columns and builds its nodes with ``OpGroup._make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, compute_seconds: tuple[float, ...], output_bytes: float, members: tuple[str, ...] = ()):
+        if id < 0:
+            raise GraphError(f"node id {id} is negative")
+        if len(compute_seconds) == 0:
+            raise GraphError(f"node {id}: empty compute cost vector")
+        for c in compute_seconds:
             if not 0.0 <= c < _INF:
-                raise GraphError(f"node {self.id}: compute cost {c} not finite and >= 0")
-        if not 0.0 <= self.output_bytes < _INF:
-            raise GraphError(f"node {self.id}: output_bytes {self.output_bytes} not finite and >= 0")
+                raise GraphError(f"node {id}: compute cost {c} not finite and >= 0")
+        if not 0.0 <= output_bytes < _INF:
+            raise GraphError(f"node {id}: output_bytes {output_bytes} not finite and >= 0")
+        return super().__new__(cls, id, compute_seconds, output_bytes, members)
 
     def cost_on(self, device: int) -> float:
         """Compute seconds on a device; a length-1 vector is broadcast."""
@@ -216,56 +227,124 @@ def _find_cycle(graph: ComputationGraph):
 
 _GRAPH = {"name": "str", "nodes": "list", "edges": "list"}
 _NODE = {"id": "int", "cost": "number|list", "output_bytes": "number", "members": "list"}
+_AT_LEAST_0 = "a finite number >= 0"
 
 
 def load_graph(text) -> ComputationGraph:
     """Parse and validate a graph document (JSON text or bytes).
 
+    The node table and the edge list are checked a column at a time, in a
+    fixed number of passes whatever the graph's size; only once a column
+    check has failed does a walk in document order name the first fault.
     Sparse node ids are remapped to 0..n-1 in increasing original-id order;
     a remapped node with no declared members records its original id there.
     """
     doc = parse_json(text, "graph", GraphError)
     check_object(doc, _GRAPH, "graph", GraphError, required=("nodes",))
-    # One pass over the nodes: keys, id and values, in document order.
-    orig_ids, fields = [], []
-    for i, nd in enumerate(doc["nodes"]):
+    columns = _node_columns(doc["nodes"])
+    if columns is None:
+        _refuse_nodes(doc["nodes"])
+    ids, costs, sizes, members = columns
+
+    n = len(ids)
+    remap = range(n)  # original id -> dense id; a range when they are equal
+    if ids != list(remap):
+        _check_unique(ids)
+        remap = {orig: new for new, orig in enumerate(sorted(ids))}
+        ids, costs, sizes, members = zip(*sorted(zip(ids, costs, sizes, members)))
+        members = [(m or (str(orig),)) if orig != new else m for new, (orig, m) in enumerate(zip(ids, members))]
+    nodes = tuple(map(OpGroup._make, zip(range(n), costs, sizes, members)))
+    return _indexed(doc.get("name", ""), nodes, _edge_pairs(doc.get("edges", []), remap))
+
+
+def _finite_at_least_0(column) -> bool:
+    """Whether every entry is a JSON number (not a bool) in 0..float max:
+    one pass for the kinds, then two C comparisons per entry, both false for
+    NaN and the second for infinities and ints beyond float range."""
+    return (
+        set(map(type, column)) <= {int, float}
+        and all(map((0.0).__le__, column))
+        and all(map(_FLOAT_MAX.__ge__, column))
+    )
+
+
+def _node_columns(nodes):
+    """(ids, cost tuples, output sizes, members) of a node table whose every
+    entry is valid, each value converted as OpGroup holds it; None if some
+    entry is at fault. A missing id reads as None, which no kind admits."""
+    if not set(map(type, nodes)) <= {dict} or not _NODE.keys() >= set().union(*nodes):
+        return None
+    ids = [nd.get("id") for nd in nodes]
+    costs = [nd.get("cost", 0.0) for nd in nodes]
+    sizes = [nd.get("output_bytes", 0.0) for nd in nodes]
+    if not set(map(type, ids)) <= {int} or not _finite_at_least_0(sizes):
+        return None
+    if list in set(map(type, costs)):
+        lists = [c for c in costs if type(c) is list]
+        flat = [c for c in costs if type(c) is not list] + [x for c in lists for x in c]
+        if not all(lists) or not _finite_at_least_0(flat):
+            return None
+        costs = [tuple(map(float, c)) if type(c) is list else (float(c),) for c in costs]
+    elif _finite_at_least_0(costs):
+        costs = list(zip(map(float, costs)))
+    else:
+        return None
+    members = [nd.get("members", ()) for nd in nodes]  # () where the key is absent
+    kinds = set(map(type, members))
+    if not kinds <= {list, tuple}:
+        return None
+    if list in kinds:
+        members = [tuple(map(str, m)) for m in members]
+    return ids, costs, list(map(float, sizes)), members
+
+
+def _refuse_nodes(nodes) -> NoReturn:
+    """Raise the GraphError for the first fault of a node table that failed
+    its column check: a key or kind fault in document order, then a
+    duplicate id, then a value out of range in document order."""
+    for i, nd in enumerate(nodes):
         where = f"graph nodes[{i}]"
         check_object(nd, _NODE, where, GraphError, required=("id",))
+        if type(nd.get("cost")) is list:
+            for c in nd["cost"]:
+                number(c, where, "cost", GraphError)
+    _check_unique([nd["id"] for nd in nodes])
+    for i, nd in enumerate(nodes):
+        where = f"graph nodes[{i}]"
         cost = nd.get("cost", 0.0)
-        if type(cost) is list:
-            cost = tuple([number(c, where, "cost", GraphError) for c in cost])
-        else:
-            cost = (float(cost),)
-        members = tuple(map(str, nd["members"])) if "members" in nd else ()
-        orig_ids.append(nd["id"])
-        fields.append((cost, float(nd.get("output_bytes", 0.0)), members))
+        if cost == []:
+            raise GraphError(refusal(where, "cost", cost, "a non-empty list"))
+        for c in cost if type(cost) is list else (cost,):
+            if c < 0:
+                raise GraphError(refusal(where, "cost", c, _AT_LEAST_0))
+        if nd.get("output_bytes", 0.0) < 0:
+            raise GraphError(refusal(where, "output_bytes", nd["output_bytes"], _AT_LEAST_0))
+    raise AssertionError("a node column check failed, but no node is at fault")
 
-    n = len(orig_ids)
-    remap = range(n)  # original id -> dense id; a range when they are equal
-    if orig_ids != list(remap):
-        if len(set(orig_ids)) != n:
-            dup = sorted(i for i in set(orig_ids) if orig_ids.count(i) > 1)
-            raise GraphError(f"duplicate node id {dup[0]}")
-        remap = {orig: new for new, orig in enumerate(sorted(orig_ids))}
-        by_id = sorted(zip(orig_ids, fields))
-        fields = [
-            (cost, size, (members or (str(orig),)) if orig != new else members)
-            for new, (orig, (cost, size, members)) in enumerate(by_id)
-        ]
-    nodes = tuple([OpGroup(i, cost, size, members) for i, (cost, size, members) in enumerate(fields)])
 
-    edges = []
-    for e in doc.get("edges", ()):
-        if type(e) is not list or len(e) != 2:
+def _check_unique(ids) -> None:
+    if len(set(ids)) != len(ids):
+        raise GraphError(f"duplicate node id {min(i for i in set(ids) if ids.count(i) > 1)}")
+
+
+def _edge_pairs(edges: list, remap) -> list[tuple[int, int]]:
+    """The edges as (parent, child) pairs of dense ids, checked by columns;
+    a walk in document order names the first faulty edge."""
+    if set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}:
+        parents, children = zip(*edges) if edges else ((), ())
+        ends = parents + children
+        if set(map(type, ends)) <= {int}:
+            if type(remap) is range:
+                if not ends or (min(ends) >= 0 and max(ends) < len(remap)):
+                    return list(zip(parents, children))
+            elif all(map(remap.__contains__, ends)):
+                return list(zip(map(remap.__getitem__, parents), map(remap.__getitem__, children)))
+    for e in edges:
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise GraphError(refusal("graph", "edges", e, "a [parent, child] pair of node ids"))
-        u, v = e
-        if type(u) is not int or type(v) is not int:
-            raise GraphError(refusal("graph", "edges", e, "a [parent, child] pair of node ids"))
-        if u not in remap or v not in remap:
-            raise GraphError(f"edge ({u}, {v}) references a missing node")
-        edges.append((remap[u], remap[v]))
-
-    return _indexed(doc.get("name", ""), nodes, edges)
+        if e[0] not in remap or e[1] not in remap:
+            raise GraphError(f"edge ({e[0]}, {e[1]}) references a missing node")
+    raise AssertionError("an edge column check failed, but no edge is at fault")
 
 
 def save_graph(graph: ComputationGraph) -> str:

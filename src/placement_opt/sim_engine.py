@@ -28,10 +28,11 @@ the memory penalty could be nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from operator import attrgetter
 
-from .fileio import check_object, clip, json_document, number, parse_json, refusal
+from .fileio import Table, check_object, clip, json_document, number, parse_json, refusal
 from .graph_core import ComputationGraph
 
 
@@ -103,7 +104,14 @@ def load_topology(text) -> DeviceTopology:
     check_object(doc, _TOPOLOGY, "topology", SimError, required=("devices", "bandwidth_bytes_per_sec"))
     devs = []
     for i, dd in enumerate(doc["devices"]):
-        check_object(dd, _DEVICE, f"topology devices[{i}]", SimError, required=("memory_bytes",))
+        where = f"topology devices[{i}]"
+        check_object(dd, _DEVICE, where, SimError, required=("memory_bytes",))
+        if "id" not in dd:
+            # A defaulted id is in range; it can only repeat an earlier entry's.
+            holder = next((j for j, d in enumerate(devs) if d.id == i), None)
+            if holder is not None:
+                raise SimError(f"{where} has no key 'id', so its id is its position {i}, "
+                               f"which topology devices[{holder}] already has")
         devs.append(Device(dd.get("id", i), float(dd["memory_bytes"]), float(dd.get("compute_scale", 1.0))))
     bw = doc["bandwidth_bytes_per_sec"]
     if type(bw) is list:
@@ -164,6 +172,10 @@ class TransferRecord:
     end: float
 
 
+_TRANSFER_KEYS = tuple(f.name for f in fields(TransferRecord))
+_TRANSFER_FIELDS = attrgetter(*_TRANSFER_KEYS)
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     makespan_seconds: float
@@ -173,21 +185,19 @@ class SimulationResult:
     event_count: int
 
     def to_document(self, graph: ComputationGraph, placement: Placement) -> str:
-        """Timeline export for external visualization."""
+        """Timeline export for external visualization. The node and transfer
+        lists are written from their columns."""
+        starts, ends = zip(*self.node_spans) if self.node_spans else ((), ())
+        nodes = (list(range(len(starts))), placement.assignment, starts, ends)
+        transfers = tuple(zip(*map(_TRANSFER_FIELDS, self.transfers))) or ((),) * len(_TRANSFER_KEYS)
         return json_document(
             {
                 "graph": graph.name,
                 "makespan_seconds": self.makespan_seconds,
                 "peak_memory_bytes": list(self.peak_memory_bytes),
                 "event_count": self.event_count,
-                "nodes": [
-                    {"id": v, "device": placement.assignment[v], "start": s, "end": e}
-                    for v, (s, e) in enumerate(self.node_spans)
-                ],
-                "transfers": [
-                    {"node": t.node, "src": t.src, "dst": t.dst, "start": t.start, "end": t.end}
-                    for t in self.transfers
-                ],
+                "nodes": Table(("id", "device", "start", "end"), nodes),
+                "transfers": Table(_TRANSFER_KEYS, transfers),
             }
         )
 
@@ -345,6 +355,7 @@ def memory_profile(node_spans, transfers, makespan, graph, topology, placement):
     """
     m = topology.num_devices
     dev_of = placement.assignment
+    sizes = graph.output_sizes
     # last_read[v * m + d]: when the last reader of v's tensor on device d ends.
     last_read = [0.0] * (graph.num_nodes * m)
     for c, parents in enumerate(graph.parents):
@@ -357,11 +368,10 @@ def memory_profile(node_spans, transfers, makespan, graph, topology, placement):
         src = tr.node * m + tr.src  # the transfer reads the tensor on its source
         if tr.end > last_read[src]:
             last_read[src] = tr.end
-        size = graph.nodes[tr.node].output_bytes
+        size = sizes[tr.node]
         if size > 0:
             points[tr.dst] += ((tr.start, 0, size), (last_read[tr.node * m + tr.dst], 1, -size))
-    for v, node in enumerate(graph.nodes):
-        size = node.output_bytes
+    for v, size in enumerate(sizes):
         if size > 0:
             d = dev_of[v]
             free_at = last_read[v * m + d] if graph.children[v] else makespan
@@ -407,7 +417,7 @@ def oracle_simulate(graph: ComputationGraph, topology: DeviceTopology, placement
             bus_free = 0.0
             for enq, v, dst in queue:
                 start = max(enq, bus_free)
-                bus_free = start + graph.nodes[v].output_bytes / topology.bandwidth(src, dst)
+                bus_free = start + graph.output_sizes[v] / topology.bandwidth(src, dst)
                 new_arrival[(v, dst)] = bus_free
 
         # Ready times from parents and arrivals.

@@ -248,7 +248,7 @@ class TestMalformedPlaceInputs:
             ('"cost": "15"', f"{NODE_3} key 'cost' must be {NUMBER_OR_LIST}, not \"15\""),
             ('"cost": "1.5"', f"{NODE_3} key 'cost' must be {NUMBER_OR_LIST}, not \"1.5\""),
             ('"cost": [null, 1.0]', f"{NODE_3} key 'cost' must be {NUMBER}, not null"),
-            ('"cost": []', "empty compute cost vector"),
+            ('"cost": []', f"{NODE_3} key 'cost' must be a non-empty list, not []"),
             ('"cost": true', f"{NODE_3} key 'cost' must be {NUMBER_OR_LIST}, not true"),
             ('"cost": 1.0, "output_bytes": [1]', f"{NODE_3} key 'output_bytes' must be {NUMBER}, not [1]"),
             ('"cost": 1.0, "output_bytes": "2e6"', f"{NODE_3} key 'output_bytes' must be {NUMBER}, not \"2e6\""),

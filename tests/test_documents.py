@@ -179,6 +179,19 @@ TOPOLOGY_VALUE_CASES = {
                              f"{BANDWIDTH} a 2x2 matrix, not [[0.0, 1000000.0]]"),
     "bandwidth_zero_entry": (put((), "bandwidth_bytes_per_sec", [[0.0, 1e6], [0.0, 0.0]]),
                              f"{BANDWIDTH} positive at [1][0], not [[0.0, 1000000.0], [0.0, 0.0]]"),
+    # devices[1] gives no id, so it takes its position, which devices[0] has.
+    "defaulted_id_taken": (put((), "devices", [{"id": 1, "memory_bytes": 12e9}, {"memory_bytes": 12e9}]),
+                           "topology devices[1] has no key 'id', so its id is its position 1, "
+                           "which topology devices[0] already has"),
+}
+# Values of the right kind that the graph still refuses, named by entry.
+AT_LEAST_0 = "must be a finite number >= 0, not"
+GRAPH_VALUE_CASES = {
+    "negative_cost": (put(("nodes", 2), "cost", -2.0), f"graph nodes[2] key 'cost' {AT_LEAST_0} -2.0"),
+    "negative_cost_entry": (put(("nodes", 1), "cost", [2.0, -1]), f"graph nodes[1] key 'cost' {AT_LEAST_0} -1"),
+    "empty_cost_list": (put(("nodes", 3), "cost", []), "graph nodes[3] key 'cost' must be a non-empty list, not []"),
+    "negative_output_bytes": (put(("nodes", 0), "output_bytes", -2e6),
+                              f"graph nodes[0] key 'output_bytes' {AT_LEAST_0} -2000000.0"),
 }
 
 
@@ -201,6 +214,18 @@ def test_keys_are_checked_in_every_document(docs, capsys, case):
 @pytest.mark.parametrize("case", TOPOLOGY_VALUE_CASES)
 def test_topology_values_name_their_entry(docs, capsys, case):
     assert_refused(docs, capsys, "topology", *TOPOLOGY_VALUE_CASES[case])
+
+
+@pytest.mark.parametrize("case", GRAPH_VALUE_CASES)
+def test_graph_values_name_their_entry(docs, capsys, case):
+    assert_refused(docs, capsys, "graph", *GRAPH_VALUE_CASES[case])
+
+
+def test_devices_without_ids_take_their_positions(docs, capsys):
+    doc = copy.deepcopy(docs.valid["topology"])
+    doc["devices"] = [{"memory_bytes": 6e9}, {"id": 1, "memory_bytes": 12e9}]
+    assert docs.run("topology", doc) == 0
+    assert [d.id for d in load_topology(json.dumps(doc)).devices] == [0, 1]
 
 
 def test_devices_in_any_id_order_load_sorted_by_id(docs, capsys):

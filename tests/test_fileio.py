@@ -155,6 +155,60 @@ def test_output_documents_match_indented_dumps():
         "nodes": [], "transfers": []}, indent=2)
 
 
+def _float(rng):
+    if rng.random() < 0.2:
+        return AWKWARD_FLOATS[rng.integers(len(AWKWARD_FLOATS))]
+    return float(rng.uniform(0, 10) * 10.0 ** rng.integers(-8, 8))
+
+
+@pytest.mark.parametrize("with_transfers", [False, True], ids=["no_transfers", "transfers"])
+@pytest.mark.parametrize("seed", range(3))
+def test_timeline_documents_match_indented_dumps(seed, with_transfers):
+    # SimulationResult.to_document writes the node and transfer lists from
+    # their columns; the reference builds one object per row.
+    from placement_opt.graph_core import ComputationGraph, OpGroup
+    from placement_opt.sim_engine import Placement, SimulationResult, TransferRecord
+
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        n, m = int(rng.integers(0, 30)), int(rng.integers(1, 5))
+        name = AWKWARD_STRINGS[rng.integers(len(AWKWARD_STRINGS))]
+        graph = ComputationGraph.build(name, [OpGroup(v, (1.0,), 0.0) for v in range(n)], set())
+        placement = Placement(tuple(int(d) for d in rng.integers(0, m, size=n)))
+        spans = tuple((_float(rng), _float(rng)) for _ in range(n))
+        transfers = tuple(
+            TransferRecord(int(rng.integers(n)), int(rng.integers(m)), int(rng.integers(m)), _float(rng), _float(rng))
+            for _ in range(int(rng.integers(1, 2 * n + 2)) if with_transfers and n else 0)
+        )
+        result = SimulationResult(_float(rng), tuple(_float(rng) for _ in range(m)), spans, transfers,
+                                  int(rng.integers(0, 10**6)))
+        assert result.to_document(graph, placement) == json.dumps({
+            "graph": name, "makespan_seconds": result.makespan_seconds,
+            "peak_memory_bytes": list(result.peak_memory_bytes), "event_count": result.event_count,
+            "nodes": [{"id": v, "device": placement.assignment[v], "start": s, "end": e}
+                      for v, (s, e) in enumerate(spans)],
+            "transfers": [{"node": t.node, "src": t.src, "dst": t.dst, "start": t.start, "end": t.end}
+                          for t in transfers],
+        }, indent=2)
+
+
+@pytest.mark.parametrize(
+    "keys, columns",
+    [((), ()), (("a",), ()), (("a", "b"), ([1], [])), (("a",), ([1], [2]))],
+    ids=["no_keys", "no_columns", "unequal_lengths", "more_columns_than_keys"],
+)
+def test_table_needs_one_column_per_key_of_one_length(keys, columns):
+    with pytest.raises(ValueError, match="one column per key"):
+        fileio.Table(keys, columns)
+
+
+def test_table_is_written_as_its_row_objects():
+    table = fileio.Table(("id", "a, b", "%s"), ([0, 1], ("x, y", None), [[1, 2], {"k": 1.5}]))
+    rows = [{"id": 0, "a, b": "x, y", "%s": [1, 2]}, {"id": 1, "a, b": None, "%s": {"k": 1.5}}]
+    assert fileio.json_document({"t": table, "u": [table]}) == json.dumps({"t": rows, "u": [rows]}, indent=2)
+    assert fileio.json_document(fileio.Table(("a",), ([],))) == "[]"
+
+
 @dataclass
 class _Kinds:
     count: int

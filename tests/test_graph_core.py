@@ -1,8 +1,12 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
 
+from placement_opt import graph_core
+from placement_opt.fileio import check_object, number, parse_json, refusal
 from placement_opt.graph_core import (
     ComputationGraph,
     GraphError,
@@ -52,8 +56,10 @@ class TestLoadGraph:
             load_graph(doc([{"id": 0, "cost": 1.0}], [[0, 5]]))
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(GraphError, match="compute cost"):
-            load_graph(doc([{"id": 0, "cost": -1.0}], []))
+        # Named by the document entry, not by the node's dense id.
+        with pytest.raises(GraphError) as e:
+            load_graph(doc([{"id": 0, "cost": 1.0}, {"id": 5, "cost": -2.0}], []))
+        assert str(e.value) == "graph nodes[1] key 'cost' must be a finite number >= 0, not -2.0"
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -76,6 +82,252 @@ class TestLoadGraph:
             assert g2.edges == g.edges
             assert [n.compute_seconds for n in g2.nodes] == [n.compute_seconds for n in g.nodes]
             assert [n.output_bytes for n in g2.nodes] == [n.output_bytes for n in g.nodes]
+
+
+# The per-node loader that the column-checked one replaced, kept as the
+# reference: every node goes through check_object, number and a validating
+# OpGroup, in document order.
+_REF_GRAPH = {"name": "str", "nodes": "list", "edges": "list"}
+_REF_NODE = {"id": "int", "cost": "number|list", "output_bytes": "number", "members": "list"}
+
+
+def reference_load_graph(text):
+    doc = parse_json(text, "graph", GraphError)
+    check_object(doc, _REF_GRAPH, "graph", GraphError, required=("nodes",))
+    orig_ids, fields = [], []
+    for i, nd in enumerate(doc["nodes"]):
+        where = f"graph nodes[{i}]"
+        check_object(nd, _REF_NODE, where, GraphError, required=("id",))
+        cost = nd.get("cost", 0.0)
+        if type(cost) is list:
+            cost = tuple([number(c, where, "cost", GraphError) for c in cost])
+        else:
+            cost = (float(cost),)
+        members = tuple(map(str, nd["members"])) if "members" in nd else ()
+        orig_ids.append(nd["id"])
+        fields.append((cost, float(nd.get("output_bytes", 0.0)), members))
+    n = len(orig_ids)
+    remap = range(n)
+    if orig_ids != list(remap):
+        if len(set(orig_ids)) != n:
+            dup = sorted(i for i in set(orig_ids) if orig_ids.count(i) > 1)
+            raise GraphError(f"duplicate node id {dup[0]}")
+        remap = {orig: new for new, orig in enumerate(sorted(orig_ids))}
+        by_id = sorted(zip(orig_ids, fields))
+        fields = [
+            (cost, size, (members or (str(orig),)) if orig != new else members)
+            for new, (orig, (cost, size, members)) in enumerate(by_id)
+        ]
+    nodes = [OpGroup(i, cost, size, members) for i, (cost, size, members) in enumerate(fields)]
+    edges = []
+    for e in doc.get("edges", ()):
+        if type(e) is not list or len(e) != 2:
+            raise GraphError(refusal("graph", "edges", e, "a [parent, child] pair of node ids"))
+        u, v = e
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(refusal("graph", "edges", e, "a [parent, child] pair of node ids"))
+        if u not in remap or v not in remap:
+            raise GraphError(f"edge ({u}, {v}) references a missing node")
+        edges.append((remap[u], remap[v]))
+    return ComputationGraph.build(doc.get("name", ""), nodes, edges)
+
+
+def _loaded(load, text):
+    """(graph, None) or (None, the GraphError's message)."""
+    try:
+        return load(text), None
+    except GraphError as e:
+        return None, str(e)
+
+
+def _same_graph(a, b):
+    # repr tells 1 from 1.0 and 0.0 from -0.0, which == does not.
+    assert repr(a.nodes) == repr(b.nodes)
+    assert (a.name, a.edges, a.parents, a.children) == (b.name, b.edges, b.parents, b.children)
+
+
+def _random_document(rng):
+    """A valid graph document: scalar or list costs, integer-valued numbers,
+    members, dense or sparse ids, keys in any order, optional keys left out."""
+    n = int(rng.integers(0, 25))
+    kind = rng.integers(3)
+    if kind == 0:
+        ids = list(range(n))
+    elif kind == 1:
+        ids = [int(i) for i in rng.permutation(n)]
+    else:
+        ids = [int(i) for i in rng.choice(np.arange(-50, 200), size=n, replace=False)]
+    width = int(rng.integers(1, 4))
+
+    def number():
+        x = [float(rng.uniform(0, 10)), int(rng.integers(0, 1000)), 2.0, 0, -0.0, 5e-324, 1.7976931348623157e308]
+        return x[rng.integers(len(x)) if rng.random() < 0.3 else 0]
+
+    nodes = []
+    for orig in ids:
+        nd = {"id": orig}
+        if rng.random() < 0.9:
+            nd["cost"] = [number() for _ in range(width)] if rng.random() < 0.3 else number()
+        if rng.random() < 0.8:
+            nd["output_bytes"] = number()
+        if rng.random() < 0.2:
+            nd["members"] = [["a", "b, c"], [], [1, None, 2.5], ["x"]][rng.integers(4)]
+        keys = list(nd)
+        rng.shuffle(keys)
+        nodes.append({k: nd[k] for k in keys})
+    order = [int(i) for i in rng.permutation(n)]  # a topological order of the document's ids
+    edges = [[ids[order[a]], ids[order[b]]] for a in range(n) for b in range(a + 1, n) if rng.random() < 0.15]
+    doc = {"nodes": nodes}
+    if edges or rng.random() < 0.5:
+        doc["edges"] = edges
+    if rng.random() < 0.7:
+        doc["name"] = "g"
+    return doc
+
+
+# A node entry the loader refuses: (entry with id ID, the new message where
+# the reference's is a node value refusal by dense id, else None).
+AT_LEAST_0 = "must be a finite number >= 0, not"
+BAD_NODES = {
+    "cost_nan": ({"id": "ID", "cost": float("nan")}, None),
+    "cost_infinity": ({"id": "ID", "cost": float("inf")}, None),
+    "output_bytes_minus_infinity": ({"id": "ID", "output_bytes": float("-inf")}, None),
+    "cost_int_beyond_float": ({"id": "ID", "cost": 10**400}, None),
+    "cost_int_just_beyond_float": ({"id": "ID", "cost": int(sys.float_info.max) + 1}, None),
+    "cost_entry_int_beyond_float": ({"id": "ID", "cost": [1.0, 2**1024]}, None),
+    "cost_entry_nan": ({"id": "ID", "cost": [float("nan"), 1.0]}, None),
+    "cost_bool": ({"id": "ID", "cost": True}, None),
+    "cost_entry_bool": ({"id": "ID", "cost": [False]}, None),
+    "output_bytes_bool": ({"id": "ID", "output_bytes": True}, None),
+    "id_bool": ({"id": True}, None),
+    "id_float": ({"id": 1.0}, None),
+    "id_null": ({"id": None}, None),
+    "no_id": ({"cost": 1.0}, None),
+    "unknown_key": ({"id": "ID", "costs": 1.0}, None),
+    "cost_string": ({"id": "ID", "cost": "1"}, None),
+    "cost_entry_null": ({"id": "ID", "cost": [None]}, None),
+    "members_string": ({"id": "ID", "members": "ab"}, None),
+    "members_int": ({"id": "ID", "members": 5}, None),
+    "output_bytes_list": ({"id": "ID", "output_bytes": [1]}, None),
+    "output_bytes_string": ({"id": "ID", "output_bytes": "2e6"}, None),
+    "not_an_object": (5, None),
+    "a_list": ([], None),
+    "duplicate_id": ({"id": 0}, None),
+    "cost_empty_list": ({"id": "ID", "cost": []}, "graph nodes[{i}] key 'cost' must be a non-empty list, not []"),
+    "cost_negative": ({"id": "ID", "cost": -2.0}, f"graph nodes[{{i}}] key 'cost' {AT_LEAST_0} -2.0"),
+    "cost_negative_int": ({"id": "ID", "cost": -2}, f"graph nodes[{{i}}] key 'cost' {AT_LEAST_0} -2"),
+    "cost_entry_negative": ({"id": "ID", "cost": [1.0, -0.5]}, f"graph nodes[{{i}}] key 'cost' {AT_LEAST_0} -0.5"),
+    "output_bytes_negative": ({"id": "ID", "output_bytes": -1e-9},
+                              f"graph nodes[{{i}}] key 'output_bytes' {AT_LEAST_0} -1e-09"),
+}
+# Edge lists the loader refuses, for the same node table of ids 0..4.
+BAD_EDGES = {
+    "edge_not_a_list": [[0, 1], "01"],
+    "edge_one_end": [[0, 1], [2]],
+    "edge_three_ends": [[0, 1, 2]],
+    "edge_bool_end": [[True, 1]],
+    "edge_float_end": [[0, 1.0]],
+    "edge_missing_node": [[0, 1], [1, 99]],
+    "edge_negative_end": [[-1, 2]],
+    "self_loop": [[0, 1], [3, 3]],
+    "self_loop_then_missing_node": [[3, 3], [0, 99]],  # each end is looked up before any edge is indexed
+    "self_loop_on_missing_node": [[99, 99]],
+    "duplicate_edge": [[0, 1], [1, 2], [0, 1]],
+    "cycle": [[0, 1], [1, 2], [2, 0]],
+}
+
+
+# Replacement values for the mutation fuzz below.
+MUTANTS = [None, True, False, "", "1", [], {}, [1.0], [-1.0], 0, -1, 1.5, -0.0, -2.5, 7, 10**400, float("nan"),
+           float("inf"), float("-inf"), 1.7976931348623157e308]
+VALUE_REFUSAL = re.compile(
+    r"graph nodes\[\d+\] key '(cost|output_bytes)' must be (a finite number >= 0|a non-empty list), not "
+)
+DENSE_ID_VALUE_REFUSAL = r"node \d+: .* not finite and >= 0|node \d+: empty compute cost vector"
+
+
+def _mutate(doc, rng):
+    """Replace or drop one value at some depth of a graph document."""
+    paths = [(key,) for key in doc]
+    for i, nd in enumerate(doc["nodes"] if type(doc.get("nodes")) is list else ()):
+        paths.append(("nodes", i))
+        if type(nd) is dict:
+            paths += [("nodes", i, k) for k in nd]
+            paths += [("nodes", i, "cost", j) for j in range(len(nd["cost"]))] if type(nd.get("cost")) is list else []
+    for j, e in enumerate(doc["edges"] if type(doc.get("edges")) is list else ()):
+        paths += [("edges", j)] + ([("edges", j, k) for k in range(len(e))] if type(e) is list else [])
+    path = paths[rng.integers(len(paths))]
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if type(parent) is dict and rng.random() < 0.2:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = MUTANTS[rng.integers(len(MUTANTS))]
+
+
+class TestColumnLoaderMatchesReference:
+    def test_valid_documents_load_equal_graphs(self):
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            doc = _random_document(rng)
+            text = json.dumps(doc)
+            assert graph_core._node_columns(doc["nodes"]) is not None  # the column path takes it
+            _same_graph(load_graph(text), reference_load_graph(text))
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("case", BAD_NODES)
+    def test_bad_node_gives_the_reference_message(self, case, position):
+        bad, reworded = BAD_NODES[case]
+        i = {"first": 0, "middle": 3, "last": 6}[position]
+        nodes = [{"id": v, "cost": 1.0, "output_bytes": 2.0} for v in range(6)]
+        if type(bad) is dict and bad.get("id") == "ID":
+            bad = {**bad, "id": 40}
+        nodes.insert(i, bad)
+        text = json.dumps({"nodes": nodes, "edges": [[0, 1], [1, 2]]})
+        expected = _loaded(reference_load_graph, text)[1]
+        assert expected is not None
+        if reworded is None:
+            assert _loaded(load_graph, text)[1] == expected
+        else:
+            assert re.fullmatch(DENSE_ID_VALUE_REFUSAL, expected)
+            assert _loaded(load_graph, text)[1] == reworded.format(i=i)
+
+    def test_mutated_documents_give_the_reference_message(self):
+        # Node value refusals are reworded to name the document entry; where
+        # several values are out of range, the reference named the lowest
+        # dense id and the loader names the first entry.
+        rng = np.random.default_rng(7)
+        loaded = refused = reworded = 0
+        for _ in range(1500):
+            doc = _random_document(rng)
+            if not doc["nodes"]:
+                continue
+            for _ in range(1 + rng.integers(2)):
+                _mutate(doc, rng)
+            text = json.dumps(doc)
+            graph, message = _loaded(load_graph, text)
+            expected_graph, expected = _loaded(reference_load_graph, text)
+            if expected is None:
+                assert message is None, text
+                _same_graph(graph, expected_graph)
+                loaded += 1
+            elif re.fullmatch(DENSE_ID_VALUE_REFUSAL, expected):
+                assert VALUE_REFUSAL.match(message), (text, message)
+                reworded += 1
+            else:
+                assert message == expected, text
+            refused += expected is not None
+        assert loaded > 100 and refused > 1000 and reworded > 30, (loaded, refused, reworded)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("case", BAD_EDGES)
+    def test_bad_edges_give_the_reference_message(self, case, sparse):
+        ids = [0, 1, 2, 3, 4] if not sparse else [4, 3, 2, 1, 0, 7]
+        text = json.dumps({"nodes": [{"id": v} for v in ids], "edges": BAD_EDGES[case]})
+        expected = _loaded(reference_load_graph, text)[1]
+        assert expected is not None
+        assert _loaded(load_graph, text)[1] == expected
 
 
 class TestReachability:
