@@ -59,8 +59,9 @@ def clip(text: str) -> str:
 
 def refusal(where: str, key, value, wanted: str) -> str:
     """The one message for a value that is not what its key admits; the
-    value is shown as JSON text cut to 60 characters."""
-    return f"{where} key {key!r} must be {wanted}, not {clip(json.dumps(value))}"
+    value is shown as JSON text cut to 60 characters, or as its repr when a
+    direct caller passed a value JSON cannot hold, such as a numpy integer."""
+    return f"{where} key {key!r} must be {wanted}, not {clip(json.dumps(value, default=repr))}"
 
 
 def number(x, where: str, key, error: type[Exception]) -> float:

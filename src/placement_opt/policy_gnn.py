@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import placement_env
-from .fileio import check_object, field_kinds
+from .fileio import check_object, field_kinds, refusal
 from .neural_primitives import (
     DenseNet,
     dense_backward,
@@ -61,14 +61,8 @@ class PolicyConfig:
     head_hidden: int | None = None  # default: the head's input dimension
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise PolicyError(f"unknown mode {self.mode!r}")
-        if self.message_rounds < 0:
-            raise PolicyError("message_rounds must be >= 0")
-        if self.num_devices < 1:
-            raise PolicyError("need at least one device")
-        if self.head_hidden is not None and self.head_hidden < 1:
-            raise PolicyError(f"policy 'head_hidden' must be >= 1 or null, not {self.head_hidden}")
+        # Named as the run config's policy section, where these values come from.
+        _check_values(vars(self), "policy")
 
     @property
     def feature_dim(self) -> int:
@@ -82,8 +76,28 @@ class PolicyConfig:
         """The config of a checkpoint's policy header, which holds every
         field, each of its kind, and nothing else."""
         schema = field_kinds(PolicyConfig)
-        check_object(doc, schema, "policy header", PolicyError, required=tuple(schema))
+        check_object(doc, schema, _HEADER, PolicyError, required=tuple(schema))
+        _check_values(doc, _HEADER)
         return PolicyConfig(**doc)
+
+
+_HEADER = "checkpoint policy header"
+# The values each field admits beyond its kind: key -> (test, wanted).
+_VALUES = {
+    "num_devices": (lambda v: v >= 1, "an integer >= 1"),
+    "message_rounds": (lambda v: v >= 0, "an integer >= 0"),
+    "mode": (lambda v: v in MODES, "one of " + ", ".join(f'"{m}"' for m in MODES)),
+    "head_hidden": (lambda v: v is None or v >= 1, "an integer >= 1 or null"),
+}
+
+
+def _check_values(values: dict, where: str) -> None:
+    """Raise PolicyError, worded by fileio.refusal, at the first config value
+    its field does not admit."""
+    for key, value in values.items():
+        test, wanted = _VALUES[key]
+        if not test(value):
+            raise PolicyError(refusal(where, key, value, wanted))
 
 
 def _net_names(mode: str) -> list[str]:

@@ -98,7 +98,7 @@ class BaselineTable:
 @dataclass
 class EpisodeTrace:
     graph_name: str
-    states: list  # per step: the EpisodeState the step was taken in
+    states: list  # per step: the EpisodeState the step was taken in (empty unless the rollout keeps states)
     actions: list[int]
     rewards: list[float]
     entropies: list[float]
@@ -114,6 +114,7 @@ def rollout(
     rngs: list,
     init_mode: str = placement_env.ALL_DEVICE_0,
     randomize_order: bool = False,
+    keep_states: bool = True,
 ) -> list[EpisodeTrace]:
     """Episodes on graphs[i] drawing from rngs[i], advanced in lockstep: each
     step runs one batched policy forward over the unfinished episodes' states.
@@ -130,7 +131,11 @@ def rollout(
     are drawn) return one state object; each step's forward takes each
     distinct state object once, in order of first appearance, and each
     distinct (state, action) pair is stepped once. Episodes that act alike
-    hold the same objects, and one that acts differently splits off."""
+    hold the same objects, and one that acts differently splits off.
+
+    Each trace keeps the state of every step for policy_backward to replay;
+    with keep_states false its states list stays empty, so a finished step's
+    state is freed."""
     resets, states, traces, uniforms = {}, [], [], []
     for graph, rng in zip(graphs, rngs):
         if rng is None and (randomize_order or init_mode == placement_env.RANDOM_INIT):
@@ -164,7 +169,8 @@ def rollout(
             if (r, a) not in stepped:
                 stepped[r, a] = placement_env.step(state, a, topology, reward_cfg)
             states[i], reward, _ = stepped[r, a]
-            tr.states.append(state)
+            if keep_states:
+                tr.states.append(state)
             tr.actions.append(a)
             tr.rewards.append(reward)
             tr.entropies.append(entropies[r])
@@ -347,7 +353,9 @@ def predict_placement(
     rngs = []
     for _ in graphs:
         rngs += [None] + [np.random.default_rng(seed)] * n_samples
-    traces = rollout(params, [g for g in graphs for _ in range(per_graph)], topology, reward_cfg, rngs)
+    traces = rollout(
+        params, [g for g in graphs for _ in range(per_graph)], topology, reward_cfg, rngs, keep_states=False
+    )
     predictions = []
     for k in range(len(graphs)):
         episodes = traces[k * per_graph : (k + 1) * per_graph]

@@ -692,6 +692,20 @@ class TestMalformedRunConfig:
         )
         assert run(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("message_rounds", -1, "policy key 'message_rounds' must be an integer >= 0, not -1"),
+            ("mode", "bogus", 'policy key \'mode\' must be one of "full", "simple_aggregator", '
+                              '"simple_partitioner", not "bogus"'),
+            ("head_hidden", 0, "policy key 'head_hidden' must be an integer >= 1 or null, not 0"),
+        ],
+    )
+    def test_policy_value_refusal_names_its_key(self, files, tmp_path, capsys, key, value, message):
+        path = write_run_config(tmp_path, files["topo"], policy={key: value})
+        err = _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(tmp_path / "o")])
+        assert err == f"error: {message}\n"
+
     def test_global_memory_threshold_is_refused(self, files, tmp_path, capsys):
         # The memory limit is each topology device's memory_bytes; a config
         # that still sets the removed global threshold is refused by name.
@@ -858,6 +872,23 @@ class TestMalformedCheckpoint:
         ckpt.write_text(json.dumps(doc))
         assert "'head_hidden'" in _fails_with_one_error_line(capsys, argv)
 
+    @pytest.mark.parametrize(
+        "key, value, wanted",
+        [
+            ("num_devices", 0, "an integer >= 1"),
+            ("num_devices", -2, "an integer >= 1"),
+            ("message_rounds", -1, "an integer >= 0"),
+            ("mode", "bogus", 'one of "full", "simple_aggregator", "simple_partitioner"'),
+        ],
+    )
+    def test_header_value_refusal_names_the_document_and_key(self, evaluate_argv, capsys, key, value, wanted):
+        ckpt, argv = evaluate_argv
+        doc = _valid_checkpoint_doc()
+        doc["extra"]["policy"][key] = value
+        ckpt.write_text(json.dumps(doc))
+        err = _fails_with_one_error_line(capsys, argv)
+        assert err == f"error: checkpoint policy header key {key!r} must be {wanted}, not {json.dumps(value)}\n"
+
     @pytest.mark.parametrize("extra", [{}, None], ids=["empty_extra", "no_extra"])
     def test_no_policy_header(self, evaluate_argv, capsys, extra):
         ckpt, argv = evaluate_argv
@@ -874,7 +905,7 @@ class TestMalformedCheckpoint:
         doc = _valid_checkpoint_doc()
         doc["extra"]["policy"]["dropout"] = 0.1
         ckpt.write_text(json.dumps(doc))
-        assert "unknown policy header key(s): dropout" in _fails_with_one_error_line(capsys, argv)
+        assert "unknown checkpoint policy header key(s): dropout" in _fails_with_one_error_line(capsys, argv)
 
     @pytest.mark.parametrize("key", ["num_devices", "message_rounds", "mode", "head_hidden"])
     def test_missing_header_key(self, evaluate_argv, capsys, key):

@@ -149,7 +149,7 @@ KEY_CASES = {
                           "unknown checkpoint params[1] key(s): dtype"),
     "param_no_shape": ("checkpoint", drop(("params", 1), "shape"), "checkpoint params[1] lacks key(s): shape"),
     "header_unknown_key": ("checkpoint", put(("extra", "policy"), "dropout", 0.1),
-                           "unknown policy header key(s): dropout"),
+                           "unknown checkpoint policy header key(s): dropout"),
     "header_no_mode": ("checkpoint", drop(("extra", "policy"), "mode"), "policy header lacks key(s): mode"),
     "config_misspelt_seed": ("run_config", rename((), "seed", "sed"), "unknown config key(s): sed"),
     "config_no_topology": ("run_config", drop((), "topology"), "config lacks key(s): topology"),

@@ -361,6 +361,9 @@ class TestConfig:
         for width in (0, -3):
             with pytest.raises(PolicyError, match="'head_hidden'"):
                 PolicyConfig(num_devices=2, head_hidden=width)
+        # A value JSON cannot hold is shown by its repr.
+        with pytest.raises(PolicyError, match="policy key 'num_devices' must be an integer >= 1, not "):
+            PolicyConfig(num_devices=np.int64(0))
         assert PolicyConfig(num_devices=2, head_hidden=1).head_hidden == 1
 
     def test_header_round_trip(self):

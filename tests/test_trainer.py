@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,21 @@ class TestRollout:
         b = one_rollout(params, diamond, two_device, TERMINAL, None)
         assert a.final_placement == b.final_placement
         assert a.actions == [int(np.argmax(p)) for p in _used_probs(a, forwards)]
+
+    def test_keep_states_false_keeps_the_rest_of_the_trace(self, diamond, two_device):
+        params = init_policy(PCFG, seed=4)
+        graphs = [diamond, make_graph("one", [2.0], [0.0], set()), diamond]
+
+        def traces(keep_states):
+            rngs = [None, np.random.default_rng(5), np.random.default_rng(6)]
+            return rollout(params, graphs, two_device, RewardConfig(mode="intermediate"), rngs,
+                           keep_states=keep_states)
+
+        kept, dropped = traces(True), traces(False)
+        assert [len(tr.states) for tr in kept] == [4, 1, 4]
+        for a, b in zip(kept, dropped):
+            assert b.states == []
+            assert dataclasses.replace(a, states=[]) == b
 
     @pytest.mark.parametrize("kw", [{"randomize_order": True}, {"init_mode": "random"}])
     def test_greedy_episode_draws_no_order_or_init(self, diamond, two_device, kw):
@@ -478,6 +494,7 @@ class TestOneStream:
             assert tr.actions == actions
             assert tr.final_placement == placement
             assert tr.final_runtime == runtime
+            assert tr.states == []  # a prediction never replays its steps
         _, best_placement, best_runtime = min(expected, key=lambda e: (e[2], e[1]))
         assert pred.placement.assignment == best_placement
         assert pred.runtime_seconds == best_runtime
@@ -498,13 +515,15 @@ def _mixed_graphs():
 
 
 def _record_rollouts(monkeypatch):
-    """Patch trainer.rollout to also append each call's traces to the list it returns."""
+    """Patch trainer.rollout to also append each call's traces to the list it
+    returns. Every trace keeps its states, so that _used_probs can look up
+    each step's probabilities even in a prediction."""
     import placement_opt.trainer as trainer
 
     calls, original = [], trainer.rollout
 
     def recording_rollout(*args, **kwargs):
-        calls.append(original(*args, **kwargs))
+        calls.append(original(*args, **{**kwargs, "keep_states": True}))
         return calls[-1]
 
     monkeypatch.setattr(trainer, "rollout", recording_rollout)
@@ -613,10 +632,11 @@ class TestCrossGraphPredict:
             assert np.array_equal(uncached, probs)
 
     def test_prediction_keeps_states_not_features(self):
-        # Step records hold states, not n x F feature matrices, and a state
-        # holds one n-tuple. Four graphs of 144-151 nodes with 4 samples each
-        # peaked at 30 MB with feature matrices and at 9.6 MB with a visited
-        # tuple next to the placement.
+        # A prediction keeps no step's state, since it never replays them.
+        # Four graphs of 144-151 nodes with 4 samples each peaked at 30 MB
+        # with feature matrices in the step records, at 9.6 MB with a visited
+        # tuple next to each state's placement, at 3.2 MB with one kept state
+        # per step, and at 2.4 MB with none (numpy 2.4, Python 3.11).
         spec = datagen.FamilySpec(family="branch_blocks", count=12, blocks=16, seed=1)
         graphs = [g for g in datagen.generate_family(spec) if 144 <= g.num_nodes <= 151][:4]
         params = init_policy(PolicyConfig(num_devices=2, message_rounds=3), seed=0)
@@ -626,7 +646,7 @@ class TestCrossGraphPredict:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak <= 2.75e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def _unshared_rollout(params, graphs, topology, reward_cfg, rngs, init_mode="all_device_0", randomize_order=False):
@@ -665,9 +685,10 @@ def _unshared_rollout(params, graphs, topology, reward_cfg, rngs, init_mode="all
 
 def _check_sharing(monkeypatch):
     """Patch trainer.rollout so that every call is also replayed by
-    _unshared_rollout on copies of its rngs and must agree with it. Returns a
-    list that gets each call's (traces, work), where work counts the call's
-    resets, env steps and forward union rows."""
+    _unshared_rollout on copies of its rngs and must agree with it, state by
+    state: every call keeps its states. Returns a list that gets each call's
+    (traces, work), where work counts the call's resets, env steps and
+    forward union rows."""
     import placement_opt.trainer as trainer
 
     work = {"reset": 0, "step": 0}
@@ -687,7 +708,8 @@ def _check_sharing(monkeypatch):
     def checked_rollout(params, graphs, topology, reward_cfg, rngs, **kw):
         replay_rngs = copy.deepcopy(rngs)  # keeps episodes that share a stream sharing it
         before, first = dict(work), len(forwards)
-        traces = original(params, graphs, topology, reward_cfg, rngs, **kw)
+        kw.pop("keep_states", None)
+        traces = original(params, graphs, topology, reward_cfg, rngs, keep_states=True, **kw)
         used = {k: work[k] - before[k] for k in work}
         used["rows"] = sum(s.graph.num_nodes for states, _ in forwards[first:] for s in states)
         expected, expected_probs = _unshared_rollout(params, graphs, topology, reward_cfg, replay_rngs, **kw)
