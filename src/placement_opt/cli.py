@@ -84,7 +84,15 @@ def _given(args, cls) -> dict:
     return given
 
 
+def _check_seed(args):
+    """Refuse a negative --seed before the command does anything."""
+    seed = getattr(args, "seed", None)  # datagen omits a flag not given; train's defaults to None
+    if seed is not None and seed < 0:
+        raise CliError(f"--seed must be >= 0, not {seed}")
+
+
 def cmd_datagen(args):
+    _check_seed(args)
     spec = datagen.FamilySpec(**_given(args, datagen.FamilySpec))
     out = _outdir(args)
     manifest = datagen.write_dataset(out, spec)
@@ -124,6 +132,7 @@ def _run_scheme(name, graph, topology, seed, mincut_cfg=None):
 
 
 def cmd_place(args):
+    _check_seed(args)
     out = _outdir(args)
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))
@@ -170,11 +179,8 @@ def load_run_config(text):
 
 
 def cmd_train(args):
+    _check_seed(args)
     doc = load_run_config(_read(args.config))
-    out = args.out or doc.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
-
     topology = load_topology(_read(args.topology or doc["topology"]))
     env_doc = dict(doc.get("env", {}))
     init_mode = env_doc.pop("init_mode", None)
@@ -183,10 +189,15 @@ def cmd_train(args):
     # Neither key may be null, so None means not given.
     given = {"seed": doc.get("seed") if args.seed is None else args.seed, "init_mode": init_mode}
     cfg = trainer.TrainerConfig(**doc.get("trainer", {}), **{k: v for k, v in given.items() if v is not None})
-    if "dataset" in doc:
+    fam = datagen.FamilySpec(**doc["family"]) if "family" in doc else None
+    # Every config value is checked before anything is written.
+    out = args.out or doc.get("out") or "."
+    os.makedirs(out, exist_ok=True)
+    write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
+
+    if fam is None:
         _, train_graphs, _ = datagen.read_dataset(doc["dataset"])
     else:
-        fam = datagen.FamilySpec(**doc["family"])
         graphs = datagen.generate_family(fam)
         train_graphs, _ = datagen.split(graphs, fam.train_fraction, fam.seed)
 
@@ -224,6 +235,7 @@ def cmd_evaluate(args):
     if args.samples < 0:
         raise CliError(f"--samples must be >= 0, not {args.samples}")
     _check_budget(args)
+    _check_seed(args)
     out = _outdir(args)
     params, _ = trainer.load_policy_checkpoint(args.checkpoint)
     topology = load_topology(_read(args.topology))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -68,6 +69,8 @@ class FamilySpec:
             raise DatagenError("count must be >= 2")
         if not (0.0 < self.train_fraction < 1.0):
             raise DatagenError("train_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise DatagenError(f"seed must be >= 0, not {self.seed}")
         if self.blocks < 1:
             raise DatagenError(f"blocks must be >= 1, not {self.blocks}")
         # A count range starting at 0 yields empty or degenerate graphs.
@@ -107,46 +110,93 @@ class FamilySpec:
         return layers * width + (layers - 1) * width * width, "layers_hi or branches_hi"
 
 
-def _add_node(nodes, rng, spec) -> int:
-    """Append a node with drawn cost, then output bytes; returns its id."""
-    v = len(nodes)
-    cost, size = rng.uniform(spec.compute_lo, spec.compute_hi), rng.uniform(spec.bytes_lo, spec.bytes_hi)
-    nodes.append(OpGroup(id=v, compute_seconds=(float(cost),), output_bytes=float(size)))
-    return v
+class _Draws:
+    """One graph's draws from its generator: node ids handed out in order,
+    each node's compute cost and output bytes, and the builder's own draws.
+
+    A node's cost, then its bytes, is a uniform draw from the spec's range.
+    The uniforms still owed are drawn in one rng.random call just before any
+    other draw, and all other draws go through this object, so the stream
+    is read in the order per-node Generator.uniform calls would read it.
+    They are mapped as Generator.uniform maps them, lo + (hi - lo) * u with
+    both bounds taken as floats first, so every value is the same too.
+    """
+
+    def __init__(self, rng, spec: FamilySpec):
+        self.rng, self.spec = rng, spec
+        self.count = 0  # nodes handed out
+        self._drawn = 0  # nodes whose uniforms are drawn
+        self._uniforms = []  # one array per run of nodes, cost and bytes interleaved
+
+    def add(self, k: int = 1) -> range:
+        """The ids of k new nodes."""
+        self.count += k
+        return range(self.count - k, self.count)
+
+    def integers(self, *args) -> int:
+        self._draw_owed()
+        return int(self.rng.integers(*args))
+
+    def random(self, k: int) -> np.ndarray:
+        self._draw_owed()
+        return self.rng.random(k)
+
+    def _draw_owed(self) -> None:
+        if self.count > self._drawn:
+            self._uniforms.append(self.rng.random(2 * (self.count - self._drawn)))
+            self._drawn = self.count
+
+    def graph(self, name: str, edges: list) -> ComputationGraph:
+        """The graph of the nodes handed out, built from their drawn columns
+        as load_graph builds a node table."""
+        self._draw_owed()
+        u = np.concatenate(self._uniforms)
+        spec = self.spec
+        costs = _uniform_column(u[0::2], spec.compute_lo, spec.compute_hi)
+        sizes = _uniform_column(u[1::2], spec.bytes_lo, spec.bytes_hi)
+        # The spec's ranges keep every value finite and >= 0, as OpGroup
+        # holds them; should one not be, OpGroup's own check names it.
+        valid = all(0.0 <= col.min() and col.max() < math.inf for col in (costs, sizes))
+        make = OpGroup._make if valid else lambda fields: OpGroup(*fields)
+        fields = zip(range(self.count), zip(costs.tolist()), sizes.tolist(), repeat((), self.count))
+        return ComputationGraph.build(name, tuple(map(make, fields)), edges)
 
 
-def _branch_blocks(rng, spec, name):
-    nodes, edges = [], []
+def _uniform_column(u: np.ndarray, lo, hi) -> np.ndarray:
+    """Generator.uniform(lo, hi)'s value for each draw in u."""
+    lo = float(lo)
+    return lo + (float(hi) - lo) * u
+
+
+def _branch_blocks(draws: _Draws, spec: FamilySpec) -> list:
+    edges = []
     prev_join = None
     for _ in range(spec.blocks):
-        entry = _add_node(nodes, rng, spec)
+        (entry,) = draws.add()
         if prev_join is not None:
             edges.append((prev_join, entry))
-        k = int(rng.integers(spec.branches_lo, spec.branches_hi + 1))
-        join = None
+        k = draws.integers(spec.branches_lo, spec.branches_hi + 1)
         branch_tails = []
         for _ in range(k):
-            length = int(rng.integers(spec.branch_ops_lo, spec.branch_ops_hi + 1))
             prev = entry
-            for _ in range(length):
-                v = _add_node(nodes, rng, spec)
+            for v in draws.add(draws.integers(spec.branch_ops_lo, spec.branch_ops_hi + 1)):
                 edges.append((prev, v))
                 prev = v
             branch_tails.append(prev)
-        join = _add_node(nodes, rng, spec)
+        (join,) = draws.add()
         for tail in branch_tails:
             edges.append((tail, join))
         prev_join = join
-    return ComputationGraph.build(name, nodes, edges)
+    return edges
 
 
-def _encoder_decoder(rng, spec, name):
-    layers = int(rng.integers(spec.layers_lo, spec.layers_hi + 1))
-    unroll = int(rng.integers(spec.unroll_lo, spec.unroll_hi + 1))
-    nodes, edges = [], []
-    enc = [[_add_node(nodes, rng, spec) for _ in range(unroll)] for _ in range(layers)]
-    dec = [[_add_node(nodes, rng, spec) for _ in range(unroll)] for _ in range(layers)]
-    att = [_add_node(nodes, rng, spec) for _ in range(unroll)]
+def _encoder_decoder(draws: _Draws, spec: FamilySpec) -> list:
+    layers = draws.integers(spec.layers_lo, spec.layers_hi + 1)
+    unroll = draws.integers(spec.unroll_lo, spec.unroll_hi + 1)
+    edges = []
+    enc = [draws.add(unroll) for _ in range(layers)]
+    dec = [draws.add(unroll) for _ in range(layers)]
+    att = draws.add(unroll)
     for stack in (enc, dec):
         for l in range(layers):
             for t in range(unroll):
@@ -158,22 +208,23 @@ def _encoder_decoder(rng, spec, name):
         for t_enc in range(unroll):
             edges.append((enc[layers - 1][t_enc], att[t]))
         edges.append((att[t], dec[0][t]))
-    return ComputationGraph.build(name, nodes, edges)
+    return edges
 
 
-def _layered_random(rng, spec, name):
-    n_layers = int(rng.integers(spec.layers_lo, spec.layers_hi + 1))
-    widths = [int(rng.integers(spec.branches_lo, spec.branches_hi + 1)) for _ in range(n_layers)]
-    nodes, edges = [], []
-    layer_ids = [[_add_node(nodes, rng, spec) for _ in range(width)] for width in widths]
-    for i in range(1, n_layers):
-        for v in layer_ids[i]:
-            parents = [u for u in layer_ids[i - 1] if rng.random() < 0.5]
+def _layered_random(draws: _Draws, spec: FamilySpec) -> list:
+    n_layers = draws.integers(spec.layers_lo, spec.layers_hi + 1)
+    widths = [draws.integers(spec.branches_lo, spec.branches_hi + 1) for _ in range(n_layers)]
+    edges = []
+    layer_ids = [draws.add(width) for width in widths]
+    for below, layer in zip(layer_ids, layer_ids[1:]):
+        for v in layer:
+            # One coin flip per node of the layer below, then a pick if none came up.
+            parents = [u for u, flip in zip(below, draws.random(len(below)).tolist()) if flip < 0.5]
             if not parents:
-                parents = [layer_ids[i - 1][int(rng.integers(len(layer_ids[i - 1])))]]
+                parents = [below[draws.integers(len(below))]]
             for u in parents:
                 edges.append((u, v))
-    return ComputationGraph.build(name, nodes, edges)
+    return edges
 
 
 _BUILDERS = {
@@ -183,18 +234,21 @@ _BUILDERS = {
 }
 
 
+def _generate(spec: FamilySpec, i: int) -> ComputationGraph:
+    """Graph i of the family, from its own np.random.default_rng([seed, i])."""
+    draws = _Draws(np.random.default_rng([spec.seed, i]), spec)
+    edges = _BUILDERS[spec.family](draws, spec)
+    return draws.graph(f"{spec.family}-{spec.seed}-{i:03d}", edges)
+
+
 def generate_family(spec: FamilySpec) -> list[ComputationGraph]:
     """All graphs of the family, deterministically from the spec seed."""
-    out = []
-    for i in range(spec.count):
-        rng = np.random.default_rng([spec.seed, i])
-        name = f"{spec.family}-{spec.seed}-{i:03d}"
-        out.append(_BUILDERS[spec.family](rng, spec, name))
-    return out
+    return [_generate(spec, i) for i in range(spec.count)]
 
 
-def split(graphs: list, fraction: float, seed: int):
-    """Seeded shuffle; first ceil(fraction * N) graphs train, rest test."""
+def split(graphs, fraction: float, seed: int):
+    """Seeded shuffle of a sequence; first ceil(fraction * N) items train,
+    rest test."""
     if not (0.0 < fraction < 1.0):
         raise DatagenError("fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -206,16 +260,16 @@ def split(graphs: list, fraction: float, seed: int):
 
 
 def write_dataset(directory: str, spec: FamilySpec) -> dict:
-    """Emit graph documents plus a manifest; returns the manifest dict."""
+    """Emit graph documents plus a manifest; returns the manifest dict. The
+    graphs are generated and written one at a time, so only one is held."""
     os.makedirs(directory, exist_ok=True)
-    graphs = generate_family(spec)
-    train, test = split(graphs, spec.train_fraction, spec.seed)
-    train_names = {g.name for g in train}
+    train = set(split(range(spec.count), spec.train_fraction, spec.seed)[0])
     members = []
-    for g in graphs:
+    for i in range(spec.count):
+        g = _generate(spec, i)
         fname = f"{g.name}.json"
         write_atomic(os.path.join(directory, fname), save_graph(g))
-        members.append({"name": g.name, "file": fname, "split": "train" if g.name in train_names else "test"})
+        members.append({"name": g.name, "file": fname, "split": "train" if i in train else "test"})
     manifest = {"spec": asdict(spec), "seed": spec.seed, "members": members}
     write_atomic(os.path.join(directory, "manifest.json"), json_document(manifest))
     return manifest

@@ -348,7 +348,9 @@ def _edge_pairs(edges: list, remap) -> list[tuple[int, int]]:
 
 
 def save_graph(graph: ComputationGraph) -> str:
-    """Serialize back to the JSON document schema (round-trips load_graph)."""
+    """Serialize back to the JSON document schema (round-trips load_graph).
+    The edges are written in (parent, child) order, read off the children
+    lists, which _indexed keeps ascending."""
     doc = {
         "name": graph.name,
         "nodes": [
@@ -360,7 +362,7 @@ def save_graph(graph: ComputationGraph) -> str:
             }
             for g in graph.nodes
         ],
-        "edges": sorted([u, v] for u, v in graph.edges),
+        "edges": [[u, v] for u, children in enumerate(graph.children) for v in children],
     }
     return json_document(doc)
 

@@ -58,6 +58,8 @@ class TrainerConfig:
             raise TrainerError("workers must be >= 1")
         if self.baseline_window < 1:
             raise TrainerError("baseline_window must be >= 1")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, not {self.seed}")
         if not (self.lr_start >= self.lr_end >= 0):
             raise TrainerError("need lr_start >= lr_end >= 0")
         if not (self.entropy_start >= self.entropy_end >= 0):

@@ -715,6 +715,54 @@ class TestMalformedRunConfig:
         assert not (tmp_path / "o" / "checkpoint.json").exists()
 
 
+class TestNegativeSeed:
+    """A negative seed is refused by name before the command writes anything;
+    each of these used to end in numpy's bare "expected non-negative integer"
+    (place's mincut scheme, which draws nothing, used to succeed)."""
+
+    def test_datagen(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        err = _fails_with_one_error_line(capsys, ["datagen", "--family", "branch_blocks", "--seed", "-1",
+                                                  "--out", str(out)])
+        assert err == "error: --seed must be >= 0, not -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme", cli.SCHEMES)
+    def test_place(self, files, tmp_path, capsys, scheme):
+        out = tmp_path / "place"
+        err = _fails_with_one_error_line(capsys, ["place", "--scheme", scheme, "--graph", files["graph"],
+                                                  "--topology", files["topo"], "--seed", "-3", "--out", str(out)])
+        assert err == "error: --seed must be >= 0, not -3\n"
+        assert not out.exists()
+
+    def test_evaluate(self, files, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "2", "--out", str(ds)]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(ckpt, init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0))
+        out = tmp_path / "eval"
+        err = _fails_with_one_error_line(capsys, ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds),
+                                                  "--topology", files["topo"], "--seed", "-1", "--out", str(out)])
+        assert err == "error: --seed must be >= 0, not -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, flags, message",
+        [
+            ({}, ["--seed", "-1"], "--seed must be >= 0, not -1"),
+            ({"seed": -2}, [], "seed must be >= 0, not -2"),  # TrainerConfig.seed
+            ({"family": {"family": "branch_blocks", "count": 4, "seed": -4}}, [], "seed must be >= 0, not -4"),
+        ],
+        ids=["flag", "config", "family"],
+    )
+    def test_train(self, files, tmp_path, capsys, overrides, flags, message):
+        path = write_run_config(tmp_path, files["topo"], **overrides)
+        out = tmp_path / "train"
+        err = _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(out), *flags])
+        assert err == f"error: {message}\n"
+        assert not out.exists()  # not even run_config.json
+
+
 class _TrainCalled(Exception):
     pass
 

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from placement_opt.datagen import (
@@ -13,7 +17,14 @@ from placement_opt.datagen import (
     split,
     write_dataset,
 )
-from placement_opt.graph_core import reachability, relation_sets, save_graph, topological_order
+from placement_opt.graph_core import (
+    ComputationGraph,
+    OpGroup,
+    reachability,
+    relation_sets,
+    save_graph,
+    topological_order,
+)
 
 
 def encoder_decoder_node_count(layers: int, unroll: int) -> int:
@@ -108,6 +119,8 @@ class TestDeterminismAndSplit:
     def test_validation(self):
         with pytest.raises(DatagenError):
             FamilySpec(family="nope")
+        with pytest.raises(DatagenError, match="seed must be >= 0, not -1"):
+            spec(seed=-1)
         with pytest.raises(DatagenError):
             spec(count=1)
         with pytest.raises(DatagenError):
@@ -186,3 +199,150 @@ class TestDatasetIO:
         regenerated = {g.name: save_graph(g) for g in generate_family(s)}
         for g in train + test:
             assert save_graph(g) == regenerated[g.name]
+
+
+class TestWriteDataset:
+    def test_split_matches_splitting_the_graphs(self, tmp_path):
+        s = spec(count=7, train_fraction=0.3, seed=12)
+        manifest = write_dataset(tmp_path / "ds", s)
+        train, test = split(generate_family(s), s.train_fraction, s.seed)
+        assert [m["name"] for m in manifest["members"]] == [g.name for g in generate_family(s)]
+        assert {m["name"] for m in manifest["members"] if m["split"] == "train"} == {g.name for g in train}
+        assert {m["name"] for m in manifest["members"] if m["split"] == "test"} == {g.name for g in test}
+
+    def test_holds_one_graph_at_a_time(self, tmp_path):
+        # Graphs of about 500 nodes: holding every graph until the end
+        # peaked at about 6x the two-graph peak for 16 of them.
+        def peak(count):
+            tracemalloc.start()
+            try:
+                write_dataset(tmp_path / f"ds{count}", spec(count=count, blocks=48, seed=3))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        write_dataset(tmp_path / "warm", spec(count=2, blocks=48, seed=3))
+        two, sixteen = peak(2), peak(16)
+        assert sixteen <= 1.5 * two, (two, sixteen)
+
+
+# The generator as it drew each node's cost and bytes by two scalar
+# Generator.uniform calls, kept here as the reference the column-drawn
+# generator must match byte for byte.
+
+def _reference_add_node(nodes, rng, s) -> int:
+    v = len(nodes)
+    cost, size = rng.uniform(s.compute_lo, s.compute_hi), rng.uniform(s.bytes_lo, s.bytes_hi)
+    nodes.append(OpGroup(id=v, compute_seconds=(float(cost),), output_bytes=float(size)))
+    return v
+
+
+def _reference_branch_blocks(rng, s, name):
+    nodes, edges = [], []
+    prev_join = None
+    for _ in range(s.blocks):
+        entry = _reference_add_node(nodes, rng, s)
+        if prev_join is not None:
+            edges.append((prev_join, entry))
+        k = int(rng.integers(s.branches_lo, s.branches_hi + 1))
+        branch_tails = []
+        for _ in range(k):
+            length = int(rng.integers(s.branch_ops_lo, s.branch_ops_hi + 1))
+            prev = entry
+            for _ in range(length):
+                v = _reference_add_node(nodes, rng, s)
+                edges.append((prev, v))
+                prev = v
+            branch_tails.append(prev)
+        join = _reference_add_node(nodes, rng, s)
+        for tail in branch_tails:
+            edges.append((tail, join))
+        prev_join = join
+    return ComputationGraph.build(name, nodes, edges)
+
+
+def _reference_encoder_decoder(rng, s, name):
+    layers = int(rng.integers(s.layers_lo, s.layers_hi + 1))
+    unroll = int(rng.integers(s.unroll_lo, s.unroll_hi + 1))
+    nodes, edges = [], []
+    enc = [[_reference_add_node(nodes, rng, s) for _ in range(unroll)] for _ in range(layers)]
+    dec = [[_reference_add_node(nodes, rng, s) for _ in range(unroll)] for _ in range(layers)]
+    att = [_reference_add_node(nodes, rng, s) for _ in range(unroll)]
+    for stack in (enc, dec):
+        for l in range(layers):
+            for t in range(unroll):
+                if t + 1 < unroll:
+                    edges.append((stack[l][t], stack[l][t + 1]))
+                if l + 1 < layers:
+                    edges.append((stack[l][t], stack[l + 1][t]))
+    for t in range(unroll):
+        for t_enc in range(unroll):
+            edges.append((enc[layers - 1][t_enc], att[t]))
+        edges.append((att[t], dec[0][t]))
+    return ComputationGraph.build(name, nodes, edges)
+
+
+def _reference_layered_random(rng, s, name):
+    n_layers = int(rng.integers(s.layers_lo, s.layers_hi + 1))
+    widths = [int(rng.integers(s.branches_lo, s.branches_hi + 1)) for _ in range(n_layers)]
+    nodes, edges = [], []
+    layer_ids = [[_reference_add_node(nodes, rng, s) for _ in range(width)] for width in widths]
+    for i in range(1, n_layers):
+        for v in layer_ids[i]:
+            parents = [u for u in layer_ids[i - 1] if rng.random() < 0.5]
+            if not parents:
+                parents = [layer_ids[i - 1][int(rng.integers(len(layer_ids[i - 1])))]]
+            for u in parents:
+                edges.append((u, v))
+    return ComputationGraph.build(name, nodes, edges)
+
+
+_REFERENCE_BUILDERS = {
+    BRANCH_BLOCKS: _reference_branch_blocks,
+    ENCODER_DECODER: _reference_encoder_decoder,
+    LAYERED_RANDOM: _reference_layered_random,
+}
+
+
+def reference_documents(s):
+    builder = _REFERENCE_BUILDERS[s.family]
+    return [
+        save_graph(builder(np.random.default_rng([s.seed, i]), s, f"{s.family}-{s.seed}-{i:03d}"))
+        for i in range(s.count)
+    ]
+
+
+_FLOAT_MAX = sys.float_info.max
+# Value ranges where the mapping of a uniform u must be Generator.uniform's
+# own: lo + (hi - lo) * u with both bounds taken as floats first. Above 2**53
+# an integer bound rounds when taken as a float, so hi - lo taken in integers
+# differs (here 2 against 4).
+RANGES = {
+    "default": {},
+    "zero_width": dict(compute_lo=2.5, compute_hi=2.5, bytes_lo=0, bytes_hi=0),
+    "zeros": dict(compute_lo=0.0, compute_hi=0.0, bytes_lo=3e6, bytes_hi=3e6),
+    "float_max": dict(compute_lo=0.0, compute_hi=_FLOAT_MAX, bytes_lo=1.0, bytes_hi=_FLOAT_MAX),
+    "ints_above_2_53": dict(compute_lo=2**53 + 1, compute_hi=2**53 + 3, bytes_lo=2**60 + 1, bytes_hi=2**64 + 7),
+}
+SHAPES = {
+    BRANCH_BLOCKS: dict(blocks=6, branches_lo=1, branches_hi=4, branch_ops_lo=1, branch_ops_hi=5),
+    ENCODER_DECODER: dict(layers_lo=1, layers_hi=4, unroll_lo=1, unroll_hi=7),
+    LAYERED_RANDOM: dict(layers_lo=1, layers_hi=7, branches_lo=1, branches_hi=6),
+}
+
+
+@pytest.mark.parametrize("ranges", RANGES, ids=list(RANGES))
+@pytest.mark.parametrize("family", [BRANCH_BLOCKS, ENCODER_DECODER, LAYERED_RANDOM])
+def test_documents_match_the_per_node_reference(family, ranges):
+    for seed in (0, 1, 17, 2**40):
+        s = FamilySpec(family=family, count=5, seed=seed, **SHAPES[family], **RANGES[ranges])
+        assert [save_graph(g) for g in generate_family(s)] == reference_documents(s), seed
+
+
+def test_integer_bounds_above_2_53_span_the_float_difference():
+    # 2**53 + 1 rounds to 2**53 and 2**53 + 3 to 2**53 + 4, so costs above
+    # 2**53 + 2 show the range was taken in floats, as Generator.uniform takes it.
+    s = FamilySpec(family=LAYERED_RANDOM, count=2, seed=1, **RANGES["ints_above_2_53"])
+    costs = [g.compute_seconds[0] for g in generate_family(s)[0].nodes]
+    assert all(2.0**53 <= c <= 2.0**53 + 4 for c in costs)
+    assert any(c > 2.0**53 + 2 for c in costs)

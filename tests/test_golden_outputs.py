@@ -29,6 +29,8 @@ SCHEMES = ("single_device", "random", "mincut", "expert")
 
 PINS = {
     "datagen": "f63296873d386d3f3e31d2ab2d3c591e0936d46ac41ceb532685be3e136671d1",
+    "datagen_encoder_decoder": "0c8decc2f6580ee13ab1052074355deca944bc4567397e51227abd21879a2b4d",
+    "datagen_layered_random": "0a26c8e527af30af6f32452e9511dd392bf124b118af5a756c3204fe388f9f21",
     "placement_single_device.json": "8932cb6ed80ec57c08672bfe6b7584d3ca18d76c15b770ac0a0fee7b8335ac80",
     "simulation_single_device.json": "28611563090fceb907d396458c039d05a078a7c6088539a45a5808ea941c23a7",
     "placement_random.json": "66e3e7b54951bd0d3c04868b05b2957aa22c039cde26bdac1023d331fc58c8ed",
@@ -88,6 +90,22 @@ def inputs(tmp_path_factory):
 def test_datagen_directory(inputs):
     assert len(os.listdir(inputs["dataset"])) == 3
     assert tree_sha(inputs["dataset"]) == PINS["datagen"]
+
+
+# The other two families, pinned when every node's cost and bytes were drawn
+# by two scalar Generator.uniform calls.
+FAMILY_ARGS = {
+    "encoder_decoder": ["--count", "2", "--layers", "2", "4", "--unroll", "8", "16", "--compute", "0.25", "3",
+                        "--tensor-bytes", "1e5", "4e6"],
+    "layered_random": ["--count", "3", "--layers", "6", "12", "--branches", "3", "9"],
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_ARGS)
+def test_datagen_family_directory(tmp_path, family):
+    run("datagen", "--family", family, *FAMILY_ARGS[family], "--out", str(tmp_path), "--seed", "5")
+    assert len(os.listdir(tmp_path)) == int(FAMILY_ARGS[family][1]) + 1
+    assert tree_sha(tmp_path) == PINS[f"datagen_{family}"]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -70,6 +70,8 @@ def _argv(p, case):
     evaluate = ["evaluate", "--dataset", p["dataset"], "--topology", p["topology"], "--samples", "2", "--out", out]
     return {
         "datagen": ["datagen", "--family", "layered_random", "--count", "3", "--out", out],
+        "datagen_branch_blocks": ["datagen", "--family", "branch_blocks", "--count", "3", "--out", out],
+        "datagen_encoder_decoder": ["datagen", "--family", "encoder_decoder", "--count", "3", "--out", out],
         "simulate": ["simulate", *graph, "--placement", p["placement"], "--emit-dot", "--out", out],
         **{f"place_{s}": ["place", "--scheme", s, *graph, "--out", out] for s in cli.SCHEMES},
         "train_intermediate": ["train", "--config", p["intermediate"], "--out", out],
@@ -83,12 +85,13 @@ def _argv(p, case):
         "deep_document": ["oracle", "--graph", p["deep"], "--topology", p["topology"], "--out", out],
         "bad_run_config": ["train", "--config", p["bad_config"], "--out", out],
         "malformed_checkpoint": [*evaluate, "--checkpoint", p["bad_checkpoint"]],
+        "negative_seed": ["place", "--scheme", "random", *graph, "--seed", "-1", "--out", out],
     }[case]
 
 
-SUCCEEDS = ["datagen", "simulate", *(f"place_{s}" for s in cli.SCHEMES), "train_intermediate", "train_terminal",
+SUCCEEDS = ["datagen", "datagen_branch_blocks", "datagen_encoder_decoder", "simulate", *(f"place_{s}" for s in cli.SCHEMES), "train_intermediate", "train_terminal",
             "evaluate", "oracle"]
-FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "malformed_checkpoint"]
+FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "malformed_checkpoint", "negative_seed"]
 
 
 @pytest.mark.parametrize("case", SUCCEEDS + FAILS)
