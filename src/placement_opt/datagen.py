@@ -23,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .fileio import check_object, json_document, parse_json, refusal, write_atomic
+from .fileio import check_object, json_document, number, parse_json, refusal, write_atomic
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
@@ -73,6 +73,8 @@ class FamilySpec:
             raise DatagenError(f"seed must be >= 0, not {self.seed}")
         if self.blocks < 1:
             raise DatagenError(f"blocks must be >= 1, not {self.blocks}")
+        for key in ("compute_lo", "compute_hi", "bytes_lo", "bytes_hi"):  # uniform() takes them as floats
+            number(getattr(self, key), "family spec", key, DatagenError)
         # A count range starting at 0 yields empty or degenerate graphs.
         for lo, hi, what, least in (
             (self.branches_lo, self.branches_hi, "branches", 1),

@@ -13,6 +13,7 @@ bytes, feature columns, CSR arrays, relation id arrays) is a
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass, field
@@ -429,8 +430,6 @@ def relation_sets(index: ReachabilityIndex, v: int):
 def topological_order(graph: ComputationGraph, seed=None):
     """Kahn's algorithm. Deterministic min-id tie-break without a seed;
     uniform choice among ready nodes with one."""
-    import heapq
-
     n = graph.num_nodes
     indeg = [len(graph.parents[v]) for v in range(n)]
     order = []
@@ -472,136 +471,85 @@ def _add_costs(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
     raise GraphError(f"cannot add cost vectors of lengths {len(a)} and {len(b)}")
 
 
+def _reaches_around(children, src: int, dst: int) -> bool:
+    """Whether src reaches dst along children by a path of two edges or more."""
+    stack = [w for w in children[src] if w != dst]
+    seen = set(stack)
+    while stack:
+        for w in children[stack.pop()]:
+            if w == dst:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
 def merge_and_colocate(graph: ComputationGraph, target_size: int, cost_threshold: float):
     """Coarsen by repeatedly merging the cheapest node into a neighbor.
 
-    The cost metric is output_bytes. Merging continues while the graph is
-    larger than ``target_size`` or some node is cheaper than
-    ``cost_threshold``. The chosen node is absorbed by the successor fed by
-    the largest tensor (its own output, so ties resolve to the smallest
-    successor id) or, lacking successors, the predecessor with the largest
-    output. A merge that would create a cycle (an alternative path between
-    the pair) is skipped in favor of the next candidate. Isolated nodes are
-    never merged.
+    A node's cost is its output_bytes, and the cheapest node is the least by
+    (cost, id) among those that still have an edge: isolated nodes never
+    merge. Merging continues while the graph is larger than ``target_size``
+    or the cheapest cost is below ``cost_threshold``.
+
+    The cheapest node is absorbed by its smallest-id successor that no other
+    path from it reaches or, if it is a sink, by its largest-output
+    predecessor (then smallest id) that no other path to it leaves. With no
+    other path between the two, the merge closes no cycle. Such a target
+    always exists, so the cheapest node always merges: a successor that no
+    other successor reaches, or a predecessor that reaches no other
+    predecessor. The target's output grows by the node's only if the node's
+    tensor still leaves the group, to another successor.
 
     Returns (coarse graph, mapping original id -> coarse id).
     """
     if target_size < 1:
         raise GraphError(f"target size {target_size} must be >= 1")
-
-    # Mutable adjacency over surviving nodes.
     n = graph.num_nodes
-    alive = set(range(n))
-    children = {v: set(graph.children[v]) for v in range(n)}
-    parents = {v: set(graph.parents[v]) for v in range(n)}
-    cost = {v: graph.nodes[v].output_bytes for v in range(n)}
-    compute = {v: graph.nodes[v].compute_seconds for v in range(n)}
-    members = {v: [v] for v in range(n)}
-    absorbed_into = {}
-
-    def path_exists(src, dst, skip_edge):
-        # DFS over current adjacency, ignoring one direct edge.
-        stack = [src]
-        seen = {src}
-        while stack:
-            u = stack.pop()
-            for w in children[u]:
-                if (u, w) == skip_edge:
-                    continue
-                if w == dst:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    def pick_target(v):
-        # Successor fed by the largest tensor; every out-edge of v carries
-        # v's own output, so this reduces to the smallest safe successor id.
-        # A reachability-minimal successor is always safe (any alternative
-        # path's first hop is a successor that reaches it), so the pred
-        # branch is taken only when v has no successors at all.
-        for s in sorted(children[v]):
-            if not path_exists(v, s, skip_edge=(v, s)):
-                return s, "succ"
-        for p in sorted(parents[v], key=lambda q: (-cost[q], q)):
-            if not path_exists(p, v, skip_edge=(p, v)):
-                return p, "pred"
-        return None, None
-
-    while len(alive) > 1:
-        need_size = len(alive) > target_size
-        candidates = sorted(
-            (v for v in alive if children[v] or parents[v]),
-            key=lambda v: (cost[v], v),
-        )
-        if not need_size:
-            candidates = [v for v in candidates if cost[v] < cost_threshold]
-        if not candidates:
+    children = [set(c) for c in graph.children]
+    parents = [set(p) for p in graph.parents]
+    cost = list(graph.output_sizes)
+    compute = [g.compute_seconds for g in graph.nodes]
+    root = list(range(n))  # v itself while v survives, else the node that absorbed it
+    merged = []  # absorbed nodes, in merge order
+    heap = [(cost[v], v) for v in range(n) if children[v] or parents[v]]
+    heapq.heapify(heap)
+    while heap:
+        c, v = heapq.heappop(heap)
+        if root[v] != v or c != cost[v] or not (children[v] or parents[v]):
+            continue  # absorbed, repriced or isolated since it was pushed
+        if n - len(merged) <= target_size and not c < cost_threshold:
             break
-        merged = False
-        for v in candidates:
-            target, kind = pick_target(v)
-            if target is None:
-                continue
-            # Absorb v into target.
-            if kind == "succ":
-                still_external = bool(children[v] - {target})
-                new_out = cost[target] + (cost[v] if still_external else 0.0)
-            else:
-                # v had no successors; its tensor fed nothing.
-                new_out = cost[target]
-            compute[target] = _add_costs(compute[target], compute[v])
-            cost[target] = new_out
-            members[target].extend(members[v])
-            for c in list(children[v]):
-                parents[c].discard(v)
-                if c != target:
-                    children[target].add(c)
-                    parents[c].add(target)
-            for p in list(parents[v]):
-                children[p].discard(v)
-                if p != target:
-                    children[p].add(target)
-                    parents[target].add(p)
-            children[target].discard(target)
-            parents[target].discard(target)
-            children.pop(v)
-            parents.pop(v)
-            alive.remove(v)
-            absorbed_into[v] = target
-            merged = True
-            break
-        if not merged:
-            break
+        if children[v]:
+            t = next(s for s in sorted(children[v]) if not _reaches_around(children, v, s))
+            cost[t] += cost[v] if len(children[v]) > 1 else 0.0
+            heapq.heappush(heap, (cost[t], t))
+        else:
+            t = next(p for p in sorted(parents[v], key=lambda q: (-cost[q], q)) if not _reaches_around(children, p, v))
+        compute[t] = _add_costs(compute[t], compute[v])
+        for w in children[v]:
+            parents[w].discard(v)
+            parents[w].add(t)
+        for w in parents[v]:
+            children[w].discard(v)
+            children[w].add(t)
+        children[t] |= children[v]
+        parents[t] |= parents[v]
+        children[t].discard(t)
+        parents[t].discard(t)
+        root[v] = t
+        merged.append(v)
+    for v in reversed(merged):  # a target outlives the nodes it absorbs
+        root[v] = root[root[v]]
 
-    # Rebuild with dense ids, preserving relative order of survivors.
-    survivors = sorted(alive)
+    # Dense ids in survivor order; each group's members in original-id order.
+    survivors = [v for v in range(n) if root[v] == v]
     new_id = {v: i for i, v in enumerate(survivors)}
-    colocation = {}
-    for orig in range(n):
-        root = orig
-        while root in absorbed_into:
-            root = absorbed_into[root]
-        colocation[orig] = new_id[root]
-
-    coarse_nodes = []
-    for v in survivors:
-        orig_members = []
-        for m in sorted(members[v]):
-            g = graph.nodes[m]
-            orig_members.extend(g.members if g.members else (str(m),))
-        coarse_nodes.append(
-            OpGroup(
-                id=new_id[v],
-                compute_seconds=compute[v],
-                output_bytes=cost[v],
-                members=tuple(orig_members),
-            )
-        )
-    coarse_edges = set()
-    for v in survivors:
-        for c in children[v]:
-            coarse_edges.add((new_id[v], new_id[c]))
-    coarse = ComputationGraph.build(graph.name, coarse_nodes, coarse_edges)
-    return coarse, colocation
+    colocation = {v: new_id[root[v]] for v in range(n)}
+    members = [[] for _ in survivors]
+    for v, g in enumerate(graph.nodes):
+        members[colocation[v]].extend(g.members or (str(v),))
+    coarse_nodes = [OpGroup(new_id[v], compute[v], cost[v], tuple(m)) for v, m in zip(survivors, members)]
+    coarse_edges = {(new_id[v], new_id[w]) for v in survivors for w in children[v]}
+    return ComputationGraph.build(graph.name, coarse_nodes, coarse_edges), colocation

@@ -21,6 +21,7 @@ memory profile. Both give the same float.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 
@@ -55,10 +56,11 @@ class RewardConfig:
     def __post_init__(self):
         if self.mode not in (TERMINAL, INTERMEDIATE):
             raise EnvError(f"unknown reward mode {self.mode!r}")
-        if self.penalty_per_gb < 0:
-            raise EnvError("penalty_per_gb must be >= 0")
-        if self.reward_scale is not None and not self.reward_scale > 0:
-            raise EnvError("reward_scale must be positive")
+        # Each bound refuses nan, the infinities and ints beyond float range.
+        if not 0 <= self.penalty_per_gb <= sys.float_info.max:
+            raise EnvError("penalty_per_gb must be finite and >= 0")
+        if self.reward_scale is not None and not 0 < self.reward_scale <= sys.float_info.max:
+            raise EnvError("reward_scale must be finite and positive")
 
 
 # What evaluation, prediction and exhaustive search score placements by.

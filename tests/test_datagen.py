@@ -139,6 +139,16 @@ class TestDeterminismAndSplit:
         with pytest.raises(DatagenError, match=field):
             spec(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, field",
+        [(dict(compute_hi=10**400), "compute_hi"), (dict(bytes_lo=10**400, bytes_hi=10**401), "bytes_lo"),
+         (dict(bytes_hi=-(10**400)), "bytes_hi"), (dict(compute_lo=float("-inf")), "compute_lo")],
+    )
+    def test_float_bounds_beyond_float_range_rejected(self, kw, field):
+        # generate_family would take each bound as a float; 10**400 has none.
+        with pytest.raises(DatagenError, match=f"family spec key '{field}' must be a finite number"):
+            spec(**kw)
+
     @pytest.mark.parametrize("family", [BRANCH_BLOCKS, ENCODER_DECODER, LAYERED_RANDOM])
     def test_unit_ranges_generate(self, family):
         # The smallest accepted counts still give valid graphs.

@@ -84,6 +84,46 @@ class TestLoadGraph:
             assert [n.output_bytes for n in g2.nodes] == [n.output_bytes for n in g.nodes]
 
 
+def dict_document(graph):
+    """A graph document built one dict per node and written by json.dumps."""
+    nodes = []
+    for g in graph.nodes:
+        row = {"id": g.id, "cost": list(g.compute_seconds) if len(g.compute_seconds) > 1 else g.compute_seconds[0],
+               "output_bytes": g.output_bytes}
+        if g.members:
+            row["members"] = list(g.members)
+        nodes.append(row)
+    edges = [[u, v] for u, children in enumerate(graph.children) for v in children]
+    return json.dumps({"name": graph.name, "nodes": nodes, "edges": edges}, indent=2)
+
+
+class TestSaveGraphText:
+    """save_graph's text is json.dumps's indented text, with and without
+    members and cost vectors."""
+
+    @pytest.mark.parametrize("widths", [(1,), (4,), (1, 4)])
+    @pytest.mark.parametrize("with_members", [False, True])
+    def test_equals_json_dumps(self, widths, with_members):
+        rng = np.random.default_rng(len(widths) * 10 + with_members)
+        for _ in range(10):
+            g = random_dag(rng, max_nodes=9)
+            nodes = [
+                OpGroup(n.id, tuple(float(x) for x in rng.uniform(0, 3, widths[n.id % len(widths)])), n.output_bytes,
+                        (f"op {n.id}", f"op/{n.id}, \"b\"") if with_members and n.id % 2 else ())
+                for n in g.nodes
+            ]
+            g = ComputationGraph.build('g "quoted", too', nodes, g.edges)
+            assert any(n.members for n in g.nodes) == with_members
+            assert save_graph(g) == dict_document(g)
+            assert load_graph(save_graph(g)).nodes == g.nodes
+
+    def test_integral_values_and_empty_graph(self):
+        g = ComputationGraph.build("ints", [OpGroup(0, (1,), 2), OpGroup(1, (0, 3), 0)], {(0, 1)})
+        assert save_graph(g) == dict_document(g)
+        empty = ComputationGraph.build("", [], set())
+        assert save_graph(empty) == dict_document(empty)
+
+
 # The per-node loader that the column-checked one replaced, kept as the
 # reference: every node goes through check_object, number and a validating
 # OpGroup, in document order.

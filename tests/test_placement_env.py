@@ -107,8 +107,15 @@ class TestPenalizedRuntime:
             RewardConfig(mode="nope")
         with pytest.raises(EnvError):
             RewardConfig(penalty_per_gb=-1)
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(EnvError, match="penalty_per_gb must be finite and >= 0"):
+                RewardConfig(penalty_per_gb=value)
+        assert RewardConfig(penalty_per_gb=0).penalty_per_gb == 0
         with pytest.raises(EnvError):
             RewardConfig(reward_scale=0.0)
+        for value in (math.nan, math.inf, 10**400):
+            with pytest.raises(EnvError, match="reward_scale must be finite and positive"):
+                RewardConfig(reward_scale=value)
 
 
 class TestReset:
