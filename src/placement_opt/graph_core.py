@@ -7,7 +7,7 @@ original ids are kept in ``members``.
 
 What the simulator, the featurizer and the policy derive from a graph alone
 (output sizes, parent counts, source ids, cost-vector widths, total output
-bytes, feature columns, CSR arrays, relation id arrays) is a
+bytes, feature columns, CSR arrays, reachability bitsets) is a
 ``cached_property``, freed with the graph.
 """
 
@@ -148,11 +148,9 @@ class ComputationGraph:
         return _csr(self.children)
 
     @cached_property
-    def relation_ids(self) -> list:
-        """Per node v, relation_id_arrays(reachability(self), v): computed
-        once per graph object, from one reachability sweep."""
-        index = reachability(self)
-        return [relation_id_arrays(index, v) for v in range(self.num_nodes)]
+    def reachability_index(self) -> "ReachabilityIndex":
+        """reachability(self), swept once per graph object: about n² bits."""
+        return reachability(self)
 
 
 def _csr(lists) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +293,9 @@ def _node_columns(nodes):
     if not kinds <= {list, tuple}:
         return None
     if list in kinds:
-        members = [tuple(map(str, m)) for m in members]
+        if not {type(m) for ms in members for m in ms} <= {str}:
+            return None
+        members = list(map(tuple, members))
     return ids, costs, list(map(float, sizes)), members
 
 
@@ -309,6 +309,8 @@ def _refuse_nodes(nodes) -> NoReturn:
         if type(nd.get("cost")) is list:
             for c in nd["cost"]:
                 number(c, where, "cost", GraphError)
+        if not all(type(m) is str for m in nd.get("members", ())):
+            raise GraphError(refusal(where, "members", nd["members"], "a list of strings"))
     _check_unique([nd["id"] for nd in nodes])
     for i, nd in enumerate(nodes):
         where = f"graph nodes[{i}]"
@@ -406,7 +408,7 @@ def bitset_to_ids(bits: int) -> np.ndarray:
     nodes, so a Python loop costs O(n) big-int operations per set even over
     set bits only."""
     raw = np.frombuffer(bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return np.flatnonzero(np.unpackbits(raw, bitorder="little"))
+    return np.unpackbits(raw, bitorder="little").nonzero()[0]
 
 
 def relation_id_arrays(index: ReachabilityIndex, v: int):

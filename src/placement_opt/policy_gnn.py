@@ -13,26 +13,27 @@ Two deliberately weaker variants are kept for ablations: ``simple_aggregator``
 (per-set sums of raw features through three nets, no message passing).
 
 Every pass works on a batch of states: their graphs form one disjoint union,
-built from each graph's cached CSR and relation id arrays (see
-``ComputationGraph``), and messages and pooled sets are grouped row sums over
-edge and id lists (``np.add.reduceat``), so no dense adjacency is built. The
-forward keeps no features or activations: ``policy_backward`` takes the
-states themselves and re-runs batched forwards over them, each featurized by
-one ``placement_env.featurize_batch`` call, and one batched reverse pass per
-net, giving exact gradients of the loss sum(-log pi(a|s) * A - beta *
-entropy) over any number of episodes' steps.
+built for each pass from each graph's cached CSR arrays and reachability
+bitsets (see ``ComputationGraph``), and messages and pooled sets are grouped
+row sums over edge and id lists (``np.add.reduceat``), so no dense adjacency
+is built. The forward keeps no features or activations: ``policy_backward``
+takes the states themselves and re-runs batched forwards over them, each
+featurized by one ``placement_env.featurize_batch`` call, and one batched
+reverse pass per net, giving exact gradients of the loss
+sum(-log pi(a|s) * A - beta * entropy) over any number of episodes' steps.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from . import placement_env
 from .fileio import check_object, field_kinds, refusal
+from .graph_core import bitset_to_ids
 from .neural_primitives import (
     DenseNet,
     dense_backward,
@@ -184,16 +185,11 @@ def policy_from_params(cfg: PolicyConfig, flat: list[np.ndarray]) -> PolicyParam
     return PolicyParameters(config=cfg, nets=nets)
 
 
-def _grouping(parts, shifts, counts=None) -> tuple:
+def _grouping(counts, sources) -> tuple:
     """Grouping (targets, starts, sources) that sums rows: row targets[i] of
     the result is the sum of the input rows sources[starts[i]:starts[i + 1]],
-    in that order, and every other row is zero. Target b sums the ids
-    parts[b] + shifts[b]; given counts, target t sums the next counts[t] ids
-    of the parts concatenated, part b's ids shifted by shifts[b]."""
-    sizes = np.array([len(p) for p in parts], dtype=np.intp)
-    counts = sizes if counts is None else counts
-    targets = np.flatnonzero(counts)
-    sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, sizes)
+    in that order, and every other row is zero; target t sums counts[t] rows."""
+    targets = counts.nonzero()[0]
     return targets, _offsets(counts[targets]), sources
 
 
@@ -214,46 +210,18 @@ def _group_sum(rows: np.ndarray, targets, starts, size: int) -> np.ndarray:
     return out
 
 
-class _Links(NamedTuple):
-    """What a batch's disjoint union takes from its graphs alone."""
-
-    graphs: tuple
-    down: tuple  # each row's parents: the down stream's messages
-    up: tuple  # each row's children: the up stream's messages
-    starts: np.ndarray  # each graph's first row
-    rows: int
-
-
-_LINKS: _Links | None = None  # the last batch's graphs and their edge unions
-
-
-def _union_csr(csrs, starts) -> tuple:
-    """Grouping of the disjoint union of graphs' (counts, ids) CSR arrays."""
+def _union_csr(csrs, shifts) -> tuple:
+    """Grouping of the union of graphs' CSR arrays; shifts: each id's graph's first row."""
     counts, ids = zip(*csrs)
-    return _grouping(ids, starts, np.concatenate(counts))
+    return _grouping(np.concatenate(counts), np.concatenate(ids) + shifts)
 
 
-def _links(graphs) -> _Links:
-    """The edge unions of a sequence of graphs: their cached CSR arrays
-    concatenated, each graph's ids shifted by its first row. Memoized for the
-    last sequence seen, because a rollout's batches keep their graphs until
-    an episode ends or splits off from the episodes sharing its state (a
-    rollout sends each distinct state once). Graphs are compared by identity, and the entry holds
-    them, so no id can be reused while it is cached."""
-    global _LINKS
-    last = _LINKS
-    if last is not None and len(last.graphs) == len(graphs) and all(map(operator.is_, last.graphs, graphs)):
-        return last
-    sizes = np.array([g.num_nodes for g in graphs], dtype=np.intp)
-    starts = _offsets(sizes)
-    _LINKS = _Links(
-        graphs=tuple(graphs),
-        down=_union_csr([g.parent_csr for g in graphs], starts),
-        up=_union_csr([g.child_csr for g in graphs], starts),
-        starts=starts,
-        rows=int(sizes.sum()),
-    )
-    return _LINKS
+def _set_grouping(bits: int, bounds) -> tuple:
+    """Grouping by state of the (ascending) union rows in a bitset, split at bounds."""
+    sources = bitset_to_ids(bits)
+    first = np.searchsorted(sources, bounds)  # each state's first source
+    targets = (first[:-1] < first[1:]).nonzero()[0]
+    return targets, first[targets], sources
 
 
 class _Batch(NamedTuple):
@@ -261,8 +229,8 @@ class _Batch(NamedTuple):
     stacked in state order, each state's edges and sets shifted by its first
     row. No dense adjacency is built."""
 
-    down: tuple
-    up: tuple
+    down: tuple  # each row's parents: the down stream's messages
+    up: tuple  # each row's children: the up stream's messages
     pool: tuple  # per POOL_SETS entry, that set's rows grouped by state
     current: np.ndarray  # each state's current row
     starts: np.ndarray  # each state's first row
@@ -270,15 +238,26 @@ class _Batch(NamedTuple):
 
 
 def _batch(graphs, nodes) -> _Batch:
-    links = _links(graphs)
-    pool = [g.relation_ids[v] for g, v in zip(graphs, nodes)]
+    """The batch of the states at nodes of graphs: each pooled set is one
+    bitset over the union rows, ORed from the states' shifted bitsets."""
+    bounds = np.array([0, *accumulate(g.num_nodes for g in graphs)], dtype=np.intp)  # first rows, then all
+    starts, rows = bounds[:-1], int(bounds[-1])
+    current = starts + np.array(nodes, dtype=np.intp)
+    ancestors = descendants = own = 0
+    for g, first, row in zip(graphs, starts.tolist(), current.tolist()):
+        index = g.reachability_index
+        ancestors |= index.ancestors[row - first] << first
+        descendants |= index.descendants[row - first] << first
+        own |= 1 << row
+    parallel = ((1 << rows) - 1) & ~(ancestors | descendants | own)
+    shifts = np.repeat(starts, [len(g.edges) for g in graphs])  # each edge's graph's first row
     return _Batch(
-        down=links.down,
-        up=links.up,
-        pool=tuple(_grouping([p[k] for p in pool], links.starts) for k in range(len(POOL_SETS))),
-        current=links.starts + np.array(nodes, dtype=np.intp),
-        starts=links.starts,
-        rows=links.rows,
+        down=_union_csr([g.parent_csr for g in graphs], shifts),
+        up=_union_csr([g.child_csr for g in graphs], shifts),
+        pool=tuple(_set_grouping(bits, bounds) for bits in (ancestors, descendants, parallel)),
+        current=current,
+        starts=starts,
+        rows=rows,
     )
 
 

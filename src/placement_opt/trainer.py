@@ -218,6 +218,10 @@ def train_epoch(
     one Adam step."""
     if not graphs:
         raise TrainerError("empty training set")
+    named = {}
+    for g in graphs:  # baselines, curves and best placements are kept by name
+        if named.setdefault(g.name, g) is not g:
+            raise TrainerError(f"two training graphs are named {g.name!r}; each needs a name of its own")
     shuffle_rng = np.random.default_rng([cfg.seed, epoch, 0xD15])
     order = shuffle_rng.permutation(len(graphs))
     picks = [graphs[order[w % len(graphs)]] for w in range(cfg.workers)]

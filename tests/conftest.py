@@ -26,7 +26,7 @@ def make_topology(n_devices=2, memory=12e9, bandwidth=1e6, scales=None):
     )
 
 
-def random_dag(rng, max_nodes=8, edge_prob=0.4, cost_range=(0.1, 5.0), bytes_range=(0.0, 4.0)):
+def random_dag(rng, max_nodes=8, edge_prob=0.4, cost_range=(0.1, 5.0), bytes_range=(0.0, 4.0), name="random"):
     n = int(rng.integers(2, max_nodes + 1))
     edges = set()
     for v in range(1, n):
@@ -35,7 +35,7 @@ def random_dag(rng, max_nodes=8, edge_prob=0.4, cost_range=(0.1, 5.0), bytes_ran
                 edges.add((u, v))
     costs = rng.uniform(*cost_range, size=n)
     sizes = rng.uniform(*bytes_range, size=n)
-    return make_graph("random", costs, sizes, edges)
+    return make_graph(name, costs, sizes, edges)
 
 
 def forward_one(state, topology, params):

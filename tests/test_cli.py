@@ -1097,6 +1097,21 @@ class TestDatasetManifest:
         train_names = {m["name"] for m in manifest["members"] if m["split"] == "train"}
         assert set(json.loads((tmp_path / "train0" / "best_placements.json").read_text())) <= train_names
 
+    def test_training_graphs_sharing_a_name_are_refused(self, files, tmp_path, capsys, dataset):
+        # Baselines, learning-curve rows and best placements are kept by graph
+        # name, so two train graphs without a name would be merged.
+        for name, n in (("two", 2), ("three", 3)):
+            doc = {"nodes": [{"id": v, "cost": 1.0, "output_bytes": 1e6} for v in range(n)],
+                   "edges": [[v, v + 1] for v in range(n - 1)]}
+            (dataset / f"{name}.json").write_text(json.dumps(doc))
+        members = [{"file": f"{name}.json", "split": "train"} for name in ("two", "three")]
+        (dataset / "manifest.json").write_text(json.dumps({"members": members}))
+        out = tmp_path / "out"
+        argv = ["train", "--config", _dataset_run_config(tmp_path, files["topo"], dataset), "--out", str(out)]
+        err = _fails_with_one_error_line(capsys, argv)
+        assert "two training graphs are named ''" in err
+        assert not (out / "checkpoint.json").exists() and not (out / "best_placements.json").exists()
+
     @pytest.mark.parametrize(
         "manifest",
         [

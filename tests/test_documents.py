@@ -192,6 +192,8 @@ GRAPH_VALUE_CASES = {
     "empty_cost_list": (put(("nodes", 3), "cost", []), "graph nodes[3] key 'cost' must be a non-empty list, not []"),
     "negative_output_bytes": (put(("nodes", 0), "output_bytes", -2e6),
                               f"graph nodes[0] key 'output_bytes' {AT_LEAST_0} -2000000.0"),
+    "members_not_strings": (put(("nodes", 1), "members", [1, None, {"a": 2}]),
+                            """graph nodes[1] key 'members' must be a list of strings, not [1, null, {"a": 2}]"""),
 }
 
 

@@ -143,7 +143,9 @@ def reference_load_graph(text):
             cost = tuple([number(c, where, "cost", GraphError) for c in cost])
         else:
             cost = (float(cost),)
-        members = tuple(map(str, nd["members"])) if "members" in nd else ()
+        if not all(type(m) is str for m in nd.get("members", ())):
+            raise GraphError(refusal(where, "members", nd["members"], "a list of strings"))
+        members = tuple(nd.get("members", ()))
         orig_ids.append(nd["id"])
         fields.append((cost, float(nd.get("output_bytes", 0.0)), members))
     n = len(orig_ids)
@@ -211,7 +213,7 @@ def _random_document(rng):
         if rng.random() < 0.8:
             nd["output_bytes"] = number()
         if rng.random() < 0.2:
-            nd["members"] = [["a", "b, c"], [], [1, None, 2.5], ["x"]][rng.integers(4)]
+            nd["members"] = [["a", "b, c"], [], ["1", "None", "2.5"], ["x"]][rng.integers(4)]
         keys = list(nd)
         rng.shuffle(keys)
         nodes.append({k: nd[k] for k in keys})
@@ -248,6 +250,8 @@ BAD_NODES = {
     "cost_entry_null": ({"id": "ID", "cost": [None]}, None),
     "members_string": ({"id": "ID", "members": "ab"}, None),
     "members_int": ({"id": "ID", "members": 5}, None),
+    "members_entry_null": ({"id": "ID", "members": ["a", None]}, None),
+    "members_entries_not_strings": ({"id": "ID", "members": [1, None, {"a": 2}]}, None),
     "output_bytes_list": ({"id": "ID", "output_bytes": [1]}, None),
     "output_bytes_string": ({"id": "ID", "output_bytes": "2e6"}, None),
     "not_an_object": (5, None),

@@ -17,7 +17,7 @@ from placement_opt.placement_env import (
     runtime_of,
     step,
 )
-from placement_opt.graph_core import ComputationGraph, OpGroup
+from placement_opt.graph_core import ComputationGraph, OpGroup, ReachabilityIndex
 from placement_opt.sim_engine import Device, DeviceTopology, Placement, SimulationResult, simulate
 
 from conftest import make_graph, make_topology, random_dag
@@ -217,8 +217,8 @@ class TestFeaturize:
 
     def test_graph_at_a_freed_graphs_id(self, two_device):
         # A graph allocated where a featurized graph was freed gets its own
-        # cost and bytes columns, CSR arrays and relation ids, not the freed
-        # graph's.
+        # cost and bytes columns, CSR arrays and reachability index, not the
+        # freed graph's.
         cfg = RewardConfig(mode="terminal", reward_scale=1.0)
         a = make_graph("a", [1.0, 4.0], [2e6, 1e6], {(0, 1)})
         b = make_graph("b", [3.0, 1.0], [0.0, 5e5], set())
@@ -226,7 +226,7 @@ class TestFeaturize:
         for _ in range(5):
             old = dataclasses.replace(a)
             featurize(reset(old, two_device, cfg), two_device)
-            assert old.parent_csr[1].tolist() == [0] and old.relation_ids[0][1].tolist() == [1]
+            assert old.parent_csr[1].tolist() == [0] and old.reachability_index.descendants == (0b10, 0)
             freed = id(old)
             del old
             new = ComputationGraph(b.name, b.nodes, b.edges, b.parents, b.children)
@@ -236,7 +236,7 @@ class TestFeaturize:
             assert featurize(st, two_device)[:, :2].tolist() == [[1.0, 0.0], [1.0 / 3.0, 1.0]]
             for counts, ids in (new.parent_csr, new.child_csr):
                 assert counts.tolist() == [0, 0] and ids.tolist() == []
-            assert [[ids.tolist() for ids in rel] for rel in new.relation_ids] == [[[], [], [1]], [[], [], [0]]]
+            assert new.reachability_index == ReachabilityIndex(ancestors=(0, 0), descendants=(0, 0))
         assert reused  # the allocator did hand out a freed graph's id
 
     def test_feature_dim(self, two_device):

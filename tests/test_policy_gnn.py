@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from placement_opt import datagen, policy_gnn
-from placement_opt.graph_core import ComputationGraph, OpGroup
+from placement_opt.graph_core import ComputationGraph, OpGroup, reachability, relation_id_arrays
 from placement_opt.placement_env import RewardConfig, featurize, reset, step
 from placement_opt.policy_gnn import (
     FULL,
@@ -45,7 +47,7 @@ def embed_one(features, graph, params):
 def pool_one(emb, sets, v, params):
     """pool_and_decide for one state given as three id lists and its current
     row; returns logits (D,)."""
-    groupings = [policy_gnn._grouping([ids], [0]) for ids in sets]
+    groupings = [policy_gnn._grouping(np.array([len(ids)]), np.array(ids, dtype=np.intp)) for ids in sets]
     logits, _ = pool_and_decide(emb, groupings, np.array([v]), params)
     return logits[0]
 
@@ -104,21 +106,24 @@ class TestEmbed:
             assert np.max(np.abs(pemb[perm] - emb)) <= 1e-9
 
 
+def _offsets(counts):
+    out = np.zeros(len(counts), dtype=np.intp)
+    np.cumsum(counts[:-1], out=out[1:])
+    return out
+
+
+def _grouping(parts, shifts):
+    """The grouping that sums, into row b, the rows parts[b] + shifts[b]."""
+    counts = np.array([len(p) for p in parts], dtype=np.intp)
+    targets = np.flatnonzero(counts)
+    sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, counts)
+    return targets, _offsets(counts[targets]), sources
+
+
 def _per_graph_union(graphs):
     """The (down, up) edge unions built the earlier way: one grouping per
     graph from its parents and children tuples, then each grouping's
     targets, starts and sources shifted into the disjoint union."""
-
-    def offsets(counts):
-        out = np.zeros(len(counts), dtype=np.intp)
-        np.cumsum(counts[:-1], out=out[1:])
-        return out
-
-    def grouping(parts, shifts):
-        counts = np.array([len(p) for p in parts], dtype=np.intp)
-        targets = np.flatnonzero(counts)
-        sources = np.concatenate(parts).astype(np.intp, copy=False) + np.repeat(shifts, counts)
-        return targets, offsets(counts[targets]), sources
 
     def union(groupings, target_shifts, source_shifts):
         if len(groupings) == 1:
@@ -128,19 +133,21 @@ def _per_graph_union(graphs):
         edges = np.array([len(s) for s in sources], dtype=np.intp)
         return (
             np.concatenate(targets) + np.repeat(target_shifts, groups),
-            np.concatenate(starts) + np.repeat(offsets(edges), groups),
+            np.concatenate(starts) + np.repeat(_offsets(edges), groups),
             np.concatenate(sources) + np.repeat(source_shifts, edges),
         )
 
-    starts = offsets(np.array([g.num_nodes for g in graphs], dtype=np.intp))
+    starts = _offsets(np.array([g.num_nodes for g in graphs], dtype=np.intp))
     return tuple(
-        union([grouping(lists(g), np.zeros(g.num_nodes, dtype=np.intp)) for g in graphs], starts, starts)
+        union([_grouping(lists(g), np.zeros(g.num_nodes, dtype=np.intp)) for g in graphs], starts, starts)
         for lists in (lambda g: g.parents, lambda g: g.children)
     )
 
 
-class TestLinks:
-    def test_unions_equal_the_per_graph_groupings_shifted(self, monkeypatch):
+class TestBatch:
+    def test_groupings_equal_the_per_graph_references(self):
+        # The edge unions equal the per-graph groupings shifted; each pooled
+        # set equals the states' relation_id_arrays shifted and concatenated.
         rng = np.random.default_rng(14)
         one = make_graph("one", [1.0], [1e6], set())
         edgeless = make_graph("edgeless", [1.0, 2.0, 3.0], [1e6, 0.0, 2e6], set())
@@ -149,14 +156,42 @@ class TestLinks:
         dags = [random_dag(rng, max_nodes=12, edge_prob=0.3) for _ in range(4)]
         batches = [[one], [edgeless], [diamond], [one, edgeless], [edgeless, one, edgeless],
                    [diamond, one, blocks, edgeless, *dags], [blocks, blocks, one, *dags[::-1]]]
+        picks = [lambda g: 0, lambda g: g.num_nodes // 2, lambda g: g.num_nodes - 1,
+                 lambda g: int(rng.integers(g.num_nodes))]
         for batch in batches:
-            monkeypatch.setattr(policy_gnn, "_LINKS", None)
-            links = policy_gnn._links(batch)
-            for got, want in zip((links.down, links.up), _per_graph_union(batch)):
-                assert len(got) == len(want) == 3
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, b)
-            assert links.rows == sum(g.num_nodes for g in batch)
+            starts = _offsets(np.array([g.num_nodes for g in batch], dtype=np.intp))
+            edge_unions = _per_graph_union(batch)
+            for pick in picks:
+                nodes = [pick(g) for g in batch]
+                got = policy_gnn._batch(batch, nodes)
+                relations = [relation_id_arrays(reachability(g), v) for g, v in zip(batch, nodes)]
+                want_pool = [_grouping([r[k] for r in relations], starts) for k in range(3)]
+                for got_grouping, want in zip((got.down, got.up, *got.pool), (*edge_unions, *want_pool)):
+                    assert len(got_grouping) == len(want) == 3
+                    for a, b in zip(got_grouping, want):
+                        assert a.dtype == np.intp and np.array_equal(a, b)
+                assert np.array_equal(got.current, starts + nodes) and np.array_equal(got.starts, starts)
+                assert got.rows == sum(g.num_nodes for g in batch)
+
+    def test_first_forward_on_a_large_graph_stays_small(self):
+        # A graph caches its reachability bitsets, about n² bits, and the pooled
+        # sets are unpacked per pass. The first forward over a cold 1,387-node
+        # graph peaked at 2.9 MB traced; with n(n-1) relation ids cached per
+        # graph it peaked at 18.9 MB (numpy 2.4, Python 3.11).
+        spec = datagen.FamilySpec(family="branch_blocks", count=2, blocks=128, branches_lo=2, branches_hi=4,
+                                  branch_ops_lo=2, branch_ops_hi=4, seed=1000)
+        graph = datagen.generate_family(spec)[0]
+        assert graph.num_nodes == 1387
+        topo = make_topology(2)
+        params = init_policy(PolicyConfig(num_devices=2, message_rounds=3), seed=0)
+        state = reset(graph, topo, RewardConfig(mode="terminal"))
+        tracemalloc.start()
+        try:
+            policy_forward([state], topo, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestPoolAndDecide:
@@ -397,7 +432,7 @@ def _reference_step_grads(st, action, advantage, beta, params):
     """The unbatched reference: one step's forward with its own tapes over a
     dense adjacency, then the per-step reverse pass. Returns the step's
     probabilities and its gradient list aligned with params.flat_params()."""
-    from placement_opt.graph_core import reachability, relation_sets
+    from placement_opt.graph_core import relation_sets
     from placement_opt.neural_primitives import dense_backward, dense_forward, softmax
 
     cfg = params.config

@@ -39,7 +39,8 @@ def paths(tmp_path_factory):
     kind, valid unless its name says otherwise."""
     d = tmp_path_factory.mktemp("cycles")
     docs = {"graph": GRAPH, "topology": TOPOLOGY, "placement": PLACEMENT,
-            "bad_graph": {**GRAPH, "edges": [[0, 9]]}}
+            "bad_graph": {**GRAPH, "edges": [[0, 9]]},
+            "bad_members": {**GRAPH, "nodes": [*GRAPH["nodes"][:3], {"id": 3, "members": [1, None, {"a": 2}]}]}}
     p = {name: str(d / f"{name}.json") for name in docs}
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -50,6 +51,14 @@ def paths(tmp_path_factory):
               "trainer": {"episodes": 2, "workers": 2, "randomize_visit_order": True}}
     configs = {mode: {**config, "env": {"mode": mode, "init_mode": "random"}} for mode in ("intermediate", "terminal")}
     configs["bad_config"] = {**config, "trainer": {"episodes": "2"}}
+    # Two train graphs without a name, which training refuses.
+    p["nameless"] = d / "nameless"
+    p["nameless"].mkdir()
+    for k, graph in enumerate((GRAPH, {**GRAPH, "nodes": GRAPH["nodes"][:2], "edges": [[0, 1]]})):
+        (p["nameless"] / f"g{k}.json").write_text(json.dumps({"nodes": graph["nodes"], "edges": graph["edges"]}))
+    (p["nameless"] / "manifest.json").write_text(json.dumps({"members": [
+        {"file": f"g{k}.json", "split": "train"} for k in range(2)]}))
+    configs["shared_names_config"] = {**config, "dataset": str(p["nameless"])}
     for name, doc in configs.items():
         p[name] = str(d / f"{name}.json")
         (d / f"{name}.json").write_text(json.dumps(doc))
@@ -86,12 +95,16 @@ def _argv(p, case):
         "bad_run_config": ["train", "--config", p["bad_config"], "--out", out],
         "malformed_checkpoint": [*evaluate, "--checkpoint", p["bad_checkpoint"]],
         "negative_seed": ["place", "--scheme", "random", *graph, "--seed", "-1", "--out", out],
+        "malformed_members": ["place", "--scheme", "mincut", "--graph", p["bad_members"], "--topology", p["topology"],
+                              "--out", out],
+        "shared_graph_names": ["train", "--config", p["shared_names_config"], "--out", out],
     }[case]
 
 
 SUCCEEDS = ["datagen", "datagen_branch_blocks", "datagen_encoder_decoder", "simulate", *(f"place_{s}" for s in cli.SCHEMES), "train_intermediate", "train_terminal",
             "evaluate", "oracle"]
-FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "malformed_checkpoint", "negative_seed"]
+FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "malformed_checkpoint", "negative_seed",
+         "malformed_members", "shared_graph_names"]
 
 
 @pytest.mark.parametrize("case", SUCCEEDS + FAILS)

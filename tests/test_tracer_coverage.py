@@ -43,7 +43,7 @@ def test_rollout_and_policy_layers_record_train_and_predict(monkeypatch):
                     monkeypatch.setattr(module, attr, value)
 
     topo = make_topology(2, bandwidth=4e6)
-    graphs = [random_dag(np.random.default_rng(k), max_nodes=6, bytes_range=(0.1, 4e6)) for k in range(2)]
+    graphs = [random_dag(np.random.default_rng(k), max_nodes=6, bytes_range=(0.1, 4e6), name=f"random{k}") for k in range(2)]
     params = init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0)
     cfg = trainer.TrainerConfig(episodes=1, workers=2, seed=3)
     adam = AdamState.for_params(params.flat_params(), lr=1.0)

@@ -237,6 +237,17 @@ class TestTrainEpoch:
         with pytest.raises(TrainerError):
             train_epoch(params, [], two_device, cfg, TERMINAL, 0, BaselineTable(5), adam)
 
+    def test_distinct_graphs_sharing_a_name_rejected(self, two_device):
+        # Baselines, curve rows and best placements are kept by name; one graph
+        # object passed twice is still one graph.
+        a = make_graph("g", [1.0, 2.0], [1e6, 0.0], {(0, 1)})
+        b = make_graph("g", [1.0], [0.0], set())
+        params = init_policy(PCFG, seed=0)
+        adam = AdamState.for_params(params.flat_params(), lr=1.0)
+        train_epoch(params, [a, a], two_device, TrainerConfig(workers=2), TERMINAL, 0, BaselineTable(5), adam)
+        with pytest.raises(TrainerError, match="two training graphs are named 'g'"):
+            train_epoch(params, [a, b], two_device, TrainerConfig(workers=2), TERMINAL, 0, BaselineTable(5), adam)
+
     def test_one_backward_per_epoch_matches_the_per_episode_sum(self, monkeypatch):
         # train_epoch makes one policy_backward call over all its episodes'
         # steps; a small row budget ends its passes inside episodes. Its
@@ -246,7 +257,7 @@ class TestTrainEpoch:
 
         rng = np.random.default_rng(77)
         graphs = [make_graph("one", [2.0], [1e6], set())]
-        graphs += [random_dag(rng, max_nodes=24, bytes_range=(0.1, 4e6)) for _ in range(4)]
+        graphs += [random_dag(rng, max_nodes=24, bytes_range=(0.1, 4e6), name=f"random{k}") for k in range(4)]
         topo = make_topology(3, bandwidth=4e6)
         reward_cfg = RewardConfig(mode="intermediate")
         params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=10)
@@ -311,9 +322,9 @@ class TestLockstep:
         graphs = [
             make_graph("one", [2.0], [1e6], set()),
             expensive_chain(),
-            random_dag(np.random.default_rng(31), max_nodes=9, bytes_range=(0.1, 4e6)),
+            random_dag(np.random.default_rng(31), max_nodes=9, bytes_range=(0.1, 4e6), name="random31"),
             datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=2, blocks=2, seed=6))[0],
-            random_dag(np.random.default_rng(32), max_nodes=6, bytes_range=(0.1, 4e6)),
+            random_dag(np.random.default_rng(32), max_nodes=6, bytes_range=(0.1, 4e6), name="random32"),
         ]
         reward_cfg = RewardConfig(mode="intermediate")
         cfg = TrainerConfig(episodes=4, workers=workers, seed=17, init_mode="random", randomize_visit_order=True)
@@ -505,12 +516,12 @@ class TestOneStream:
 def _mixed_graphs():
     """Graphs of 0 to ~20 nodes, each of a different size."""
     return [
-        random_dag(np.random.default_rng(41), max_nodes=9, bytes_range=(0.1, 4e6)),
+        random_dag(np.random.default_rng(41), max_nodes=9, bytes_range=(0.1, 4e6), name="random41"),
         make_graph("empty", [], [], set()),
         make_graph("one", [2.0], [1e6], set()),
         datagen.generate_family(datagen.FamilySpec(family="branch_blocks", count=2, blocks=2, seed=6))[0],
         expensive_chain(),
-        random_dag(np.random.default_rng(43), max_nodes=6, bytes_range=(0.1, 4e6)),
+        random_dag(np.random.default_rng(43), max_nodes=6, bytes_range=(0.1, 4e6), name="random43"),
     ]
 
 
@@ -591,7 +602,7 @@ class TestCrossGraphPredict:
                 assert np.max(np.abs(pa - pb)) <= 1e-12
 
     def test_reachability_runs_once_per_graph(self, monkeypatch):
-        # A graph's relation ids are cached on the graph object: a prediction
+        # A graph's reachability index is cached on the graph object: a prediction
         # on five graphs, then a training epoch on them, sweeps each graph's
         # reachability once.
         from placement_opt import graph_core
@@ -608,28 +619,6 @@ class TestCrossGraphPredict:
         adam = AdamState.for_params(params.flat_params(), lr=1.0)
         train_epoch(params, graphs, topo, cfg, RewardConfig(mode="intermediate"), 0, BaselineTable(5), adam)
         assert sorted(map(id, swept)) == sorted(map(id, graphs))
-
-    def test_cached_edge_unions_give_the_uncached_probabilities(self, monkeypatch):
-        # A prediction's forward takes one row per distinct state, so its
-        # graph sequence grows when an episode splits off from the others in
-        # its state and shrinks when a graph's episodes end. The edge unions
-        # are built once per change of that sequence, and every step's
-        # probabilities equal a pass that rebuilds them.
-        topo = make_topology(3, bandwidth=4e6)
-        params = init_policy(PolicyConfig(num_devices=3, message_rounds=2), seed=9)
-        built, original = [], policy_gnn._union_csr
-        steps = _record_forwards(monkeypatch)
-        monkeypatch.setattr(policy_gnn, "_union_csr", lambda csrs, s: built.append(len(csrs)) or original(csrs, s))
-        predict_placement(params, _mixed_graphs(), topo, n_samples=2, seed=3)
-        seqs = [tuple(id(s.graph) for s in states) for states, _ in steps]
-        changed = [seq for k, seq in enumerate(seqs) if k == 0 or seq != seqs[k - 1]]
-        sizes = [len(seq) for seq in changed]
-        assert any(a < b for a, b in zip(sizes, sizes[1:])) and any(a > b for a, b in zip(sizes, sizes[1:]))
-        assert built == [n for n in sizes for _ in ("down", "up")]  # one build per change
-        for states, probs in steps:
-            monkeypatch.setattr(policy_gnn, "_LINKS", None)
-            uncached = policy_gnn.policy_forward(states, topo, params)
-            assert np.array_equal(uncached, probs)
 
     def test_prediction_keeps_states_not_features(self):
         # A prediction keeps no step's state, since it never replays them.
