@@ -10,11 +10,12 @@ depth bands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import placement_env
+from .fileio import FINITE_AT_LEAST_0, check_values, rule
 from .graph_core import ComputationGraph, topological_order
 from .placement_env import RewardConfig
 from .sim_engine import DeviceTopology, Placement
@@ -51,14 +52,11 @@ def _cut_bytes(graph: ComputationGraph, assignment) -> float:
 
 @dataclass(frozen=True)
 class PartitionerConfig:
-    balance_tolerance: float = 0.2  # max relative deviation from mean load
-    refinement_passes: int = 2
+    balance_tolerance: float = field(default=0.2, metadata=FINITE_AT_LEAST_0)  # max relative deviation from mean load
+    refinement_passes: int = field(default=2, metadata=rule(lambda v: type(v) is int and v >= 0, "an integer >= 0"))
 
     def __post_init__(self):
-        if not (math.isfinite(self.balance_tolerance) and self.balance_tolerance >= 0):
-            raise BaselineError(f"balance_tolerance {self.balance_tolerance} must be finite and >= 0")
-        if type(self.refinement_passes) is not int or self.refinement_passes < 0:
-            raise BaselineError(f"refinement_passes {self.refinement_passes!r} must be an integer >= 0")
+        check_values(vars(self), PartitionerConfig, "partitioner", BaselineError)
 
 
 @dataclass(frozen=True)

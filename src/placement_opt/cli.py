@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import baselines, datagen, placement_env, trainer
-from .fileio import check_object, field_kinds, json_document, parse_json, write_atomic, write_csv
+from .fileio import check_object, check_values, field_kinds, json_document, parse_json, write_atomic, write_csv
 from .graph_core import load_graph
 from .placement_env import BYTES_PER_GB, RewardConfig
 from .policy_gnn import PolicyConfig
@@ -164,9 +164,15 @@ _SECTIONS = {
     "trainer": field_kinds(trainer.TrainerConfig, skip=("seed", "init_mode")),
     "family": field_kinds(datagen.FamilySpec),
 }
+# The config class whose field rules (see fileio.check_values) check each
+# section's values; the trainer's also check the top-level seed and env's init_mode.
+_RULED_BY = {"env": RewardConfig, "policy": PolicyConfig, "trainer": trainer.TrainerConfig,
+             "family": datagen.FamilySpec}
 
 
 def load_run_config(text):
+    """The run config document, every value checked for its kind and then
+    for its config field's rule; a refusal names the key holding the value."""
     doc = parse_json(text, "config", CliError)
     check_object(doc, _RUN_CONFIG, "config", CliError, required=("topology",))
     if ("dataset" in doc) == ("family" in doc):
@@ -175,6 +181,10 @@ def load_run_config(text):
         check_object(doc.get(section, {}), schema, section, CliError)
     if "family" in doc and "family" not in doc["family"]:
         raise CliError("config family needs a 'family' name")
+    check_values(doc, trainer.TrainerConfig, "config", CliError)
+    for section, cls in _RULED_BY.items():
+        check_values(doc.get(section, {}), cls, section, CliError)
+    check_values(doc.get("env", {}), trainer.TrainerConfig, "env", CliError)
     return doc
 
 
@@ -190,11 +200,6 @@ def cmd_train(args):
     given = {"seed": doc.get("seed") if args.seed is None else args.seed, "init_mode": init_mode}
     cfg = trainer.TrainerConfig(**doc.get("trainer", {}), **{k: v for k, v in given.items() if v is not None})
     fam = datagen.FamilySpec(**doc["family"]) if "family" in doc else None
-    # Every config value is checked before anything is written.
-    out = args.out or doc.get("out") or "."
-    os.makedirs(out, exist_ok=True)
-    write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
-
     if fam is None:
         _, train_graphs, _ = datagen.read_dataset(doc["dataset"])
     else:
@@ -202,6 +207,11 @@ def cmd_train(args):
         train_graphs, _ = datagen.split(graphs, fam.train_fraction, fam.seed)
 
     result = trainer.train(policy_cfg, cfg, train_graphs, topology, reward_cfg)
+    # Nothing is written before training returns, so a refused run, whether
+    # for its config, its dataset or its graphs, leaves no output directory.
+    out = args.out or doc.get("out") or "."
+    os.makedirs(out, exist_ok=True)
+    write_atomic(os.path.join(out, "run_config.json"), json_document(doc))
     curve_path = os.path.join(out, "learning_curve.csv")
     trainer.write_curve(curve_path, result.curve)
     ckpt_path = os.path.join(out, "checkpoint.json")

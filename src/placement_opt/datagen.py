@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .fileio import check_object, json_document, number, parse_json, refusal, write_atomic
+from .fileio import (FINITE, FINITE_AT_LEAST_0, at_least, check_object, check_values, json_document, one_of,
+                     parse_json, refusal, rule, write_atomic)
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
@@ -42,52 +43,35 @@ class DatagenError(ValueError):
     pass
 
 
+# Each count range starts at 1, since 0 yields empty or degenerate graphs.
+_COUNT = at_least(1)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    family: str
-    count: int = 32
-    train_fraction: float = 0.5
-    blocks: int = 2
-    branches_lo: int = 2
-    branches_hi: int = 3
-    branch_ops_lo: int = 2
-    branch_ops_hi: int = 4
-    layers_lo: int = 2
-    layers_hi: int = 3
-    unroll_lo: int = 3
-    unroll_hi: int = 6
-    compute_lo: float = 0.5
-    compute_hi: float = 4.0
-    bytes_lo: float = 1.0e6
-    bytes_hi: float = 8.0e6
-    seed: int = 0
+    family: str = field(metadata=one_of(*FAMILIES))
+    count: int = field(default=32, metadata=at_least(2))
+    train_fraction: float = field(default=0.5, metadata=rule(lambda v: 0 < v < 1, "a number > 0 and < 1"))
+    blocks: int = field(default=2, metadata=at_least(1))
+    branches_lo: int = field(default=2, metadata=_COUNT)
+    branches_hi: int = field(default=3, metadata=_COUNT)
+    branch_ops_lo: int = field(default=2, metadata=_COUNT)
+    branch_ops_hi: int = field(default=4, metadata=_COUNT)
+    layers_lo: int = field(default=2, metadata=_COUNT)
+    layers_hi: int = field(default=3, metadata=_COUNT)
+    unroll_lo: int = field(default=3, metadata=_COUNT)
+    unroll_hi: int = field(default=6, metadata=_COUNT)
+    # uniform() takes these bounds as floats, so each must have one.
+    compute_lo: float = field(default=0.5, metadata=FINITE_AT_LEAST_0)
+    compute_hi: float = field(default=4.0, metadata=FINITE)
+    bytes_lo: float = field(default=1.0e6, metadata=FINITE_AT_LEAST_0)
+    bytes_hi: float = field(default=8.0e6, metadata=FINITE)
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise DatagenError(f"unknown family {self.family!r}")
-        if self.count < 2:
-            raise DatagenError("count must be >= 2")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise DatagenError("train_fraction must be in (0, 1)")
-        if self.seed < 0:
-            raise DatagenError(f"seed must be >= 0, not {self.seed}")
-        if self.blocks < 1:
-            raise DatagenError(f"blocks must be >= 1, not {self.blocks}")
-        for key in ("compute_lo", "compute_hi", "bytes_lo", "bytes_hi"):  # uniform() takes them as floats
-            number(getattr(self, key), "family spec", key, DatagenError)
-        # A count range starting at 0 yields empty or degenerate graphs.
-        for lo, hi, what, least in (
-            (self.branches_lo, self.branches_hi, "branches", 1),
-            (self.branch_ops_lo, self.branch_ops_hi, "branch_ops", 1),
-            (self.layers_lo, self.layers_hi, "layers", 1),
-            (self.unroll_lo, self.unroll_hi, "unroll", 1),
-            (self.compute_lo, self.compute_hi, "compute", 0),
-            (self.bytes_lo, self.bytes_hi, "bytes", 0),
-        ):
-            if not lo >= least:
-                raise DatagenError(f"{what}_lo must be >= {least}, not {lo}")
-            if not hi < math.inf:  # refuses nan too; unlike math.isfinite, a huge int cannot overflow
-                raise DatagenError(f"{what}_hi must be finite, not {hi}")
+        check_values(vars(self), FamilySpec, "family", DatagenError)
+        for what in ("branches", "branch_ops", "layers", "unroll", "compute", "bytes"):
+            lo, hi = getattr(self, f"{what}_lo"), getattr(self, f"{what}_hi")
             if lo > hi:
                 raise DatagenError(f"{what} range is empty ({lo} > {hi})")
         # Sizes are checked before anything is built. This also keeps each

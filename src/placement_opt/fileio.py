@@ -1,7 +1,8 @@
 """The one way outputs reach disk: whole-file replacement, and the JSON text
 of every indented output document. Also the one way every input document is
-parsed and checked against a key -> kind schema, so every failure names the
-document, the key and the value in one wording."""
+parsed and checked against a key -> kind schema, and every config value
+against its field's rule, so every failure names the document, the key and
+the value in one wording."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -50,6 +52,35 @@ def field_kinds(cls, skip=()) -> dict[str, str]:
     """The schema of a dataclass's fields but skip, from their annotations,
     which are strings: every config module postpones their evaluation."""
     return {f.name: _ANNOTATION_KINDS[f.type] for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+def rule(test, wanted: str) -> dict:
+    """A config field's metadata: the values it admits beyond its kind, as
+    check_values tests them and refusal words them."""
+    return {"rule": (test, wanted)}
+
+
+def at_least(least: int) -> dict:
+    return rule(lambda v: least <= v < math.inf, f"an integer >= {least}")
+
+
+def one_of(*options: str) -> dict:
+    return rule(lambda v: v in options, "one of " + ", ".join(map(json.dumps, options)))
+
+
+# Each bound refuses nan, the infinities and ints beyond float range.
+FINITE = rule(lambda v: -_FLOAT_MAX <= v <= _FLOAT_MAX, "a finite number")
+FINITE_AT_LEAST_0 = rule(lambda v: 0 <= v <= _FLOAT_MAX, "a finite number >= 0")
+
+
+def check_values(values: dict, cls, where: str, error: type[Exception]) -> None:
+    """Raise error, in refusal's wording, at the first key of values whose
+    field of the dataclass cls has a rule that rejects the value. Keys that
+    name no ruled field of cls are left to other checks."""
+    rules = {f.name: f.metadata["rule"] for f in dataclasses.fields(cls) if "rule" in f.metadata}
+    for key, value in values.items():
+        if key in rules and not rules[key][0](value):
+            raise error(refusal(where, key, value, rules[key][1]))
 
 
 def clip(text: str) -> str:

@@ -22,12 +22,13 @@ memory profile. Both give the same float.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 
 import numpy as np
 
 from . import sim_engine
+from .fileio import FINITE_AT_LEAST_0, check_values, one_of, rule
 from .graph_core import ComputationGraph, topological_order
 from .sim_engine import DeviceTopology, Placement, SimulationResult
 
@@ -38,6 +39,7 @@ INTERMEDIATE = "intermediate"
 
 ALL_DEVICE_0 = "all_device_0"  # the default initial placement
 RANDOM_INIT = "random"
+INIT_MODES = (ALL_DEVICE_0, RANDOM_INIT)
 
 
 class EnvError(ValueError):
@@ -49,18 +51,14 @@ class RewardConfig:
     """How placements are scored; the memory limits are the topology's
     per-device memory_bytes."""
 
-    mode: str = INTERMEDIATE
-    penalty_per_gb: float = 2.0  # seconds per GB over a device's memory_bytes
-    reward_scale: float | None = None  # None: use R(p0) per episode, floored at 1e-6
+    mode: str = field(default=INTERMEDIATE, metadata=one_of(TERMINAL, INTERMEDIATE))
+    penalty_per_gb: float = field(default=2.0, metadata=FINITE_AT_LEAST_0)  # seconds per GB over a device's limit
+    # None: use R(p0) per episode, floored at 1e-6.
+    reward_scale: float | None = field(default=None, metadata=rule(
+        lambda v: v is None or 0 < v <= sys.float_info.max, "a finite number > 0 or null"))
 
     def __post_init__(self):
-        if self.mode not in (TERMINAL, INTERMEDIATE):
-            raise EnvError(f"unknown reward mode {self.mode!r}")
-        # Each bound refuses nan, the infinities and ints beyond float range.
-        if not 0 <= self.penalty_per_gb <= sys.float_info.max:
-            raise EnvError("penalty_per_gb must be finite and >= 0")
-        if self.reward_scale is not None and not 0 < self.reward_scale <= sys.float_info.max:
-            raise EnvError("reward_scale must be finite and positive")
+        check_values(vars(self), RewardConfig, "env", EnvError)
 
 
 # What evaluation, prediction and exhaustive search score placements by.

@@ -25,14 +25,14 @@ sum(-log pi(a|s) * A - beta * entropy) over any number of episodes' steps.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
 from . import placement_env
-from .fileio import check_object, field_kinds, refusal
+from .fileio import at_least, check_object, check_values, field_kinds, one_of, rule
 from .graph_core import bitset_to_ids
 from .neural_primitives import (
     DenseNet,
@@ -56,14 +56,15 @@ class PolicyError(ValueError):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    num_devices: int
-    message_rounds: int = 8
-    mode: str = FULL
-    head_hidden: int | None = None  # default: the head's input dimension
+    num_devices: int = field(metadata=at_least(1))
+    message_rounds: int = field(default=8, metadata=at_least(0))
+    mode: str = field(default=FULL, metadata=one_of(*MODES))
+    head_hidden: int | None = field(  # None: the head's input dimension
+        default=None, metadata=rule(lambda v: v is None or v >= 1, "an integer >= 1 or null"))
 
     def __post_init__(self):
         # Named as the run config's policy section, where these values come from.
-        _check_values(vars(self), "policy")
+        check_values(vars(self), PolicyConfig, "policy", PolicyError)
 
     @property
     def feature_dim(self) -> int:
@@ -75,30 +76,14 @@ class PolicyConfig:
     @staticmethod
     def from_header(doc) -> "PolicyConfig":
         """The config of a checkpoint's policy header, which holds every
-        field, each of its kind, and nothing else."""
+        field, each of its kind and value, and nothing else."""
         schema = field_kinds(PolicyConfig)
         check_object(doc, schema, _HEADER, PolicyError, required=tuple(schema))
-        _check_values(doc, _HEADER)
+        check_values(doc, PolicyConfig, _HEADER, PolicyError)
         return PolicyConfig(**doc)
 
 
 _HEADER = "checkpoint policy header"
-# The values each field admits beyond its kind: key -> (test, wanted).
-_VALUES = {
-    "num_devices": (lambda v: v >= 1, "an integer >= 1"),
-    "message_rounds": (lambda v: v >= 0, "an integer >= 0"),
-    "mode": (lambda v: v in MODES, "one of " + ", ".join(f'"{m}"' for m in MODES)),
-    "head_hidden": (lambda v: v is None or v >= 1, "an integer >= 1 or null"),
-}
-
-
-def _check_values(values: dict, where: str) -> None:
-    """Raise PolicyError, worded by fileio.refusal, at the first config value
-    its field does not admit."""
-    for key, value in values.items():
-        test, wanted = _VALUES[key]
-        if not test(value):
-            raise PolicyError(refusal(where, key, value, wanted))
 
 
 def _net_names(mode: str) -> list[str]:

@@ -19,12 +19,12 @@ Learning rate and entropy weight decay linearly across epochs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import placement_env
-from .fileio import write_csv
+from .fileio import at_least, check_object, check_values, one_of, rule, write_csv
 from .neural_primitives import AdamState, adam_step, entropy, load_checkpoint, sample_action, save_checkpoint
 from .placement_env import RewardConfig
 from .policy_gnn import PolicyConfig, PolicyParameters, init_policy, policy_backward, policy_forward, policy_from_params
@@ -37,29 +37,21 @@ class TrainerError(ValueError):
 
 @dataclass
 class TrainerConfig:
-    episodes: int = 200  # epochs; each epoch runs `workers` episodes
-    workers: int = 8
+    episodes: int = field(default=200, metadata=at_least(0))  # epochs; each epoch runs `workers` episodes
+    workers: int = field(default=8, metadata=at_least(1))
     lr_start: float = 1e-3
     lr_end: float = 1e-4
     entropy_start: float = 1e-2
     entropy_end: float = 1e-3
-    baseline_window: int = 10
-    init_mode: str = placement_env.ALL_DEVICE_0
+    baseline_window: int = field(default=10, metadata=at_least(1))
+    init_mode: str = field(default=placement_env.ALL_DEVICE_0, metadata=one_of(*placement_env.INIT_MODES))
     randomize_visit_order: bool = False
-    seed: int = 0
-    threads: int = 1  # only 1 is legal; the field stays so existing run configs load
+    seed: int = field(default=0, metadata=at_least(0))
+    # The field stays so existing run configs load.
+    threads: int = field(default=1, metadata=rule(lambda v: v == 1, "1 (training runs in one thread)"))
 
     def __post_init__(self):
-        if self.threads != 1:
-            raise TrainerError("threads must be 1: training runs in one thread")
-        if self.episodes < 0:
-            raise TrainerError("episodes must be >= 0")
-        if self.workers < 1:
-            raise TrainerError("workers must be >= 1")
-        if self.baseline_window < 1:
-            raise TrainerError("baseline_window must be >= 1")
-        if self.seed < 0:
-            raise TrainerError(f"seed must be >= 0, not {self.seed}")
+        check_values(vars(self), TrainerConfig, "trainer", TrainerError)
         if not (self.lr_start >= self.lr_end >= 0):
             raise TrainerError("need lr_start >= lr_end >= 0")
         if not (self.entropy_start >= self.entropy_end >= 0):
@@ -326,8 +318,7 @@ def load_policy_checkpoint(path):
     """Returns (PolicyParameters, extra). The nets are the file's arrays, so
     the policy header cannot make this allocate more than the file holds."""
     flat, extra = load_checkpoint(path)
-    if "policy" not in extra:
-        raise TrainerError("checkpoint has no policy header ('extra' lacks 'policy')")
+    check_object(extra, {"policy": "object"}, "checkpoint extra", TrainerError, required=("policy",))
     return policy_from_params(PolicyConfig.from_header(extra["policy"]), flat), extra
 
 

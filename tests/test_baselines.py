@@ -121,7 +121,8 @@ class TestBalancedMincut:
         assert res.effective_tolerance > 0.0
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(BaselineError):
+        with pytest.raises(BaselineError, match="partitioner key 'balance_tolerance' must be a finite number >= 0, "
+                                                "not -0.1"):
             PartitionerConfig(balance_tolerance=-0.1)
 
     @pytest.mark.parametrize(
@@ -135,7 +136,8 @@ class TestBalancedMincut:
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(BaselineError):
+        key, = kwargs
+        with pytest.raises(BaselineError, match=f"partitioner key '{key}' must be "):
             PartitionerConfig(**kwargs)
 
 

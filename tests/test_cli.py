@@ -299,9 +299,14 @@ class TestMalformedPlaceInputs:
         assert rc == 0
         assert "makespan" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--balance-tolerance=nan", "--refinement-passes=-1"])
-    def test_invalid_partitioner_flag(self, files, capsys, flag):
-        _place_fails_with_one_error_line(capsys, files, files["graph"], files["topo"], flag)
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--balance-tolerance=nan", "partitioner key 'balance_tolerance' must be a finite number >= 0, not NaN"),
+         ("--refinement-passes=-1", "partitioner key 'refinement_passes' must be an integer >= 0, not -1")],
+    )
+    def test_invalid_partitioner_flag(self, files, capsys, flag, message):
+        err = _place_fails_with_one_error_line(capsys, files, files["graph"], files["topo"], flag)
+        assert err == f"error: {message}\n"
 
 
 class TestParserReuse:
@@ -426,6 +431,18 @@ class TestDatagen:
         out = tmp_path / "ds"
         err = _fails_with_one_error_line(capsys, ["datagen", "--family", family, *flags, "--out", str(out)])
         assert field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--count", "1"], "family key 'count' must be an integer >= 2, not 1"),
+         (["--train-fraction", "1.5"], "family key 'train_fraction' must be a number > 0 and < 1, not 1.5"),
+         (["--branches", "0", "3"], "family key 'branches_lo' must be an integer >= 1, not 0")],
+    )
+    def test_flag_values_are_refused_as_family_keys(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "ds"
+        err = _fails_with_one_error_line(capsys, ["datagen", "--family", "branch_blocks", *flags, "--out", str(out)])
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -607,6 +624,37 @@ def _fails_with_one_error_line(capsys, argv):
     return err
 
 
+INTEGER_AT_LEAST_1 = "must be an integer >= 1, not 0"
+RUN_CONFIG_VALUE_CASES = [
+    ("env", "mode", "bogus", 'env key \'mode\' must be one of "terminal", "intermediate", not "bogus"'),
+    ("env", "penalty_per_gb", -1, "env key 'penalty_per_gb' must be a finite number >= 0, not -1"),
+    ("env", "reward_scale", 0, "env key 'reward_scale' must be a finite number > 0 or null, not 0"),
+    ("env", "init_mode", "bogus", 'env key \'init_mode\' must be one of "all_device_0", "random", not "bogus"'),
+    ("policy", "message_rounds", -1, "policy key 'message_rounds' must be an integer >= 0, not -1"),
+    ("policy", "mode", "bogus",
+     'policy key \'mode\' must be one of "full", "simple_aggregator", "simple_partitioner", not "bogus"'),
+    ("policy", "head_hidden", 0, "policy key 'head_hidden' must be an integer >= 1 or null, not 0"),
+    ("trainer", "episodes", -1, "trainer key 'episodes' must be an integer >= 0, not -1"),
+    ("trainer", "workers", 0, f"trainer key 'workers' {INTEGER_AT_LEAST_1}"),
+    ("trainer", "baseline_window", 0, f"trainer key 'baseline_window' {INTEGER_AT_LEAST_1}"),
+    ("trainer", "threads", 2, "trainer key 'threads' must be 1 (training runs in one thread), not 2"),
+    ("trainer", "lr_end", 1.0, "need lr_start >= lr_end >= 0"),
+    ("trainer", "entropy_end", -1e-3, "need entropy_start >= entropy_end >= 0"),
+    ("family", "family", "bogus",
+     'family key \'family\' must be one of "branch_blocks", "encoder_decoder", "layered_random", not "bogus"'),
+    ("family", "count", 1, "family key 'count' must be an integer >= 2, not 1"),
+    ("family", "train_fraction", 1, "family key 'train_fraction' must be a number > 0 and < 1, not 1"),
+    ("family", "blocks", 0, f"family key 'blocks' {INTEGER_AT_LEAST_1}"),
+    *(("family", key, 0, f"family key '{key}' {INTEGER_AT_LEAST_1}")
+      for key in ("branches_lo", "branches_hi", "branch_ops_lo", "branch_ops_hi", "layers_lo", "layers_hi",
+                  "unroll_lo", "unroll_hi")),
+    ("family", "compute_lo", -0.5, "family key 'compute_lo' must be a finite number >= 0, not -0.5"),
+    ("family", "compute_hi", float("inf"), "family key 'compute_hi' must be a finite number, not Infinity"),
+    ("family", "bytes_lo", -1, "family key 'bytes_lo' must be a finite number >= 0, not -1"),
+    ("family", "bytes_hi", -float("inf"), "family key 'bytes_hi' must be a finite number, not -Infinity"),
+]
+
+
 class TestMalformedRunConfig:
     """Each bad run-config value ends in one error line and exit 1."""
 
@@ -650,7 +698,7 @@ class TestMalformedRunConfig:
         path.write_text(json.dumps(cfg))
         err = _fails_with_one_error_line(capsys, ["train", "--config", str(path), "--out", str(tmp_path / "o")])
         assert repr(key) in err
-        assert not (tmp_path / "o" / "checkpoint.json").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -692,19 +740,18 @@ class TestMalformedRunConfig:
         )
         assert run(["train", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
 
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("message_rounds", -1, "policy key 'message_rounds' must be an integer >= 0, not -1"),
-            ("mode", "bogus", 'policy key \'mode\' must be one of "full", "simple_aggregator", '
-                              '"simple_partitioner", not "bogus"'),
-            ("head_hidden", 0, "policy key 'head_hidden' must be an integer >= 1 or null, not 0"),
-        ],
-    )
-    def test_policy_value_refusal_names_its_key(self, files, tmp_path, capsys, key, value, message):
-        path = write_run_config(tmp_path, files["topo"], policy={key: value})
-        err = _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(tmp_path / "o")])
+    @pytest.mark.parametrize("section, key, value, message", RUN_CONFIG_VALUE_CASES)
+    def test_value_refusal_names_its_section_and_key(self, files, tmp_path, capsys, section, key, value, message):
+        # A value its field does not admit for every ruled field (the two
+        # seeds are TestNegativeSeed's), and the trainer's two schedule rules.
+        path = write_run_config(tmp_path, files["topo"])
+        cfg = json.loads((tmp_path / "run.json").read_text())
+        (cfg if section == "config" else cfg[section])[key] = value
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        err = _fails_with_one_error_line(capsys, ["train", "--config", path, "--out", str(out)])
         assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_global_memory_threshold_is_refused(self, files, tmp_path, capsys):
         # The memory limit is each topology device's memory_bytes; a config
@@ -750,8 +797,9 @@ class TestNegativeSeed:
         "overrides, flags, message",
         [
             ({}, ["--seed", "-1"], "--seed must be >= 0, not -1"),
-            ({"seed": -2}, [], "seed must be >= 0, not -2"),  # TrainerConfig.seed
-            ({"family": {"family": "branch_blocks", "count": 4, "seed": -4}}, [], "seed must be >= 0, not -4"),
+            ({"seed": -2}, [], "config key 'seed' must be an integer >= 0, not -2"),  # TrainerConfig.seed's rule
+            ({"family": {"family": "branch_blocks", "count": 4, "seed": -4}}, [],
+             "family key 'seed' must be an integer >= 0, not -4"),
         ],
         ids=["flag", "config", "family"],
     )
@@ -946,7 +994,7 @@ class TestMalformedCheckpoint:
         else:
             doc["extra"] = extra
         ckpt.write_text(json.dumps(doc))
-        assert "no policy header" in _fails_with_one_error_line(capsys, argv)
+        assert _fails_with_one_error_line(capsys, argv) == "error: checkpoint extra lacks key(s): policy\n"
 
     def test_unknown_header_key(self, evaluate_argv, capsys):
         ckpt, argv = evaluate_argv
@@ -1110,7 +1158,7 @@ class TestDatasetManifest:
         argv = ["train", "--config", _dataset_run_config(tmp_path, files["topo"], dataset), "--out", str(out)]
         err = _fails_with_one_error_line(capsys, argv)
         assert "two training graphs are named ''" in err
-        assert not (out / "checkpoint.json").exists() and not (out / "best_placements.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "manifest",

@@ -117,11 +117,11 @@ class TestDeterminismAndSplit:
         assert len(a[0]) == 3  # ceil(0.3 * 10)
 
     def test_validation(self):
-        with pytest.raises(DatagenError):
+        with pytest.raises(DatagenError, match="family key 'family' must be one of "):
             FamilySpec(family="nope")
-        with pytest.raises(DatagenError, match="seed must be >= 0, not -1"):
+        with pytest.raises(DatagenError, match="family key 'seed' must be an integer >= 0, not -1"):
             spec(seed=-1)
-        with pytest.raises(DatagenError):
+        with pytest.raises(DatagenError, match="family key 'count' must be an integer >= 2, not 1"):
             spec(count=1)
         with pytest.raises(DatagenError):
             spec(compute_lo=2.0, compute_hi=1.0)
@@ -146,7 +146,7 @@ class TestDeterminismAndSplit:
     )
     def test_float_bounds_beyond_float_range_rejected(self, kw, field):
         # generate_family would take each bound as a float; 10**400 has none.
-        with pytest.raises(DatagenError, match=f"family spec key '{field}' must be a finite number"):
+        with pytest.raises(DatagenError, match=f"family key '{field}' must be a finite number"):
             spec(**kw)
 
     @pytest.mark.parametrize("family", [BRANCH_BLOCKS, ENCODER_DECODER, LAYERED_RANDOM])

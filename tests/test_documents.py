@@ -160,6 +160,8 @@ KEY_CASES = {
     "checkpoint_no_params": ("checkpoint", drop((), "params"), "checkpoint lacks key(s): params"),
     "checkpoint_extra_list": ("checkpoint", put((), "extra", []),
                               "checkpoint key 'extra' must be a JSON object, not []"),
+    "checkpoint_extra_unknown_key": ("checkpoint", put(("extra",), "junk", 1), "unknown checkpoint extra key(s): junk"),
+    "checkpoint_extra_no_policy": ("checkpoint", drop(("extra",), "policy"), "checkpoint extra lacks key(s): policy"),
 }
 
 # Values of the right kind that the topology still refuses, named by entry.

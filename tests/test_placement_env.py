@@ -103,18 +103,18 @@ class TestPenalizedRuntime:
         assert penalized_runtime(fake_result(2.0, [0.0, 6e9]), topo, cfg) == 2.0
 
     def test_config_validation(self):
-        with pytest.raises(EnvError):
+        with pytest.raises(EnvError, match='env key \'mode\' must be one of "terminal", "intermediate", not "nope"'):
             RewardConfig(mode="nope")
         with pytest.raises(EnvError):
             RewardConfig(penalty_per_gb=-1)
         for value in (math.nan, math.inf, -math.inf, 10**400):
-            with pytest.raises(EnvError, match="penalty_per_gb must be finite and >= 0"):
+            with pytest.raises(EnvError, match="env key 'penalty_per_gb' must be a finite number >= 0, not "):
                 RewardConfig(penalty_per_gb=value)
         assert RewardConfig(penalty_per_gb=0).penalty_per_gb == 0
         with pytest.raises(EnvError):
             RewardConfig(reward_scale=0.0)
         for value in (math.nan, math.inf, 10**400):
-            with pytest.raises(EnvError, match="reward_scale must be finite and positive"):
+            with pytest.raises(EnvError, match="env key 'reward_scale' must be a finite number > 0 or null, not "):
                 RewardConfig(reward_scale=value)
 
 

@@ -51,6 +51,7 @@ def paths(tmp_path_factory):
               "trainer": {"episodes": 2, "workers": 2, "randomize_visit_order": True}}
     configs = {mode: {**config, "env": {"mode": mode, "init_mode": "random"}} for mode in ("intermediate", "terminal")}
     configs["bad_config"] = {**config, "trainer": {"episodes": "2"}}
+    configs["bad_init_mode"] = {**config, "env": {"init_mode": "bogus"}}
     # Two train graphs without a name, which training refuses.
     p["nameless"] = d / "nameless"
     p["nameless"].mkdir()
@@ -93,6 +94,7 @@ def _argv(p, case):
                             "--out", out],
         "deep_document": ["oracle", "--graph", p["deep"], "--topology", p["topology"], "--out", out],
         "bad_run_config": ["train", "--config", p["bad_config"], "--out", out],
+        "bad_init_mode": ["train", "--config", p["bad_init_mode"], "--out", out],
         "malformed_checkpoint": [*evaluate, "--checkpoint", p["bad_checkpoint"]],
         "negative_seed": ["place", "--scheme", "random", *graph, "--seed", "-1", "--out", out],
         "malformed_members": ["place", "--scheme", "mincut", "--graph", p["bad_members"], "--topology", p["topology"],
@@ -103,8 +105,8 @@ def _argv(p, case):
 
 SUCCEEDS = ["datagen", "datagen_branch_blocks", "datagen_encoder_decoder", "simulate", *(f"place_{s}" for s in cli.SCHEMES), "train_intermediate", "train_terminal",
             "evaluate", "oracle"]
-FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "malformed_checkpoint", "negative_seed",
-         "malformed_members", "shared_graph_names"]
+FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "bad_init_mode", "malformed_checkpoint",
+         "negative_seed", "malformed_members", "shared_graph_names"]
 
 
 @pytest.mark.parametrize("case", SUCCEEDS + FAILS)

@@ -396,23 +396,27 @@ class TestTrain:
         assert len(rows) == 3
 
     def test_config_validation(self):
-        with pytest.raises(TrainerError):
+        with pytest.raises(TrainerError, match="trainer key 'workers' must be an integer >= 1, not 0"):
             TrainerConfig(workers=0)
-        with pytest.raises(TrainerError):
+        with pytest.raises(TrainerError, match="need lr_start >= lr_end >= 0"):
             TrainerConfig(lr_start=1e-4, lr_end=1e-3)
-        with pytest.raises(TrainerError):
+        with pytest.raises(TrainerError, match="trainer key 'baseline_window' must be an integer >= 1, not 0"):
             TrainerConfig(baseline_window=0)
+        with pytest.raises(TrainerError, match='trainer key \'init_mode\' must be one of "all_device_0", "random", '
+                                               'not "bogus"'):
+            TrainerConfig(init_mode="bogus")
 
     def test_negative_episodes_rejected(self):
         assert TrainerConfig(episodes=0).episodes == 0
-        with pytest.raises(TrainerError, match="episodes"):
+        with pytest.raises(TrainerError, match="trainer key 'episodes' must be an integer >= 0, not -1"):
             TrainerConfig(episodes=-1)
 
     @pytest.mark.parametrize("threads", [0, 2, 4])
     def test_threads_other_than_one_rejected(self, threads):
         # Training is serial; the field only lets configs that say 1 load.
         assert TrainerConfig(threads=1).threads == 1
-        with pytest.raises(TrainerError, match="threads"):
+        with pytest.raises(TrainerError, match=rf"trainer key 'threads' must be 1 \(training runs in one thread\), "
+                                                rf"not {threads}"):
             TrainerConfig(threads=threads)
 
 
