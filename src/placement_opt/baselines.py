@@ -37,12 +37,21 @@ def place_random(graph: ComputationGraph, topology: DeviceTopology, seed: int) -
     return Placement(tuple(int(d) for d in rng.integers(topology.num_devices, size=graph.num_nodes)))
 
 
+def _device_durations(graph: ComputationGraph, topology: DeviceTopology) -> np.ndarray:
+    """(|V|, |D|) seconds of each node on each device: its cost there times
+    the device's compute_scale, each product rounded once, as the simulator
+    takes it."""
+    if graph.cost_widths == {1}:
+        costs = np.array(graph.base_costs, dtype=float)[:, None]
+    else:
+        m = topology.num_devices
+        costs = np.array([[g.cost_on(d) for d in range(m)] for g in graph.nodes], dtype=float).reshape(-1, m)
+    return costs * np.array(topology.compute_scales, dtype=float)
+
+
 def _node_loads(graph: ComputationGraph, topology: DeviceTopology) -> list[float]:
     """Canonical load weight per node: mean effective compute across devices."""
-    m = topology.num_devices
-    costs = np.array([[g.cost_on(d) for d in range(m)] for g in graph.nodes], dtype=float).reshape(-1, m)
-    scale = np.array([dev.compute_scale for dev in topology.devices], dtype=float)
-    return (costs * scale).mean(axis=1).tolist()
+    return _device_durations(graph, topology).mean(axis=1).tolist()
 
 
 def _cut_bytes(graph: ComputationGraph, assignment) -> float:
@@ -271,11 +280,10 @@ def _lower_bound(graph: ComputationGraph, topology: DeviceTopology):
     """
     n = graph.num_nodes
     m = topology.num_devices
-    scale = [dev.compute_scale for dev in topology.devices]
-    dur = [[g.cost_on(d) * scale[d] for d in range(m)] for g in graph.nodes]
+    dur = _device_durations(graph, topology).tolist()
     cheapest = [min(row) for row in dur]
     size = graph.output_sizes
-    bw = [[topology.bandwidth(s, d) for d in range(m)] for s in range(m)]
+    bw = topology.bandwidth_rows
     order = topological_order(graph)
     parents = graph.parents
 

@@ -48,6 +48,9 @@ def _read(path):
 
 
 def _outdir(args):
+    """Create --out (default "."); each command calls it only once its inputs
+    are read and checked and its results computed, so a refused command
+    leaves no output directory."""
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
@@ -101,12 +104,12 @@ def cmd_datagen(args):
 
 
 def cmd_simulate(args):
-    out = _outdir(args)
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))
     placement = load_placement(_read(args.placement), graph.num_nodes)
     result = simulate(graph, topology, placement)
     doc = result.to_document(graph, placement)
+    out = _outdir(args)
     write_atomic(os.path.join(out, "simulation.json"), doc)
     _emit_dot(args, out, graph, placement, "placement")
     peak = max(result.peak_memory_bytes)
@@ -133,12 +136,12 @@ def _run_scheme(name, graph, topology, seed, mincut_cfg=None):
 
 def cmd_place(args):
     _check_seed(args)
-    out = _outdir(args)
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))
     cfg = baselines.PartitionerConfig(**_given(args, baselines.PartitionerConfig))
     placement = _run_scheme(args.scheme, graph, topology, args.seed, cfg)
     result = simulate(graph, topology, placement)
+    out = _outdir(args)
     write_atomic(os.path.join(out, f"placement_{args.scheme}.json"), placement.to_document(graph.name))
     write_atomic(os.path.join(out, f"simulation_{args.scheme}.json"), result.to_document(graph, placement))
     _emit_dot(args, out, graph, placement, f"placement_{args.scheme}")
@@ -246,7 +249,6 @@ def cmd_evaluate(args):
         raise CliError(f"--samples must be >= 0, not {args.samples}")
     _check_budget(args)
     _check_seed(args)
-    out = _outdir(args)
     params, _ = trainer.load_policy_checkpoint(args.checkpoint)
     topology = load_topology(_read(args.topology))
     _, _, test_graphs = datagen.read_dataset(args.dataset)
@@ -281,7 +283,7 @@ def cmd_evaluate(args):
                 }
             )
 
-    report_path = os.path.join(out, "evaluation.csv")
+    report_path = os.path.join(_outdir(args), "evaluation.csv")
     write_csv(report_path, EVAL_COLUMNS, rows)
     print(f"evaluated {len(test_graphs)} test graphs -> {report_path}")
     for scheme in EVAL_SCHEMES:
@@ -293,10 +295,10 @@ def cmd_evaluate(args):
 
 def cmd_oracle(args):
     _check_budget(args)
-    out = _outdir(args)
     graph = load_graph(_read(args.graph))
     topology = load_topology(_read(args.topology))
     placement, runtime = baselines.exhaustive_search(graph, topology, budget=args.budget)
+    out = _outdir(args)
     write_atomic(os.path.join(out, "placement_exhaustive.json"), placement.to_document(graph.name))
     _emit_dot(args, out, graph, placement, "placement_exhaustive")
     print(f"exhaustive optimum: {runtime:.6f} s")

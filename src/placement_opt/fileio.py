@@ -105,6 +105,18 @@ def number(x, where: str, key, error: type[Exception]) -> float:
     raise error(refusal(where, key, x, "a finite number"))
 
 
+def finite_numbers(column, low: float = -_FLOAT_MAX) -> bool:
+    """Whether every entry of a list is a JSON number (not a bool) in
+    low..float max: one pass for the kinds, then two C comparisons per
+    entry, both false for NaN and one for infinities and ints beyond float
+    range. A caller that gets False walks the list to name the fault."""
+    return (
+        set(map(type, column)) <= {int, float}
+        and all(map(low.__le__, column))
+        and all(map(_FLOAT_MAX.__ge__, column))
+    )
+
+
 def check_object(doc, schema: dict[str, str], where: str, error: type[Exception], required=()) -> None:
     """Raise error unless doc is a JSON object whose keys are in schema,
     which has every key in required, and whose every value is of its key's

@@ -6,8 +6,8 @@ byte size of its output tensor. Node ids are densified to 0..n-1 on load;
 original ids are kept in ``members``.
 
 What the simulator, the featurizer and the policy derive from a graph alone
-(output sizes, parent counts, source ids, cost-vector widths, total output
-bytes, feature columns, CSR arrays, reachability bitsets) is a
+(base costs, output sizes, parent counts, source ids, cost-vector widths,
+total output bytes, feature columns, CSR arrays, reachability bitsets) is a
 ``cached_property``, freed with the graph.
 """
 
@@ -15,18 +15,16 @@ from __future__ import annotations
 
 import heapq
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .fileio import check_object, json_document, number, parse_json, refusal
+from .fileio import check_object, finite_numbers, json_document, number, parse_json, refusal
 
 
 _INF = float("inf")
-_FLOAT_MAX = sys.float_info.max
 
 
 class GraphError(ValueError):
@@ -103,13 +101,19 @@ class ComputationGraph:
         node's device-0 compute cost and output bytes over their graph-wide
         maxima; a column whose maximum is 0 stays 0."""
         cols = np.zeros((self.num_nodes, 2))
-        for k, values in enumerate(([g.cost_on(0) for g in self.nodes], self.output_sizes)):
+        for k, values in enumerate((self.base_costs, self.output_sizes)):
             values = np.array(values, dtype=np.float64)
             top = values.max(initial=0.0)
             if top > 0:
                 cols[:, k] = values / top
         cols.flags.writeable = False
         return cols
+
+    @cached_property
+    def base_costs(self) -> tuple[float, ...]:
+        """Each node's compute seconds on device 0, in id order: its cost on
+        every device when every cost vector has length 1."""
+        return tuple([g.compute_seconds[0] for g in self.nodes])
 
     @cached_property
     def output_sizes(self) -> tuple[float, ...]:
@@ -256,17 +260,6 @@ def load_graph(text) -> ComputationGraph:
     return _indexed(doc.get("name", ""), nodes, _edge_pairs(doc.get("edges", []), remap))
 
 
-def _finite_at_least_0(column) -> bool:
-    """Whether every entry is a JSON number (not a bool) in 0..float max:
-    one pass for the kinds, then two C comparisons per entry, both false for
-    NaN and the second for infinities and ints beyond float range."""
-    return (
-        set(map(type, column)) <= {int, float}
-        and all(map((0.0).__le__, column))
-        and all(map(_FLOAT_MAX.__ge__, column))
-    )
-
-
 def _node_columns(nodes):
     """(ids, cost tuples, output sizes, members) of a node table whose every
     entry is valid, each value converted as OpGroup holds it; None if some
@@ -276,15 +269,15 @@ def _node_columns(nodes):
     ids = [nd.get("id") for nd in nodes]
     costs = [nd.get("cost", 0.0) for nd in nodes]
     sizes = [nd.get("output_bytes", 0.0) for nd in nodes]
-    if not set(map(type, ids)) <= {int} or not _finite_at_least_0(sizes):
+    if not set(map(type, ids)) <= {int} or not finite_numbers(sizes, 0.0):
         return None
     if list in set(map(type, costs)):
         lists = [c for c in costs if type(c) is list]
         flat = [c for c in costs if type(c) is not list] + [x for c in lists for x in c]
-        if not all(lists) or not _finite_at_least_0(flat):
+        if not all(lists) or not finite_numbers(flat, 0.0):
             return None
         costs = [tuple(map(float, c)) if type(c) is list else (float(c),) for c in costs]
-    elif _finite_at_least_0(costs):
+    elif finite_numbers(costs, 0.0):
         costs = list(zip(map(float, costs)))
     else:
         return None

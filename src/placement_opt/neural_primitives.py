@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import check_object, number, parse_json, refusal, write_atomic
+from .fileio import check_object, finite_numbers, number, parse_json, refusal, write_atomic
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -122,11 +122,33 @@ def entropy(probs: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def entropies(probs: np.ndarray) -> list[float]:
+    """entropy(p) of each row p of a (rows, |D|) array, bit for bit. Rows
+    whose every entry is positive go through one vectorized expression,
+    which takes the same products and sums each row as entropy sums the
+    same vector; a row holding a zero is left to entropy itself."""
+    positive = (probs > 0.0).all(axis=1)
+    p = probs[positive]
+    out = np.empty(len(probs))
+    out[positive] = -(p * np.log(p)).sum(axis=1)
+    for r in np.flatnonzero(~positive):
+        out[r] = entropy(probs[r])
+    return out.tolist()
+
+
+def sample_actions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws, one action per row of probs (..., |D|) with its
+    uniform in u (...) from [0, 1): the number of the row's cumulative sums
+    below u, which is searchsorted(cumsum(p), u), since a cumulative sum of
+    non-negative numbers never decreases. A u above a rounded-down last sum
+    picks the last action."""
+    below = (np.cumsum(probs, axis=-1) < np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(below, probs.shape[-1] - 1)
+
+
 def sample_action(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw of one action from probs with the uniform u in
-    [0, 1); a u above a rounded-down cumsum(probs)[-1] picks the last action."""
-    a = int(np.searchsorted(np.cumsum(probs), u))
-    return min(a, len(probs) - 1)
+    """sample_actions for one row probs and one uniform u."""
+    return int(sample_actions(probs, u))
 
 
 @dataclass
@@ -188,7 +210,10 @@ def params_from_doc(doc) -> list[np.ndarray]:
                 raise ValueError(refusal(where, "shape", d, "a size (an integer >= 0)"))
         if len(data) != math.prod(shape):
             raise ValueError(f"{where}: {len(data)} values for shape {shape}")
-        out.append(np.array([number(x, where, "data", ValueError) for x in data]).reshape(shape))
+        if not finite_numbers(data):
+            for x in data:  # name the first value at fault
+                number(x, where, "data", ValueError)
+        out.append(np.array(data, dtype=np.float64).reshape(shape))
     return out
 
 

@@ -22,7 +22,7 @@ memory profile. Both give the same float.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
 import numpy as np
@@ -225,7 +225,7 @@ def step(state: EpisodeState, action: int, topology: DeviceTopology, cfg: Reward
         reward = -r_final / state.reward_scale
         cached = r_final
 
-    next_state = replace(state, placement=placement, step_index=t_next, cached_runtime=cached)
+    next_state = EpisodeState(state.graph, placement, t_next, state.visit_order, state.reward_scale, cached)
     return next_state, reward, done
 
 

@@ -29,6 +29,7 @@ the memory penalty could be nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from heapq import heappop, heappush
 from operator import attrgetter
 
@@ -51,7 +52,9 @@ class Device:
 class DeviceTopology:
     """Devices plus pairwise bandwidth (scalar = uniform). Devices may be
     given in any order of their ids, which must be 0..|D|-1; they are kept
-    sorted by id. Errors name a device by its position as given."""
+    sorted by id. Errors name a device by its position as given. The tables
+    the simulator and the baselines read are cached properties, built once
+    per topology object."""
 
     devices: tuple[Device, ...]
     bandwidth_bytes_per_sec: object  # float or |D|x|D| nested tuples
@@ -92,6 +95,17 @@ class DeviceTopology:
         if isinstance(bw, (int, float)):
             return float(bw)
         return float(bw[src][dst])
+
+    @cached_property
+    def bandwidth_rows(self) -> tuple[tuple[float, ...], ...]:
+        """bandwidth(src, dst) at [src][dst], for every pair of devices."""
+        m = self.num_devices
+        return tuple([tuple([self.bandwidth(s, d) for d in range(m)]) for s in range(m)])
+
+    @cached_property
+    def compute_scales(self) -> tuple[float, ...]:
+        """Each device's compute_scale, in id order."""
+        return tuple([d.compute_scale for d in self.devices])
 
 
 _TOPOLOGY = {"devices": "list", "bandwidth_bytes_per_sec": "number|list"}
@@ -207,16 +221,19 @@ def _check_inputs(graph: ComputationGraph, topology: DeviceTopology, placement: 
     m = topology.num_devices
     if len(placement.assignment) != n:
         raise SimError(f"placement covers {len(placement.assignment)} of {n} nodes")
-    for v, d in enumerate(placement.assignment):
-        if not (0 <= d < m):
-            raise SimError(f"node {v} placed on invalid device {d}")
+    a = placement.assignment
+    if a and not (0 <= min(a) and max(a) < m):
+        v, d = next((v, d) for v, d in enumerate(a) if not 0 <= d < m)
+        raise SimError(f"node {v} placed on invalid device {d}")
     if not graph.cost_widths <= {1, m}:
         g = next(g for g in graph.nodes if len(g.compute_seconds) not in (1, m))
         raise SimError(f"node {g.id}: cost vector length {len(g.compute_seconds)} incompatible with {m} devices")
 
 
 def _durations(graph, topology, placement):
-    scale = [d.compute_scale for d in topology.devices]
+    scale = topology.compute_scales
+    if graph.cost_widths == {1}:
+        return [c * scale[d] for c, d in zip(graph.base_costs, placement.assignment)]
     return [g.cost_on(d) * scale[d] for g, d in zip(graph.nodes, placement.assignment)]
 
 
@@ -241,7 +258,7 @@ def _run(graph: ComputationGraph, topology: DeviceTopology, placement: Placement
     children = graph.children
     dur = _durations(graph, topology, placement)
     size = graph.output_sizes
-    bw = [[topology.bandwidth(s, d) for d in range(m)] for s in range(m)]
+    bw = topology.bandwidth_rows
     deps = list(graph.parent_counts)
 
     q_op = [[] for _ in range(m)]  # heaps of (time entered, node)

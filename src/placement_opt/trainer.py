@@ -25,7 +25,7 @@ import numpy as np
 
 from . import placement_env
 from .fileio import at_least, check_object, check_values, one_of, rule, write_csv
-from .neural_primitives import AdamState, adam_step, entropy, load_checkpoint, sample_action, save_checkpoint
+from .neural_primitives import AdamState, adam_step, entropies, load_checkpoint, sample_actions, save_checkpoint
 from .placement_env import RewardConfig
 from .policy_gnn import PolicyConfig, PolicyParameters, init_policy, policy_backward, policy_forward, policy_from_params
 from .sim_engine import DeviceTopology, Placement
@@ -151,15 +151,12 @@ def rollout(
         for i in active:
             rows.setdefault(id(states[i]), (len(rows), states[i]))
         probs = policy_forward([s for _, s in rows.values()], topology, params)
-        entropies = [entropy(p) for p in probs]
+        row_entropies = entropies(probs)
+        picks = [rows[id(states[i])][0] for i in active]
+        u = [None if uniforms[i] is None else uniforms[i][states[i].step_index] for i in active]
         stepped = {}  # (row, action) -> step's result
-        for i in active:
+        for i, r, a in zip(active, picks, _step_actions(probs, picks, u)):
             state, tr = states[i], traces[i]
-            r, _ = rows[id(state)]
-            if uniforms[i] is None:
-                a = int(np.argmax(probs[r]))
-            else:
-                a = sample_action(probs[r], uniforms[i][state.step_index])
             if (r, a) not in stepped:
                 stepped[r, a] = placement_env.step(state, a, topology, reward_cfg)
             states[i], reward, _ = stepped[r, a]
@@ -167,12 +164,24 @@ def rollout(
                 tr.states.append(state)
             tr.actions.append(a)
             tr.rewards.append(reward)
-            tr.entropies.append(entropies[r])
+            tr.entropies.append(row_entropies[r])
         active = [i for i in active if not states[i].done]
     for tr, state in zip(traces, states):
         tr.final_placement = state.placement
         tr.final_runtime = placement_env.final_runtime(state, topology, reward_cfg)
     return traces
+
+
+def _step_actions(probs: np.ndarray, picks: list[int], u: list) -> list[int]:
+    """One step's actions: episode k reads row picks[k] of probs and is
+    greedy when u[k] is None (argmax, smallest device id on exact ties),
+    else draws with the uniform u[k]. One argmax and one sample_actions call
+    choose them all."""
+    actions = np.argmax(probs, axis=1)[picks]
+    drawn = [k for k, x in enumerate(u) if x is not None]
+    if drawn:
+        actions[drawn] = sample_actions(probs[[picks[k] for k in drawn]], np.array([u[k] for k in drawn]))
+    return actions.tolist()
 
 
 def cumulative_rewards(trace: EpisodeTrace) -> np.ndarray:

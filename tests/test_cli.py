@@ -1213,3 +1213,50 @@ def test_deeply_nested_document_is_single_line_error(files, tmp_path, capsys, ki
     assert "recursion" in err
     name = {"run_config": "config", "manifest": "dataset manifest"}.get(kind, kind)
     assert err.startswith(f"error: {name} "), err  # the line names the document
+
+
+class TestRefusedCommandsLeaveNoOutput:
+    """A command refused for its inputs creates no --out: each is refused
+    only after it has read every input, so nothing but the check stands
+    between the refusal and the first write."""
+
+    def test_place_with_an_edge_to_a_missing_node(self, files, tmp_path, capsys):
+        graph = tmp_path / "bad_edge.json"
+        graph.write_text(json.dumps({**DIAMOND_DOC, "edges": [[0, 9]]}))
+        out = tmp_path / "o"
+        err = _fails_with_one_error_line(
+            capsys, ["place", "--scheme", "mincut", "--graph", str(graph), "--topology", files["topo"],
+                     "--out", str(out)])
+        assert "missing node" in err
+        assert not out.exists()
+
+    def test_simulate_with_a_node_on_a_missing_device(self, files, tmp_path, capsys):
+        placement = tmp_path / "bad_placement.json"
+        placement.write_text(json.dumps({"assignment": {"0": 0, "1": 5, "2": 1, "3": 0}}))
+        out = tmp_path / "o"
+        err = _fails_with_one_error_line(
+            capsys, ["simulate", "--graph", files["graph"], "--topology", files["topo"], "--placement", str(placement),
+                     "--out", str(out)])
+        assert "node 1 placed on invalid device 5" in err
+        assert not out.exists()
+
+    def test_oracle_over_its_budget(self, files, tmp_path, capsys):
+        out = tmp_path / "o"
+        err = _fails_with_one_error_line(
+            capsys, ["oracle", "--graph", files["graph"], "--topology", files["topo"], "--budget", "3",
+                     "--out", str(out)])
+        assert "exceed the budget 3" in err
+        assert not out.exists()
+
+    def test_evaluate_with_a_checkpoint_for_other_devices(self, files, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "1",
+                    "--out", str(ds)]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(str(ckpt), init_policy(PolicyConfig(num_devices=3, message_rounds=1), seed=0))
+        out = tmp_path / "o"
+        err = _fails_with_one_error_line(
+            capsys, ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds), "--topology", files["topo"],
+                     "--out", str(out)])
+        assert "checkpoint is for 3 devices, topology has 2" in err
+        assert not out.exists()

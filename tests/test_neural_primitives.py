@@ -10,13 +10,18 @@ from placement_opt.neural_primitives import (
     adam_step,
     dense_backward,
     dense_forward,
+    entropies,
     entropy,
     load_checkpoint,
     make_dense,
+    params_from_doc,
     sample_action,
+    sample_actions,
     save_checkpoint,
     softmax,
 )
+from placement_opt.fileio import refusal
+from placement_opt.trainer import _step_actions
 
 from conftest import finite_difference_check
 
@@ -232,6 +237,58 @@ class TestSoftmaxSample:
         assert sample_action(probs, 0.99995) == 1
 
 
+def _step_rows(rng, m):
+    """Seeded probability rows on m devices: softmax rows, rows with exact
+    zeros, rows whose maximum is tied, and a row whose cumulative sum
+    rounds down below 1 when m allows one."""
+    rows = [softmax(rng.normal(scale=3.0, size=m)) for _ in range(4)]
+    zeros = softmax(rng.normal(size=m))
+    zeros[rng.permutation(m)[: max(1, m // 2)]] = 0.0
+    rows.append(zeros)
+    tied = np.full(m, 1.0 / m)
+    rows.append(tied)
+    if m >= 2:
+        top = softmax(rng.normal(size=m))
+        i, j = rng.permutation(m)[:2]
+        top[i] = top[j] = top.max()
+        rows.append(top)
+        rows.append(np.array([0.5, 0.4999] + [0.0] * (m - 2)))
+    return np.array(rows)
+
+
+def _uniforms(p):
+    """0, each cumulative sum, the floats just below and above each, and
+    the float above the last sum (which may be rounded down below 1)."""
+    c = np.cumsum(p)
+    u = [0.0, *c, *np.nextafter(c, 0.0), *np.nextafter(c, 2.0)]
+    return [x for x in u if 0.0 <= x < 1.0]
+
+
+@pytest.mark.parametrize("m", [*range(1, 11), 16, 130])  # 130: past numpy's pairwise-sum block
+def test_whole_step_choice_matches_the_one_row_functions_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    probs = _step_rows(rng, m)
+    got = entropies(probs)
+    assert all(type(e) is float for e in got)
+    assert np.array(got).tobytes() == np.array([entropy(p) for p in probs]).tobytes()
+    for r, p in enumerate(probs):
+        us = _uniforms(p)
+        # The old one-row draw: the first cumulative sum at or above u.
+        want = [min(int(np.searchsorted(np.cumsum(p), u)), m - 1) for u in us]
+        assert [sample_action(p, u) for u in us] == want
+        many = np.repeat(probs[r : r + 1], len(us), axis=0)
+        assert sample_actions(many, np.array(us)).tolist() == want
+        # _step_actions mixes greedy (None) and sampled episodes on shared rows.
+        picks = [r] * len(us) + list(range(len(probs)))
+        u = us + [None] * len(probs)
+        assert _step_actions(probs, picks, u) == want + [int(np.argmax(q)) for q in probs]
+
+
+def test_a_draw_above_every_sum_takes_the_last_action():
+    probs = np.array([[0.5, 0.4999], [0.4999, 0.5]])
+    assert sample_actions(probs, np.array([0.99995, 0.99999])).tolist() == [1, 1]
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = [np.array([1.0, 2.0]), np.array([[3.0]])]
@@ -353,3 +410,15 @@ class TestCheckpoint:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), True, "1", None])
+    def test_a_data_value_at_fault_is_named(self, value):
+        doc = [{"shape": [2], "data": [1.5, -2]}, {"shape": [3], "data": [0.0, value, float("nan")]}]
+        with pytest.raises(ValueError) as e:
+            params_from_doc(doc)
+        assert str(e.value) == refusal("checkpoint params[1]", "data", value, "a finite number")
+
+    def test_data_values_load_as_the_floats_they_name(self):
+        data = [0, -1, 2**63 + 1, -(2**70), 1.5, -0.0, 5e-324, 1.7976931348623157e308, 10**308]
+        (values,) = params_from_doc([{"shape": [len(data)], "data": data}])
+        assert values.dtype == np.float64 and values.tobytes() == np.array([float(x) for x in data]).tobytes()

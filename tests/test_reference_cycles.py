@@ -127,6 +127,7 @@ def test_command_leaves_no_cyclic_garbage(paths, capsys, case):
     assert found == 0 and not kinds, f"{case} left cyclic garbage: {dict(kinds.most_common())}"
     if case in FAILS:
         assert capsys.readouterr().err.count("error: ") == 2
+        assert not (paths["dir"] / f"out_{case}").exists()  # refused before anything is written
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -91,7 +91,7 @@ class TestRollout:
 
         params = init_policy(PCFG, seed=2)
         forced = iter([0, 0, 1, 0])
-        monkeypatch.setattr(trainer, "sample_action", lambda probs, u: next(forced))
+        monkeypatch.setattr(trainer, "sample_actions", lambda probs, u: np.array([next(forced) for _ in u]))
         tr = one_rollout(params, diamond, two_device, TERMINAL, np.random.default_rng(0))
         assert tr.actions == [0, 0, 1, 0]
         assert tr.final_placement == (0, 0, 1, 0)
