@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import baselines, datagen, placement_env, trainer
-from .fileio import check_object, check_values, field_kinds, json_document, parse_json, write_atomic, write_csv
+from .fileio import (check_object, check_values, field_kinds, json_document, parse_json, read_text, write_atomic,
+                     write_csv)
 from .graph_core import load_graph
 from .placement_env import BYTES_PER_GB, RewardConfig
 from .policy_gnn import PolicyConfig
@@ -37,14 +38,6 @@ DOT_COLORS = [
 
 class CliError(ValueError):
     pass
-
-
-def _read(path):
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError as e:
-        raise CliError(f"cannot read {path}: {e.strerror}") from e
 
 
 def _outdir(args):
@@ -104,9 +97,9 @@ def cmd_datagen(args):
 
 
 def cmd_simulate(args):
-    graph = load_graph(_read(args.graph))
-    topology = load_topology(_read(args.topology))
-    placement = load_placement(_read(args.placement), graph.num_nodes)
+    graph = load_graph(read_text(args.graph, CliError))
+    topology = load_topology(read_text(args.topology, CliError))
+    placement = load_placement(read_text(args.placement, CliError), graph.num_nodes)
     result = simulate(graph, topology, placement)
     doc = result.to_document(graph, placement)
     out = _outdir(args)
@@ -119,27 +112,24 @@ def cmd_simulate(args):
     return 0
 
 
-SCHEMES = ("single_device", "random", "mincut", "expert")
-
-
-def _run_scheme(name, graph, topology, seed, mincut_cfg=None):
-    if name == "single_device":
-        return baselines.place_single_device(graph, topology)
-    if name == "random":
-        return baselines.place_random(graph, topology, seed)
-    if name == "mincut":
-        return baselines.place_balanced_mincut(graph, topology, mincut_cfg).placement
-    if name == "expert":
-        return baselines.place_expert_chain(graph, topology)
-    raise CliError(f"unknown scheme {name!r} (choose from {', '.join(SCHEMES)})")
+# Scheme name -> placer of (graph, topology, seed, partitioner config or None
+# for the defaults). `place --scheme` takes one; `evaluate` writes a row for
+# each, in this order, between zero_shot and exhaustive. Each placer is looked
+# up on `baselines` at call time, so a rebinding there (a tracer) is seen.
+SCHEMES = {
+    "random": lambda graph, topology, seed, cfg: baselines.place_random(graph, topology, seed),
+    "single_device": lambda graph, topology, seed, cfg: baselines.place_single_device(graph, topology),
+    "mincut": lambda graph, topology, seed, cfg: baselines.place_balanced_mincut(graph, topology, cfg).placement,
+    "expert": lambda graph, topology, seed, cfg: baselines.place_expert_chain(graph, topology),
+}
 
 
 def cmd_place(args):
     _check_seed(args)
-    graph = load_graph(_read(args.graph))
-    topology = load_topology(_read(args.topology))
+    graph = load_graph(read_text(args.graph, CliError))
+    topology = load_topology(read_text(args.topology, CliError))
     cfg = baselines.PartitionerConfig(**_given(args, baselines.PartitionerConfig))
-    placement = _run_scheme(args.scheme, graph, topology, args.seed, cfg)
+    placement = SCHEMES[args.scheme](graph, topology, args.seed, cfg)
     result = simulate(graph, topology, placement)
     out = _outdir(args)
     write_atomic(os.path.join(out, f"placement_{args.scheme}.json"), placement.to_document(graph.name))
@@ -193,8 +183,8 @@ def load_run_config(text):
 
 def cmd_train(args):
     _check_seed(args)
-    doc = load_run_config(_read(args.config))
-    topology = load_topology(_read(args.topology or doc["topology"]))
+    doc = load_run_config(read_text(args.config, CliError))
+    topology = load_topology(read_text(args.topology or doc["topology"], CliError))
     env_doc = dict(doc.get("env", {}))
     init_mode = env_doc.pop("init_mode", None)
     reward_cfg = RewardConfig(**env_doc)
@@ -235,7 +225,6 @@ def cmd_train(args):
     return 0
 
 
-EVAL_SCHEMES = ("zero_shot", "random", "single_device", "mincut", "expert", "exhaustive")
 EVAL_COLUMNS = ["graph", "scheme", "penalized_runtime_s", "makespan_s", "peak_memory_bytes"]
 
 
@@ -250,7 +239,7 @@ def cmd_evaluate(args):
     _check_budget(args)
     _check_seed(args)
     params, _ = trainer.load_policy_checkpoint(args.checkpoint)
-    topology = load_topology(_read(args.topology))
+    topology = load_topology(read_text(args.topology, CliError))
     _, _, test_graphs = datagen.read_dataset(args.dataset)
     if not test_graphs:
         raise CliError(f"dataset {args.dataset} has no test graphs")
@@ -259,20 +248,16 @@ def cmd_evaluate(args):
     predictions = trainer.predict_placement(
         params, test_graphs, topology, reward_cfg, n_samples=args.samples, seed=args.seed
     )
-    rows = []
+    rows, runtimes = [], {}  # runtimes: scheme -> its rows' runtimes, schemes in row order
     for graph, pred in zip(test_graphs, predictions):
         candidates = {"zero_shot": pred.placement}
-        for scheme in SCHEMES:
-            candidates[scheme] = _run_scheme(scheme, graph, topology, args.seed)
-        exhaustive_ok = topology.num_devices**graph.num_nodes <= args.budget
-        if exhaustive_ok:
+        for scheme, place in SCHEMES.items():
+            candidates[scheme] = place(graph, topology, args.seed, None)
+        if topology.num_devices**graph.num_nodes <= args.budget:
             candidates["exhaustive"], _ = baselines.exhaustive_search(graph, topology, reward_cfg, args.budget)
-        for scheme in EVAL_SCHEMES:
-            if scheme not in candidates:
-                continue
-            runtime, result = placement_env.evaluate_placement(
-                graph, topology, candidates[scheme], reward_cfg
-            )
+        for scheme, placement in candidates.items():
+            runtime, result = placement_env.evaluate_placement(graph, topology, placement, reward_cfg)
+            runtimes.setdefault(scheme, []).append(runtime)
             rows.append(
                 {
                     "graph": graph.name,
@@ -286,17 +271,15 @@ def cmd_evaluate(args):
     report_path = os.path.join(_outdir(args), "evaluation.csv")
     write_csv(report_path, EVAL_COLUMNS, rows)
     print(f"evaluated {len(test_graphs)} test graphs -> {report_path}")
-    for scheme in EVAL_SCHEMES:
-        vals = [r["penalized_runtime_s"] for r in rows if r["scheme"] == scheme]
-        if vals:
-            print(f"  {scheme}: mean {np.mean(vals):.4f} s over {len(vals)} graphs")
+    for scheme, vals in runtimes.items():
+        print(f"  {scheme}: mean {np.mean(vals):.4f} s over {len(vals)} graphs")
     return 0
 
 
 def cmd_oracle(args):
     _check_budget(args)
-    graph = load_graph(_read(args.graph))
-    topology = load_topology(_read(args.topology))
+    graph = load_graph(read_text(args.graph, CliError))
+    topology = load_topology(read_text(args.topology, CliError))
     placement, runtime = baselines.exhaustive_search(graph, topology, budget=args.budget)
     out = _outdir(args)
     write_atomic(os.path.join(out, "placement_exhaustive.json"), placement.to_document(graph.name))

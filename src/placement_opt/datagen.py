@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .fileio import (FINITE, FINITE_AT_LEAST_0, at_least, check_object, check_values, json_document, one_of,
-                     parse_json, refusal, rule, write_atomic)
+                     parse_json, read_text, refusal, rule, write_atomic)
 from .graph_core import ComputationGraph, OpGroup, load_graph, save_graph
 
 BRANCH_BLOCKS = "branch_blocks"
@@ -268,10 +268,10 @@ _MEMBER = {"name": "str", "file": "str", "split": "str"}
 def read_dataset(directory: str):
     """Returns (manifest, train graphs, test graphs). The manifest and its
     members must hold only the keys of _MANIFEST and _MEMBER, each member a
-    string 'file' and a 'split' of "train" or "test"; otherwise raises
-    DatagenError."""
-    with open(os.path.join(directory, "manifest.json")) as f:
-        manifest = parse_json(f.read(), f"dataset manifest in {directory}", DatagenError)
+    string 'file' and a 'split' of "train" or "test"; otherwise, or if a file
+    cannot be read, raises DatagenError."""
+    text = read_text(os.path.join(directory, "manifest.json"), DatagenError)
+    manifest = parse_json(text, f"dataset manifest in {directory}", DatagenError)
     check_object(manifest, _MANIFEST, "dataset manifest", DatagenError, required=("members",))
     train, test = [], []
     for i, entry in enumerate(manifest["members"]):
@@ -279,7 +279,6 @@ def read_dataset(directory: str):
         check_object(entry, _MEMBER, where, DatagenError, required=("file", "split"))
         if entry["split"] not in ("train", "test"):
             raise DatagenError(refusal(where, "split", entry["split"], '"train" or "test"'))
-        with open(os.path.join(directory, entry["file"])) as f:
-            g = load_graph(f.read())
+        g = load_graph(read_text(os.path.join(directory, entry["file"]), DatagenError))
         (train if entry["split"] == "train" else test).append(g)
     return manifest, train, test

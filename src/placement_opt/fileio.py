@@ -1,8 +1,8 @@
 """The one way outputs reach disk: whole-file replacement, and the JSON text
-of every indented output document. Also the one way every input document is
-parsed and checked against a key -> kind schema, and every config value
-against its field's rule, so every failure names the document, the key and
-the value in one wording."""
+of every indented output document. Also the one way every input file is
+read, every input document parsed and checked against a key -> kind schema,
+and every config value against its field's rule, so every failure names the
+document, the key and the value in one wording."""
 
 from __future__ import annotations
 
@@ -13,6 +13,16 @@ import json
 import math
 import os
 import sys
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The text of the file at path, raising error("cannot read <path>:
+    <reason>") if it cannot be opened or read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError as e:
+        raise error(f"cannot read {path}: {e.strerror}") from e
 
 
 def parse_json(text, what: str, error: type[Exception]):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import check_object, finite_numbers, number, parse_json, refusal, write_atomic
+from .fileio import check_object, finite_numbers, number, parse_json, read_text, refusal, write_atomic
 
 RELU = "relu"
 IDENTITY = "identity"
@@ -232,8 +232,7 @@ _CHECKPOINT = {"format": "str", "params": "list", "extra": "object"}
 def load_checkpoint(path):
     """Returns (params, extra dict). Older checkpoints also hold adam and
     rng_state, which are dropped unread."""
-    with open(path) as f:
-        doc = parse_json(f.read(), "checkpoint", ValueError)
+    doc = parse_json(read_text(path, ValueError), "checkpoint", ValueError)
     if type(doc) is dict:
         doc = {k: v for k, v in doc.items() if k not in ("adam", "rng_state")}
         if doc.get("format", CHECKPOINT_FORMAT) != CHECKPOINT_FORMAT:

@@ -28,10 +28,10 @@ the memory penalty could be nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import attrgetter
+from typing import NamedTuple
 
 from .fileio import Table, check_object, clip, json_document, number, parse_json, refusal
 from .graph_core import ComputationGraph
@@ -177,17 +177,12 @@ def load_placement(text, num_nodes: int) -> Placement:
     return Placement(assignment=tuple(out))
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     node: int  # producer of the tensor
     src: int
     dst: int
     start: float
     end: float
-
-
-_TRANSFER_KEYS = tuple(f.name for f in fields(TransferRecord))
-_TRANSFER_FIELDS = attrgetter(*_TRANSFER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,7 @@ class SimulationResult:
         lists are written from their columns."""
         starts, ends = zip(*self.node_spans) if self.node_spans else ((), ())
         nodes = (list(range(len(starts))), placement.assignment, starts, ends)
-        transfers = tuple(zip(*map(_TRANSFER_FIELDS, self.transfers))) or ((),) * len(_TRANSFER_KEYS)
+        transfers = tuple(zip(*self.transfers)) or ((),) * len(TransferRecord._fields)
         return json_document(
             {
                 "graph": graph.name,
@@ -211,7 +206,7 @@ class SimulationResult:
                 "peak_memory_bytes": list(self.peak_memory_bytes),
                 "event_count": self.event_count,
                 "nodes": Table(("id", "device", "start", "end"), nodes),
-                "transfers": Table(_TRANSFER_KEYS, transfers),
+                "transfers": Table(TransferRecord._fields, transfers),
             }
         )
 

@@ -14,7 +14,7 @@ from placement_opt.graph_core import load_graph
 from placement_opt.neural_primitives import CHECKPOINT_FORMAT, params_to_doc
 from placement_opt.placement_env import INTERMEDIATE, RewardConfig
 from placement_opt.policy_gnn import PolicyConfig, init_policy
-from placement_opt.sim_engine import load_topology
+from placement_opt.sim_engine import Placement, load_topology
 from placement_opt.trainer import save_policy_checkpoint
 
 
@@ -1260,3 +1260,86 @@ class TestRefusedCommandsLeaveNoOutput:
                      "--out", str(out)])
         assert "checkpoint is for 3 devices, topology has 2" in err
         assert not out.exists()
+
+
+class TestMissingInputFiles:
+    """A checkpoint, a dataset manifest or a dataset member that cannot be
+    read is refused in the words of every other unreadable input."""
+
+    @pytest.fixture
+    def evaluate_inputs(self, files, tmp_path):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "1",
+                    "--out", str(ds)]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(str(ckpt), init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0))
+        return {"checkpoint": str(ckpt), "dataset": ds}
+
+    def _refused(self, capsys, files, tmp_path, checkpoint, dataset, path):
+        out = tmp_path / "o"
+        rc = run(["evaluate", "--checkpoint", checkpoint, "--dataset", str(dataset), "--topology", files["topo"],
+                  "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: No such file or directory\n"
+        assert not out.exists()
+
+    def test_checkpoint(self, files, tmp_path, capsys, evaluate_inputs):
+        path = str(tmp_path / "nope.json")
+        self._refused(capsys, files, tmp_path, path, evaluate_inputs["dataset"], path)
+
+    def test_dataset_manifest(self, files, tmp_path, capsys, evaluate_inputs):
+        ds = tmp_path / "no_manifest"
+        ds.mkdir()
+        self._refused(capsys, files, tmp_path, evaluate_inputs["checkpoint"], ds, os.path.join(ds, "manifest.json"))
+
+    def test_dataset_member(self, files, tmp_path, capsys, evaluate_inputs):
+        ds = evaluate_inputs["dataset"]
+        member = json.loads((ds / "manifest.json").read_text())["members"][-1]["file"]
+        (ds / member).unlink()
+        self._refused(capsys, files, tmp_path, evaluate_inputs["checkpoint"], ds, os.path.join(ds, member))
+
+
+class TestSchemeTable:
+    """cli.SCHEMES is the one list of baseline schemes: place takes its keys
+    as its choices, and evaluate writes a row for each entry, in its order,
+    after zero_shot and before exhaustive."""
+
+    @pytest.fixture
+    def evaluate_argv(self, files, tmp_path):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "2",
+                    "--out", str(ds), "--seed", "5"]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(str(ckpt), init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0))
+        return ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds), "--topology", files["topo"],
+                "--out", str(tmp_path / "eval_out")]
+
+    def _schemes_by_graph(self, argv, capsys):
+        assert run(argv) == 0
+        summary = capsys.readouterr().out.splitlines()[1:]
+        with open(os.path.join(argv[-1], "evaluation.csv")) as f:
+            rows = list(csv.DictReader(f))
+        by_graph = {}
+        for r in rows:
+            by_graph.setdefault(r["graph"], []).append(r["scheme"])
+        return by_graph, [line.split(":")[0].strip() for line in summary]
+
+    def test_evaluate_rows_follow_the_table(self, evaluate_argv, capsys):
+        expected = ["zero_shot", *cli.SCHEMES, "exhaustive"]
+        assert list(cli.SCHEMES) == ["random", "single_device", "mincut", "expert"]
+        by_graph, summary = self._schemes_by_graph(evaluate_argv, capsys)
+        assert by_graph and all(schemes == expected for schemes in by_graph.values())
+        assert summary == expected
+
+    def test_an_added_entry_drives_both_commands(self, files, tmp_path, monkeypatch, capsys, evaluate_argv):
+        monkeypatch.setitem(cli.SCHEMES, "last_device",
+                            lambda graph, topology, seed, cfg: Placement((topology.num_devices - 1,) * graph.num_nodes))
+        out = tmp_path / "place_out"
+        assert run(["place", "--scheme", "last_device", "--graph", files["graph"], "--topology", files["topo"],
+                    "--out", str(out)]) == 0
+        assert set(json.loads((out / "placement_last_device.json").read_text())["assignment"].values()) == {1}
+        capsys.readouterr()
+        expected = ["zero_shot", "random", "single_device", "mincut", "expert", "last_device", "exhaustive"]
+        by_graph, summary = self._schemes_by_graph(evaluate_argv, capsys)
+        assert by_graph and all(schemes == expected for schemes in by_graph.values())
+        assert summary == expected

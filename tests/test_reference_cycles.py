@@ -63,6 +63,10 @@ def paths(tmp_path_factory):
     for name, doc in configs.items():
         p[name] = str(d / f"{name}.json")
         (d / f"{name}.json").write_text(json.dumps(doc))
+    # A dataset directory without a manifest, and one whose manifest names an absent graph.
+    (d / "no_manifest").mkdir()
+    (d / "absent_member").mkdir()
+    (d / "absent_member" / "manifest.json").write_text(json.dumps({"members": [{"file": "gone.json", "split": "test"}]}))
     p["deep"] = str(d / "deep.json")
     (d / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     assert cli.main(["train", "--config", p["terminal"], "--out", str(d / "trained")]) == 0
@@ -77,7 +81,11 @@ def paths(tmp_path_factory):
 def _argv(p, case):
     out = str(p["dir"] / f"out_{case}")
     graph = ["--graph", p["graph"], "--topology", p["topology"]]
-    evaluate = ["evaluate", "--dataset", p["dataset"], "--topology", p["topology"], "--samples", "2", "--out", out]
+
+    def evaluate(checkpoint, dataset=p["dataset"]):
+        return ["evaluate", "--checkpoint", checkpoint, "--dataset", dataset, "--topology", p["topology"],
+                "--samples", "2", "--out", out]
+
     return {
         "datagen": ["datagen", "--family", "layered_random", "--count", "3", "--out", out],
         "datagen_branch_blocks": ["datagen", "--family", "branch_blocks", "--count", "3", "--out", out],
@@ -86,7 +94,7 @@ def _argv(p, case):
         **{f"place_{s}": ["place", "--scheme", s, *graph, "--out", out] for s in cli.SCHEMES},
         "train_intermediate": ["train", "--config", p["intermediate"], "--out", out],
         "train_terminal": ["train", "--config", p["terminal"], "--out", out],
-        "evaluate": [*evaluate, "--checkpoint", p["checkpoint"]],
+        "evaluate": evaluate(p["checkpoint"]),
         "oracle": ["oracle", *graph, "--out", out],
         "missing_file": ["simulate", "--graph", str(p["dir"] / "absent.json"), "--topology", p["topology"],
                          "--placement", p["placement"], "--out", out],
@@ -95,7 +103,10 @@ def _argv(p, case):
         "deep_document": ["oracle", "--graph", p["deep"], "--topology", p["topology"], "--out", out],
         "bad_run_config": ["train", "--config", p["bad_config"], "--out", out],
         "bad_init_mode": ["train", "--config", p["bad_init_mode"], "--out", out],
-        "malformed_checkpoint": [*evaluate, "--checkpoint", p["bad_checkpoint"]],
+        "malformed_checkpoint": evaluate(p["bad_checkpoint"]),
+        "missing_checkpoint": evaluate(str(p["dir"] / "absent_checkpoint.json")),
+        "missing_manifest": evaluate(p["checkpoint"], str(p["dir"] / "no_manifest")),
+        "missing_member": evaluate(p["checkpoint"], str(p["dir"] / "absent_member")),
         "negative_seed": ["place", "--scheme", "random", *graph, "--seed", "-1", "--out", out],
         "malformed_members": ["place", "--scheme", "mincut", "--graph", p["bad_members"], "--topology", p["topology"],
                               "--out", out],
@@ -106,7 +117,8 @@ def _argv(p, case):
 SUCCEEDS = ["datagen", "datagen_branch_blocks", "datagen_encoder_decoder", "simulate", *(f"place_{s}" for s in cli.SCHEMES), "train_intermediate", "train_terminal",
             "evaluate", "oracle"]
 FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "bad_init_mode", "malformed_checkpoint",
-         "negative_seed", "malformed_members", "shared_graph_names"]
+         "negative_seed", "malformed_members", "shared_graph_names", "missing_checkpoint", "missing_manifest",
+         "missing_member"]
 
 
 @pytest.mark.parametrize("case", SUCCEEDS + FAILS)
