@@ -1,7 +1,8 @@
 """The one way outputs reach disk: whole-file replacement, and the JSON text
-of every indented output document. Also the one way every input file is
-read, every input document parsed and checked against a key -> kind schema,
-and every config value against its field's rule, so every failure names the
+of every indented output document, each list of like rows filled in by one
+format call. Also the one way every input file is read as UTF-8, every input
+document parsed and checked against a key -> kind schema, and every config
+value against its field's rule, so every failure names the file or the
 document, the key and the value in one wording."""
 
 from __future__ import annotations
@@ -13,16 +14,19 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 
 def read_text(path, error: type[Exception]) -> str:
-    """The text of the file at path, raising error("cannot read <path>:
-    <reason>") if it cannot be opened or read."""
+    """The text of the UTF-8 file at path, raising error("cannot read <path>:
+    <reason>") if it cannot be opened or read or is not UTF-8 text."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except OSError as e:
         raise error(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise error(f"cannot read {path}: not UTF-8 text ({e})") from e
 
 
 def parse_json(text, what: str, error: type[Exception]):
@@ -200,9 +204,11 @@ def json_document(doc) -> str:
 
     An indent always selects json's pure-Python encoder. Here each list is
     encoded a column at a time instead: one C ``json.dumps`` per column of
-    scalars, split on the C encoder's ", " separator, and for a Table or a
-    list of like-shaped objects or lists one ``%`` template filled in for
-    every row.
+    scalars, split on the C encoder's ", " separator. A Table or a list of
+    like-shaped objects or lists is filled in by one ``%`` call for all its
+    rows: on its values themselves when each is an exact int or a finite
+    float, which are the only values whose repr is json's text, else on
+    each column's encoded entries.
     """
     return _encode(doc, "\n")
 
@@ -222,7 +228,8 @@ def _encode(o, nl: str) -> str:
         if not len(o):
             return "[]"
         inner = nl + "  "
-        items = _rows(_heads(o.keys), o.columns, "{}", inner) if isinstance(o, Table) else _items(o, inner)
+        table = isinstance(o, Table)
+        items = _rows(_heads(o.keys), list(zip(*o.columns)), "{}", inner) if table else _items(o, inner)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     return json.dumps(o)
 
@@ -237,11 +244,11 @@ def _items(values, nl: str) -> list[str]:
         # Some string holds ", ", so the split cut it; encode one by one.
         return [json.dumps(v) for v in values]
     # Rows: objects with the same keys in the same order, or lists of one
-    # length. Each column is encoded as a list of its own.
+    # length.
     if kinds == {dict} and len(shapes := set(map(tuple, values))) == 1 and (keys := shapes.pop()):
-        return _rows(_heads(keys), list(zip(*map(dict.values, values))), "{}", nl)
+        return _rows(_heads(keys), list(map(dict.values, values)), "{}", nl)
     if kinds <= {list, tuple} and len(widths := set(map(len, values))) == 1 and (width := widths.pop()):
-        return _rows([""] * width, list(zip(*values)), "[]", nl)
+        return _rows([""] * width, values, "[]", nl)
     return [_encode(v, nl) for v in values]
 
 
@@ -250,11 +257,24 @@ def _heads(keys) -> list[str]:
     return [json.dumps(k if isinstance(k, str) else json.dumps(k)) + ": " for k in keys]
 
 
-def _rows(heads, columns, brackets: str, nl: str) -> list[str]:
-    """One row per index of the columns, at the depth whose line break is
-    nl: column i's encoded entry after heads[i], between brackets. Each
-    column is encoded by one _items call and each row by one template."""
+def _rows(heads, rows, brackets: str, nl: str) -> list[str]:
+    """Each of rows, a sequence of one value per head, as one object or list
+    between brackets at the depth whose line break is nl, each value after
+    its head. One ``%`` call fills a row template repeated once per row,
+    split apart at the NULs between rows (json text holds none). Where every
+    value is an exact int or a finite float, the template takes the values
+    by ``%r``, since json writes those by their repr; the repr of any other
+    value (NaN, an infinity, a bool, None, a string, a numpy scalar, an int
+    or float subclass) is not json's text. Otherwise the template takes
+    each column encoded by one _items call, by ``%s``."""
     inner = nl + "  "
-    fields = ("," + inner).join(h.replace("%", "%%") + "%s" for h in heads)
+    values = tuple(chain.from_iterable(rows))
+    try:  # NaN or an infinity makes the sum of ints and floats non-finite
+        exact = set(map(type, values)) <= {int, float} and -math.inf < sum(values) < math.inf
+    except OverflowError:  # an int beyond float range beside a float: exact, but take the slow path
+        exact = False
+    if not exact:
+        values = tuple(chain.from_iterable(zip(*[_items(col, inner) for col in zip(*rows)])))
+    fields = ("," + inner).join(h.replace("%", "%%") + ("%r" if exact else "%s") for h in heads)
     template = brackets[0] + inner + fields + nl + brackets[1]
-    return list(map(template.__mod__, zip(*[_items(col, inner) for col in columns])))
+    return ("\0".join([template] * len(rows)) % values).split("\0")

@@ -17,11 +17,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from .fileio import check_object, finite_numbers, json_document, number, parse_json, refusal
+from .fileio import Table, check_object, finite_numbers, json_document, number, parse_json, refusal
 
 
 _INF = float("inf")
@@ -79,7 +80,7 @@ class ComputationGraph:
     @staticmethod
     def build(name, nodes, edges) -> "ComputationGraph":
         """Validate and index a graph; nodes must already have dense ids."""
-        nodes = tuple(sorted(nodes, key=lambda g: g.id))
+        nodes = tuple(sorted(nodes, key=attrgetter("id")))
         n = len(nodes)
         ids = [g.id for g in nodes]
         if ids != list(range(n)):
@@ -345,11 +346,14 @@ def _edge_pairs(edges: list, remap) -> list[tuple[int, int]]:
 
 def save_graph(graph: ComputationGraph) -> str:
     """Serialize back to the JSON document schema (round-trips load_graph).
+    A graph whose every cost vector has length 1 and whose nodes have no
+    members writes its node table from the cached cost and size columns.
     The edges are written in (parent, child) order, read off the children
     lists, which _indexed keeps ascending."""
-    doc = {
-        "name": graph.name,
-        "nodes": [
+    if graph.cost_widths == {1} and not any(map(attrgetter("members"), graph.nodes)):
+        nodes = Table(("id", "cost", "output_bytes"), (range(graph.num_nodes), graph.base_costs, graph.output_sizes))
+    else:
+        nodes = [
             {
                 "id": g.id,
                 "cost": list(g.compute_seconds) if len(g.compute_seconds) > 1 else g.compute_seconds[0],
@@ -357,10 +361,9 @@ def save_graph(graph: ComputationGraph) -> str:
                 **({"members": list(g.members)} if g.members else {}),
             }
             for g in graph.nodes
-        ],
-        "edges": [[u, v] for u, children in enumerate(graph.children) for v in children],
-    }
-    return json_document(doc)
+        ]
+    edges = [[u, v] for u, children in enumerate(graph.children) for v in children]
+    return json_document({"name": graph.name, "nodes": nodes, "edges": edges})
 
 
 @dataclass(frozen=True)

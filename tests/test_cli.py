@@ -1299,6 +1299,48 @@ class TestMissingInputFiles:
         self._refused(capsys, files, tmp_path, evaluate_inputs["checkpoint"], ds, os.path.join(ds, member))
 
 
+class TestNonUtf8InputFiles:
+    """A graph, a checkpoint or a dataset member that is not UTF-8 text is
+    refused as unreadable, naming its file, with no --out written."""
+
+    REASON = "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+
+    def _refused(self, capsys, tmp_path, argv, path):
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {path}: {self.REASON}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _spoil(path):
+        path.write_bytes(b"\xff" + path.read_bytes())
+
+    def test_graph(self, files, tmp_path, capsys):
+        graph = tmp_path / "diamond.json"
+        self._spoil(graph)
+        self._refused(capsys, tmp_path, ["place", "--scheme", "mincut", "--graph", str(graph),
+                                         "--topology", files["topo"]], graph)
+
+    @pytest.fixture
+    def evaluate_argv(self, files, tmp_path):
+        ds = tmp_path / "ds"
+        assert run(["datagen", "--family", "branch_blocks", "--count", "4", "--branch-ops", "1", "1",
+                    "--out", str(ds)]) == 0
+        ckpt = tmp_path / "ckpt.json"
+        save_policy_checkpoint(str(ckpt), init_policy(PolicyConfig(num_devices=2, message_rounds=1), seed=0))
+        return ["evaluate", "--checkpoint", str(ckpt), "--dataset", str(ds), "--topology", files["topo"]]
+
+    def test_checkpoint(self, tmp_path, capsys, evaluate_argv):
+        self._spoil(tmp_path / "ckpt.json")
+        self._refused(capsys, tmp_path, evaluate_argv, tmp_path / "ckpt.json")
+
+    def test_dataset_member(self, tmp_path, capsys, evaluate_argv):
+        ds = tmp_path / "ds"
+        member = json.loads((ds / "manifest.json").read_text())["members"][-1]["file"]
+        self._spoil(ds / member)
+        self._refused(capsys, tmp_path, evaluate_argv, os.path.join(ds, member))
+
+
 class TestSchemeTable:
     """cli.SCHEMES is the one list of baseline schemes: place takes its keys
     as its choices, and evaluate writes a row for each entry, in its order,

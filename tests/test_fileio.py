@@ -209,6 +209,48 @@ def test_table_is_written_as_its_row_objects():
     assert fileio.json_document(fileio.Table(("a",), ([],))) == "[]"
 
 
+# A list of objects with like keys, a Table or a list of like-length lists
+# whose values are all exact ints and finite floats is filled in from the
+# values' repr; any other value takes the path through json.dumps.
+ONE_CALL_CASES = {
+    "numpy_float64": (("id", "x"), ([0, 1], [np.float64(1.5), np.float64(-0.25)])),
+    "bool_in_int_column": (("id", "x"), ([0, True, 2], [1.0, 2.0, 3.0])),
+    "none": (("id", "x"), ([0, 1, 2], [1.5, None, 2.5])),
+    "nan_and_infinities": (("x", "y"), ([1.0, float("nan"), float("inf")], [0.5, float("-inf"), 2.0])),
+    "big_int_beside_float": (("x",), ([10**400, 1.5],)),
+    "overflowing_sum": (("x", "y"), ([1.7976931348623157e308, 1.7976931348623157e308], [1, 2])),
+    "negative_zero_and_subnormal": (("x", "y"), ([-0.0, 5e-324], [5e-324, -0.0])),
+    "percent_keys": (("%s", "100%", "%(x)r", "%%"), ([0, 1], [0.5, 1.5], [2, 3], [1e-300, 1e300])),
+}
+
+
+@pytest.mark.parametrize("keys, columns", ONE_CALL_CASES.values(), ids=ONE_CALL_CASES.keys())
+def test_row_tables_match_indented_dumps(keys, columns):
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    lists = [list(values) for values in zip(*columns)]
+    doc = {"table": fileio.Table(keys, columns), "rows": rows, "lists": lists, "by_key": dict(zip(keys, lists))}
+    reference = {"table": rows, "rows": rows, "lists": lists, "by_key": dict(zip(keys, lists))}
+    assert fileio.json_document(doc) == json.dumps(reference, indent=2)
+    assert fileio.json_document([lists]) == json.dumps([lists], indent=2)
+
+
+@pytest.mark.parametrize("awkward", [False, True], ids=["finite", "awkward"])
+def test_two_thousand_row_tables_match_indented_dumps(awkward):
+    rng = np.random.default_rng(2000)
+    n = 2000
+
+    def number():
+        if awkward and rng.random() < 0.01:
+            return AWKWARD_FLOATS[rng.integers(len(AWKWARD_FLOATS))]
+        return float(rng.uniform(-10, 10) * 10.0 ** rng.integers(-300, 300))
+
+    columns = (list(range(n)), [number() for _ in range(n)], [number() for _ in range(n)])
+    rows = [{"id": i, "cost": c, "output_bytes": b} for i, c, b in zip(*columns)]
+    pairs = [[int(u), int(v)] for u, v in rng.integers(0, n, size=(n, 2))]
+    doc = {"table": fileio.Table(("id", "cost", "output_bytes"), columns), "rows": rows, "pairs": pairs}
+    assert fileio.json_document(doc) == json.dumps({"table": rows, "rows": rows, "pairs": pairs}, indent=2)
+
+
 @dataclass
 class _Kinds:
     count: int

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from placement_opt import graph_core
+from placement_opt.datagen import FamilySpec, generate_family
 from placement_opt.fileio import check_object, number, parse_json, refusal
 from placement_opt.graph_core import (
     ComputationGraph,
@@ -122,6 +123,35 @@ class TestSaveGraphText:
         assert save_graph(g) == dict_document(g)
         empty = ComputationGraph.build("", [], set())
         assert save_graph(empty) == dict_document(empty)
+
+
+class TestSaveGraphAtScale:
+    """save_graph writes a graph of place_large's size from its columns and
+    one whose single node has members from node objects; both give
+    json.dumps's text and read back to the same graph."""
+
+    @pytest.fixture(scope="class")
+    def large(self):
+        # Graph i of a family depends on the spec seed and i, not the count,
+        # so this is the first graph of place_large's 24 (seed 1000).
+        spec = FamilySpec(family="branch_blocks", count=2, blocks=128, branches_lo=2, branches_hi=4,
+                          branch_ops_lo=2, branch_ops_hi=4, seed=1000)
+        return generate_family(spec)[0]
+
+    def _check(self, g):
+        text = save_graph(g)
+        assert text == dict_document(g)
+        back = load_graph(text)
+        assert (back.name, back.nodes, back.edges) == (g.name, g.nodes, g.edges)
+
+    def test_first_place_large_graph(self, large):
+        assert large.num_nodes == 1387 and large.cost_widths == {1}
+        self._check(large)
+
+    def test_one_node_with_members(self, large):
+        nodes = list(large.nodes)
+        nodes[700] = nodes[700]._replace(members=("a, b", "%s"))
+        self._check(ComputationGraph.build(large.name, nodes, large.edges))
 
 
 # The per-node loader that the column-checked one replaced, kept as the

@@ -68,6 +68,8 @@ def paths(tmp_path_factory):
     (d / "absent_member").mkdir()
     (d / "absent_member" / "manifest.json").write_text(json.dumps({"members": [{"file": "gone.json", "split": "test"}]}))
     p["deep"] = str(d / "deep.json")
+    p["not_utf8"] = str(d / "not_utf8.json")
+    (d / "not_utf8.json").write_bytes(b"\xff" + json.dumps(GRAPH).encode())
     (d / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     assert cli.main(["train", "--config", p["terminal"], "--out", str(d / "trained")]) == 0
     p["checkpoint"] = str(d / "trained" / "checkpoint.json")
@@ -100,6 +102,8 @@ def _argv(p, case):
                          "--placement", p["placement"], "--out", out],
         "malformed_graph": ["place", "--scheme", "mincut", "--graph", p["bad_graph"], "--topology", p["topology"],
                             "--out", out],
+        "not_utf8_graph": ["simulate", "--graph", p["not_utf8"], "--topology", p["topology"],
+                           "--placement", p["placement"], "--out", out],
         "deep_document": ["oracle", "--graph", p["deep"], "--topology", p["topology"], "--out", out],
         "bad_run_config": ["train", "--config", p["bad_config"], "--out", out],
         "bad_init_mode": ["train", "--config", p["bad_init_mode"], "--out", out],
@@ -118,7 +122,7 @@ SUCCEEDS = ["datagen", "datagen_branch_blocks", "datagen_encoder_decoder", "simu
             "evaluate", "oracle"]
 FAILS = ["missing_file", "malformed_graph", "deep_document", "bad_run_config", "bad_init_mode", "malformed_checkpoint",
          "negative_seed", "malformed_members", "shared_graph_names", "missing_checkpoint", "missing_manifest",
-         "missing_member"]
+         "missing_member", "not_utf8_graph"]
 
 
 @pytest.mark.parametrize("case", SUCCEEDS + FAILS)
